@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the T^{1/12} spike-growth law under the scheduled
+"""Check the T^{1/6} spike-growth law under the scheduled
 interpolation weight: for each horizon T the per-seed final spike is
 compared against the high-probability growth bound.
 

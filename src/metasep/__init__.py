@@ -3,7 +3,7 @@ non-convex meta-learning on shared-direction linear regression tasks."""
 
 __version__ = "0.1.0"
 
-from .linalg import EigenDecomposition, SpikedIdentity, sym_eigen, pinv_apply
+from .linalg import EigenDecomposition, SpikedIdentity, sym_eigen
 from .rng import SeedSpec
 from .tasks import Dataset, MetaInstance, Task
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step
@@ -13,7 +13,7 @@ from .risk import AlgSpec, RiskEstimate, convex_lower_bound_exact, mc_excess_ris
 
 __all__ = [
     "__version__",
-    "EigenDecomposition", "SpikedIdentity", "sym_eigen", "pinv_apply",
+    "EigenDecomposition", "SpikedIdentity", "sym_eigen",
     "SeedSpec",
     "Dataset", "MetaInstance", "Task",
     "GdRegSpec", "GdStepSpec", "gd_reg", "gd_step",

@@ -380,10 +380,11 @@ def cmd_nsearch(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each returns (worst residual, oracle converged), the
+# flag None when the suite's oracle has no convergence criterion
 
 
-def _suite_gd_step(seed: SeedSpec, bump: float) -> float:
+def _suite_gd_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(30):
         sk = seed.child(k)
@@ -398,10 +399,10 @@ def _suite_gd_step(seed: SeedSpec, bump: float) -> float:
         explicit = oracles.gd_iteration(ds, w0, eta, t0)
         worst = max(worst, float(np.linalg.norm(closed - explicit)
                                  / max(1.0, np.linalg.norm(explicit))))
-    return worst
+    return worst, None
 
 
-def _suite_gd_reg(seed: SeedSpec, bump: float) -> float:
+def _suite_gd_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(30):
         sk = seed.child(k)
@@ -416,10 +417,10 @@ def _suite_gd_reg(seed: SeedSpec, bump: float) -> float:
         reference = oracles.gd_reg_pinv_oracle(ds, w0, lam)
         worst = max(worst, float(np.linalg.norm(closed - reference)
                                  / max(1.0, np.linalg.norm(reference))))
-    return worst
+    return worst, None
 
 
-def _suite_linear_flow(seed: SeedSpec, bump: float) -> float:
+def _suite_linear_flow(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(10):
         sk = seed.child(k)
@@ -431,10 +432,10 @@ def _suite_linear_flow(seed: SeedSpec, bump: float) -> float:
         closed = linear_flow_solve(m, b, w0, 2.0) + bump
         numeric = oracles.linear_flow_rk4(m, b, w0, 2.0)
         worst = max(worst, float(np.linalg.norm(closed - numeric)))
-    return worst
+    return worst, None
 
 
-def _suite_linear_step(seed: SeedSpec, bump: float) -> float:
+def _suite_linear_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(10):
         sk = seed.child(k)
@@ -449,11 +450,11 @@ def _suite_linear_step(seed: SeedSpec, bump: float) -> float:
         for _ in range(57):
             w = w - eta * (m @ w - b)
         worst = max(worst, float(np.linalg.norm(closed - w)))
-    return worst
+    return worst, None
 
 
-def _suite_twolayer_fp(seed: SeedSpec, bump: float) -> float:
-    worst = 0.0
+def _suite_twolayer_fp(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
+    worst, converged = 0.0, True
     for k in range(4):
         sk = seed.child(k)
         d = 5
@@ -462,16 +463,17 @@ def _suite_twolayer_fp(seed: SeedSpec, bump: float) -> float:
         a0, b0 = 0.4 + 0.1 * k, 0.1
         first = SpikedIdentity(inst.w_star / inst.r, a0, 0.1).to_dense()
         params = TwoLayerParams(first, b0 * inst.w_star / inst.r)
-        out, _ = gd_pop_flow_numeric(params, Task(inst, sgn), t_max=400.0, tol=1e-9)
+        out, ok = gd_pop_flow_numeric(params, Task(inst, sgn), t_max=400.0, tol=1e-9)
+        converged = converged and ok
         fp = gd_pop_fixed_point(ScalarPair(a0, b0), 0.1, inst.r, sgn)
         w_hat = inst.w_star / inst.r
         a_num = float(w_hat @ out.first_dense() @ w_hat) + bump
         b_num = float(w_hat @ out.second)
         worst = max(worst, abs(a_num - fp.a), abs(b_num - fp.b))
-    return worst
+    return worst, converged
 
 
-def _suite_gd2_reg(seed: SeedSpec, bump: float) -> float:
+def _suite_gd2_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(5):
         sk = seed.child(k)
@@ -492,19 +494,19 @@ def _suite_gd2_reg(seed: SeedSpec, bump: float) -> float:
         reduced = gd2_reg(lam, ds, np.eye(d)).second
         ridge = gd_reg(GdRegSpec(lam), ds, np.zeros(d))
         worst = max(worst, float(np.linalg.norm(reduced - ridge)))
-    return worst
+    return worst, None
 
 
-def _suite_replearn(seed: SeedSpec, bump: float) -> float:
+def _suite_replearn(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     expected = math.sqrt((0.01 + math.sqrt(4e4 + 1e-4)) / 2.0)
     worst = abs(replearn_alpha(10 ** 4, 0.1, 1.0) + bump - expected)
     inst = MetaInstance.from_config(4, 1.0, 0.0)
     signs = [1, -1, 1]
-    a, _, _ = oracles.replearn_joint_flow(inst, signs, 0.1, t_max=400.0, tol=1e-8)
+    a, _, converged = oracles.replearn_joint_flow(inst, signs, 0.1, t_max=400.0, tol=1e-8)
     w_hat = inst.w_star
     spike = float(w_hat @ a @ w_hat)
     worst = max(worst, abs(spike - replearn_alpha(3, 0.1, 1.0)))
-    return worst
+    return worst, converged
 
 
 _SUITES = [
@@ -527,12 +529,14 @@ def cmd_verify(cfg: dict) -> int:
     report = []
     all_ok = True
     for i, (name, fn, tol) in enumerate(_SUITES):
-        residual = fn(seed.child(i), bump)
-        ok = residual <= tol
+        residual, converged = fn(seed.child(i), bump)
+        ok = residual <= tol and converged is not False
         all_ok = all_ok and ok
-        report.append({"suite": name, "residual": residual, "tol": tol, "passed": ok})
+        report.append({"suite": name, "residual": residual, "tol": tol,
+                       "oracle_converged": converged, "passed": ok})
+        note = "" if converged is not False else " (oracle did not converge)"
         print(f"verify: {name:24s} residual={residual:.3e} tol={tol:.0e} "
-              f"{'ok' if ok else 'FAIL'}")
+              f"{'ok' if ok else 'FAIL'}{note}")
     json_path = cfg["out"] + ".json"
     write_json(json_path, {"config": _science_config(cfg), "seed": cfg["seed"],
                            "passed": all_ok, "suites": report})

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra plus the spiked-identity structure.
 
 Matrices are plain float64 numpy arrays stored fully symmetric; the
-dimensions of interest stay below a few hundred. The eigensolver is
-cyclic Jacobi with round-robin pair ordering, so each sweep touches
-every off-diagonal pair once and applies each round of disjoint
-rotations as one orthogonal conjugation.
+dimensions of interest stay below a few hundred. sym_eigen, a wrapper
+around LAPACK's symmetric eigensolver, is the one factorization the
+package uses: every closed form and every production solve is a
+spectral function of its result.
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
 direction w: every first layer produced by the meta-dynamics has this
@@ -20,17 +20,8 @@ from typing import Callable
 import numpy as np
 
 
-class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap; carries the residual norm."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"Jacobi failed to converge after {sweeps} sweeps "
-                         f"(off-diagonal residual {residual:.3e})")
-        self.residual = residual
-
-
 class NotPsdError(ValueError):
-    """Matrix has a significantly negative eigenvalue."""
+    """Matrix that must be positive definite is not."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -58,122 +49,16 @@ class EigenDecomposition:
         return v @ (f(self.eigenvalues) * (v.T @ x))
 
 
-def _round_robin_rounds(d: int) -> list[list[tuple[int, int]]]:
-    """Tournament schedule: d-1 rounds of floor(d/2) disjoint index pairs."""
-    players = list(range(d)) + ([d] if d % 2 else [])  # d is a bye slot
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(players[i], players[m - 1 - i]) for i in range(m // 2)]
-        rounds.append([(min(p, q), max(p, q)) for p, q in pairs if p < d and q < d])
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def sym_eigen(m: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Convergence criterion: off-diagonal Frobenius norm below tol * ||M||_F.
-    Each round applies its disjoint rotations as a single conjugation
-    A <- J^T A J, which keeps the sweep cost at two d x d products per round.
-    """
+def sym_eigen(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh),
+    eigenvalues in descending order."""
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    a = symmetrize(a)
-    d = a.shape[0]
-    v = np.eye(d)
-    norm = np.linalg.norm(a)
-    if d == 1 or norm == 0.0:
-        order = np.argsort(-np.diag(a))
-        return EigenDecomposition(np.diag(a)[order], v[:, order])
-
-    rounds = _round_robin_rounds(d)
-    threshold = tol * norm
-    for sweep in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < threshold:
-            break
-        for pairs in rounds:
-            p = np.array([pq[0] for pq in pairs])
-            q = np.array([pq[1] for pq in pairs])
-            apq = a[p, q]
-            active = np.abs(apq) > 1e-300
-            if not np.any(active):
-                continue
-            app, aqq = a[p, p], a[q, q]
-            # stable rotation angle: t = sign(theta) / (|theta| + sqrt(1+theta^2))
-            with np.errstate(divide="ignore", over="ignore"):
-                theta = np.where(active, (aqq - app) / (2.0 * np.where(active, apq, 1.0)), 0.0)
-            hyp = np.hypot(1.0, theta)  # no overflow for huge theta
-            t = np.sign(theta) / (np.abs(theta) + hyp)
-            t = np.where(np.sign(theta) == 0.0, 1.0 / (np.abs(theta) + hyp), t)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            j = np.eye(d)
-            j[p, p] = c
-            j[q, q] = c
-            j[p, q] = s
-            j[q, p] = -s
-            a = j.T @ a @ j
-            v = v @ j
-    else:
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off >= threshold:
-            raise EigenConvergenceError(off, max_sweeps)
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals)
-    return EigenDecomposition(eigvals[order], v[:, order])
-
-
-def pinv_apply(m, v: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse applied to a vector: M^+ v.
-
-    Eigenvalues at or below rel_tol * lambda_max are treated as exact
-    zeros. m may be a matrix or a precomputed EigenDecomposition.
-    Raises NotPsdError if an eigenvalue is below -1e-8 * lambda_max.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    eig = m if isinstance(m, EigenDecomposition) else sym_eigen(m)
-    s = eig.eigenvalues
-    top = max(s[0], 0.0)
-    if s[-1] < -1e-8 * max(top, 1e-300):
-        raise NotPsdError(f"matrix not PSD: eigenvalue {s[-1]:.3e} (max {top:.3e})")
-    cutoff = rel_tol * top
-
-    def inv(vals: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vals)
-        nz = vals > cutoff
-        out[nz] = 1.0 / vals[nz]
-        return out
-
-    return eig.apply(inv, v)
-
-
-def cholesky_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve M x = v for symmetric positive-definite M (row-wise Cholesky)."""
-    a = np.array(m, dtype=np.float64)
-    d = a.shape[0]
-    low = np.zeros_like(a)
-    for i in range(d):
-        pivot = a[i, i] - low[i, :i] @ low[i, :i]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPsdError(f"Cholesky pivot {pivot:.3e} at row {i}: matrix not SPD")
-        low[i, i] = np.sqrt(pivot)
-        if i + 1 < d:
-            low[i + 1:, i] = (a[i + 1:, i] - low[i + 1:, :i] @ low[i, :i]) / low[i, i]
-    y = np.zeros(d)
-    for i in range(d):
-        y[i] = (v[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros(d)
-    for i in range(d - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
-    return x
+    s, v = np.linalg.eigh(symmetrize(a))
+    return EigenDecomposition(s[::-1], v[:, ::-1])
 
 
 @dataclass(frozen=True)
@@ -200,20 +85,3 @@ class SpikedIdentity:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         w = self.direction
         return self.bulk * v + (self.spike - self.bulk) * (w @ v) * w
-
-    def solve_shifted(self, shift: float, v: np.ndarray) -> np.ndarray:
-        """(S + shift I)^{-1} v via the two-eigenvalue structure."""
-        a, k = self.spike + shift, self.bulk + shift
-        if a <= 0.0 or k <= 0.0:
-            raise ValueError(f"shifted matrix singular or indefinite: "
-                             f"spike+shift={a}, bulk+shift={k}")
-        w = self.direction
-        return v / k + (1.0 / a - 1.0 / k) * (w @ v) * w
-
-
-def spiked_to_dense(s: SpikedIdentity) -> np.ndarray:
-    return s.to_dense()
-
-
-def spiked_solve(s: SpikedIdentity, shift: float, v: np.ndarray) -> np.ndarray:
-    return s.solve_shifted(shift, v)

@@ -1,10 +1,11 @@
 """Independent numeric oracles for cross-checking the closed forms.
 
 Everything here is deliberately built on a different code path than
-the production implementations: spectra come from numpy.linalg instead
-of the in-package Jacobi solver, linear systems go through
-numpy.linalg.solve / pinv, and dynamics are integrated by brute-force
-RK4 or explicit iteration. These routines are test machinery; they are
+the production implementations, which evaluate every closed form as a
+spectral function of one symmetric eigendecomposition: linear systems
+here go through numpy.linalg.solve (LU) / pinv (SVD), eigenvalues enter
+only as step-size and horizon bounds, and dynamics are integrated by
+brute-force RK4 or explicit iteration. These routines are test machinery; they are
 slower and exist to catch errors in the closed forms, not to run
 experiments.
 

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step
+from .convex import _EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step
 from .linalg import SpikedIdentity, sym_eigen
 from .rng import SeedSpec, gaussian_matrix
 from .tasks import MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import gd2_reg
-
-_EIG_RTOL = 1e-13  # matches the null cutoff used by the convex solvers
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,7 @@ class AlgSpec:
 
 
 def _needs_eigen(alg: AlgSpec) -> bool:
-    if alg.family == "gd_step":
-        return True
-    return alg.family == "gd_reg" and alg.params.lam == 0.0
+    return alg.family != "gd2_reg"
 
 
 def predict_vector(alg: AlgSpec, ds, eig=None) -> np.ndarray:

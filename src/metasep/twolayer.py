@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpikedIdentity, cholesky_solve, symmetrize
+from .linalg import NotPsdError, SpikedIdentity, sym_eigen
 from .tasks import Dataset, Task, emp_covariance
 
 
@@ -140,12 +140,17 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     Minimizes the empirical loss of x -> w^T A0 x plus (lam/2)||w||^2;
     the optimum is w = (A0 S A0 + lam I)^{-1} A0 X^T y / n with S the
     empirical covariance. Requires lam > 0 so the optimum is unique.
+    Raises NotPsdError if the (symmetrized) ridge matrix is not positive
+    definite, which a non-symmetric dense A0 can cause.
     """
     if lam <= 0.0:
         raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
     a_dense = a0.to_dense() if isinstance(a0, SpikedIdentity) else np.asarray(a0, dtype=np.float64)
     cov = emp_covariance(ds)
-    m = symmetrize(a_dense @ cov @ a_dense) + lam * np.eye(ds.d)
+    eig = sym_eigen(a_dense @ cov @ a_dense + lam * np.eye(ds.d))
+    low = float(eig.eigenvalues[-1])
+    if low <= 0.0:
+        raise NotPsdError(f"ridge matrix A0 S A0 + lam I not positive definite: "
+                          f"smallest eigenvalue {low:.3e}")
     b = a_dense @ (ds.x.T @ ds.y / ds.n)
-    w = cholesky_solve(m, b)
-    return TwoLayerParams(a0, w)
+    return TwoLayerParams(a0, eig.apply(lambda s: 1.0 / s, b))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from metasep import cli
 from metasep.cli import main
 
 
@@ -123,10 +124,23 @@ def test_verify_passes_and_perturb_fails(tmp_path):
     report = json.loads(_read(out + ".json"))
     assert report["passed"] is True
     assert all(s["passed"] for s in report["suites"])
+    flags = {s["suite"]: s["oracle_converged"] for s in report["suites"]}
+    assert flags["twolayer-fixed-point"] is True
+    assert flags["replearn-fixed-point"] is True
     out_p = str(tmp_path / "verify_p")
     assert _run(["verify", "--out", out_p, "--self-test-perturb"]) == 1
     report_p = json.loads(_read(out_p + ".json"))
     assert not report_p["passed"]
+
+
+def test_verify_fails_on_nonconverged_oracle(tmp_path, monkeypatch):
+    # a zero residual does not count when the oracle behind it stopped early
+    monkeypatch.setattr(cli, "_SUITES", [("stalled", lambda seed, bump: (0.0, False), 1e-8)])
+    out = str(tmp_path / "stalled")
+    assert _run(["verify", "--out", out]) == 1
+    (suite,) = json.loads(_read(out + ".json"))["suites"]
+    assert suite["oracle_converged"] is False
+    assert suite["passed"] is False
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

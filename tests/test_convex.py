@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metasep.convex import (GdRegSpec, GdStepSpec, gd_reg, gd_step,
+from metasep.convex import (_EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step,
                             linear_flow_solve, linear_step_solve)
 from metasep.linalg import sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
@@ -177,3 +177,22 @@ def test_precomputed_eigen_path_consistent():
                        gd_step(GdStepSpec(0.07, 25), ds, w0, eig=eig))
     assert np.allclose(gd_reg(GdRegSpec(0.2), ds, w0),
                        gd_reg(GdRegSpec(0.2), ds, w0, eig=eig), atol=1e-10)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_null_cutoff_near_square_designs(offset):
+    # around n = d the smallest positive eigenvalue of X^T X / n is tiny,
+    # yet the cutoff must count exactly min(n, d) of them and leave b in range
+    d = 50
+    n = d + offset
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    for k in range(20):  # seed 910 at n = d has s_min / s_max = 7.7e-9
+        sk = SeedSpec(900 + k)
+        ds = sample_dataset(sample_task(inst, sk.child(0)), n, sk.child(1))
+        eig = sym_eigen(emp_covariance(ds))
+        s = eig.eigenvalues
+        assert np.count_nonzero(s > _EIG_RTOL * s[0]) == min(n, d)
+        w0 = gaussian_vector(sk.child(2), d)
+        w = gd_reg(GdRegSpec(0.0), ds, w0, eig=eig)  # range check must pass
+        if n <= d:  # the min-norm fit interpolates the data
+            assert np.linalg.norm(ds.x @ w - ds.y) <= 1e-6 * np.linalg.norm(ds.y)

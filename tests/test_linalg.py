@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasep.linalg import (EigenDecomposition, NotPsdError, SpikedIdentity,
-                            cholesky_solve, pinv_apply, spiked_solve,
-                            spiked_to_dense, sym_eigen)
+from metasep.linalg import EigenDecomposition, SpikedIdentity, sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 
 
@@ -48,45 +46,6 @@ def test_eigen_rejects_nonsquare_and_nonfinite():
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-def test_pinv_identity():
-    v = gaussian_vector(SeedSpec(1), 6)
-    assert np.allclose(pinv_apply(np.eye(6), v), v)
-
-
-def test_pinv_diag_with_zero():
-    out = pinv_apply(np.diag([2.0, 0.0]), np.array([4.0, 7.0]))
-    assert np.allclose(out, [2.0, 0.0])
-
-
-def test_pinv_rank_one_orthogonal_input():
-    u = np.array([1.0, 0.0, 0.0])
-    v = np.array([0.0, 2.0, -1.0])
-    assert np.allclose(pinv_apply(np.outer(u, u), v), 0.0)
-
-
-def test_pinv_rejects_negative_eigenvalue():
-    with pytest.raises(NotPsdError):
-        pinv_apply(np.diag([1.0, -0.5]), np.ones(2))
-
-
-def test_pinv_rel_tol_validation():
-    with pytest.raises(ValueError):
-        pinv_apply(np.eye(2), np.ones(2), rel_tol=0.0)
-
-
-def test_pinv_projection_property():
-    # M^+ (M v) is the projection of v onto range(M)
-    for k in range(50):
-        d = 3 + k % 5
-        g = gaussian_matrix(SeedSpec(1000 + k), d, d - 1)
-        m = g @ g.T  # rank d-1 PSD
-        v = gaussian_vector(SeedSpec(2000 + k), d)
-        e = sym_eigen(m)
-        proj = e.eigenvectors[:, :-1] @ (e.eigenvectors[:, :-1].T @ v)
-        out = pinv_apply(m, m @ v)
-        assert np.linalg.norm(out - proj) <= 1e-8 * (1 + np.linalg.norm(v))
-
-
 def test_eigen_apply_spectral_function():
     m = _random_sym(11, 5)
     m = m @ m  # PSD
@@ -96,66 +55,17 @@ def test_eigen_apply_spectral_function():
     assert np.allclose(out, m @ (m @ v), atol=1e-9)
 
 
-def test_cholesky_solve_matches_numpy():
-    g = gaussian_matrix(SeedSpec(21), 7, 7)
-    m = g @ g.T + np.eye(7)
-    v = gaussian_vector(SeedSpec(22), 7)
-    assert np.allclose(cholesky_solve(m, v), np.linalg.solve(m, v))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        cholesky_solve(np.diag([1.0, -1.0]), np.ones(2))
-
-
 def test_spiked_dense_cases():
-    assert np.allclose(spiked_to_dense(SpikedIdentity(np.eye(4)[2], 1.0, 1.0)), np.eye(4))
+    assert np.allclose(SpikedIdentity(np.eye(4)[2], 1.0, 1.0).to_dense(), np.eye(4))
     s = SpikedIdentity(np.array([1.0, 0.0]), 2.0, 0.0)
-    assert np.allclose(spiked_to_dense(s), [[2.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(s.to_dense(), [[2.0, 0.0], [0.0, 0.0]])
     w = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert np.allclose(spiked_to_dense(SpikedIdentity(w, 3.0, 1.0)),
-                       [[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(SpikedIdentity(w, 3.0, 1.0).to_dense(), [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_spiked_requires_unit_direction():
     with pytest.raises(ValueError):
         SpikedIdentity(np.array([1.0, 1.0]), 2.0, 1.0)
-
-
-def test_spiked_solve_scaled_identity():
-    s = SpikedIdentity(np.eye(3)[0], 2.0, 2.0)
-    v = gaussian_vector(SeedSpec(31), 3)
-    assert np.allclose(spiked_solve(s, 0.0, v), v / 2.0)
-
-
-def test_spiked_solve_on_spike_direction():
-    w = np.eye(5)[1]
-    s = SpikedIdentity(w, 4.0, 1.0)
-    assert np.allclose(spiked_solve(s, 1.0, w), w / 5.0)
-
-
-def test_spiked_solve_singular_shift():
-    s = SpikedIdentity(np.eye(2)[0], 1.0, 0.5)
-    with pytest.raises(ValueError):
-        spiked_solve(s, -0.5, np.ones(2))
-
-
-def test_spiked_solve_against_dense_batch():
-    rel_worst = 0.0
-    for k in range(1000):
-        d = 2 + k % 7
-        g = gaussian_vector(SeedSpec(5000 + k), d)
-        w = g / np.linalg.norm(g)
-        alpha = 0.1 + (k % 13) * 0.7
-        kappa = 0.05 + (k % 5) * 0.4
-        shift = (k % 3) * 0.3
-        s = SpikedIdentity(w, alpha, kappa)
-        v = gaussian_vector(SeedSpec(6000 + k), d)
-        dense = np.linalg.solve(s.to_dense() + shift * np.eye(d), v)
-        ours = spiked_solve(s, shift, v)
-        rel_worst = max(rel_worst,
-                        np.linalg.norm(ours - dense) / np.linalg.norm(dense))
-    assert rel_worst <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasep.convex import GdRegSpec, gd_reg
-from metasep.linalg import SpikedIdentity
+from metasep.linalg import NotPsdError, SpikedIdentity
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
-from metasep.tasks import MetaInstance, Task, sample_dataset, sample_task
+from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
 from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg,
                               gd_pop_fixed_point, gd_pop_flow_numeric)
 from metasep import oracles
@@ -106,6 +108,16 @@ def test_gd2_reg_requires_positive_lambda():
     ds = sample_dataset(Task(inst, 1), 5, SeedSpec(1))
     with pytest.raises(ValueError):
         gd2_reg(0.0, ds, np.eye(3))
+
+
+def test_gd2_reg_rejects_indefinite_ridge_matrix():
+    # with S = I, the non-symmetric first layer A gives A S A = diag(1, -1, -1),
+    # so A S A + 0.5 I is indefinite
+    x = math.sqrt(3.0) * np.eye(3)
+    ds = Dataset(x, np.zeros(3), x @ np.ones(3))
+    a0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    with pytest.raises(NotPsdError):
+        gd2_reg(0.5, ds, a0)
 
 
 def test_gd2_reg_identity_layer_reduces_to_ridge():
