@@ -38,7 +38,7 @@ from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_tau_sched
                             run_replearn, run_reptile)
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import MetaInstance, Task, sample_dataset, sample_task
-from .twolayer import ScalarPair, TwoLayerParams, gd2_reg, gd_pop_fixed_point, gd_pop_flow_numeric
+from .twolayer import TwoLayerParams, flow_limit, gd2_reg, gd_pop_flow_numeric
 from . import oracles
 from .risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk, risk_record,
                    sample_complexity_search)
@@ -177,7 +177,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(command: str, cfg: dict, paths, wall: float) -> str:
+def write_manifest(command: str, cfg: dict, paths, wall: float, **extra) -> str:
     manifest = {
         "command": command,
         "config": _science_config(cfg),
@@ -185,6 +185,7 @@ def write_manifest(command: str, cfg: dict, paths, wall: float) -> str:
         "version": __version__,
         "wall_time_s": wall,
         "outputs": {os.path.basename(p): _sha256(p) for p in paths},
+        **extra,
     }
     path = cfg["out"] + ".manifest.json"
     write_json(path, manifest)
@@ -200,16 +201,15 @@ def cmd_dynamics(cfg: dict) -> int:
     spec = ReptileSpec(cfg["tau"], cfg["kappa"], cfg["t_tasks"])
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
     _, traj = run_reptile(spec, inst, SeedSpec(cfg["seed"]))
-    rows = [(0, 0, traj.states[0].a, traj.states[0].b)]
+    a_list, b_list = traj.a_values.tolist(), traj.b_values.tolist()
+    rows = list(zip(range(len(a_list)), [0] + traj.signs, a_list, b_list))
     geometry = []
-    for i, s in enumerate(traj.signs):
-        prev, cur = traj.states[i], traj.states[i + 1]
-        rows.append((i + 1, s, cur.a, cur.b))
-        fp = gd_pop_fixed_point(prev, cfg["kappa"], cfg["r"], s)
+    for i, (s, a, b) in enumerate(zip(traj.signs, a_list, b_list)):
+        c = a * a - b * b
+        a_bar, b_bar = flow_limit(c, cfg["r"], s)
         # the step-i geometry: the iterate moves along the segment toward
         # the point (a_bar, b_bar) on the curves xy = s*r and y^2 - x^2 = c
-        geometry.append({"i": i + 1, "s": s, "c": prev.gap,
-                         "a_bar": fp.a, "b_bar": fp.b})
+        geometry.append({"i": i + 1, "s": s, "c": c, "a_bar": a_bar, "b_bar": b_bar})
     csv_path = cfg["out"] + ".csv"
     write_csv(csv_path, ("i", "s", "a", "b"), rows)
     a_vals = traj.a_values
@@ -235,25 +235,29 @@ def cmd_growth(cfg: dict) -> int:
     master = SeedSpec(cfg["seed"])
     rows = []
     fractions = {}
+    stages = {}
     for ti, t_tasks in enumerate(cfg["t_list"]):
+        stage_start = time.monotonic()
         tau = reptile_tau_schedule(t_tasks, cfg["delta"])
         bound = reptile_growth_bound(t_tasks, tau, cfg["delta"], cfg["r"])
+        spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
         hits = 0
         for si in range(cfg["seeds"]):
-            spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
             _, traj = run_reptile(spec, inst, master.child(ti, si))
-            a_t = traj.states[-1].a
+            a_t = float(traj.a_values[-1])
             ok = a_t >= bound
             hits += int(ok)
             rows.append((t_tasks, tau, si, a_t, bound, ok))
         fractions[str(t_tasks)] = hits / cfg["seeds"]
+        stages[str(t_tasks)] = {"runs": cfg["seeds"], "meta_steps": cfg["seeds"] * t_tasks,
+                                "wall_s": time.monotonic() - stage_start}
     csv_path = cfg["out"] + ".csv"
     write_csv(csv_path, ("t_tasks", "tau", "seed_index", "a_final", "bound", "satisfied"), rows)
     summary = {"config": _science_config(cfg), "seed": cfg["seed"],
                "satisfaction_fraction": fractions}
     json_path = cfg["out"] + ".json"
     write_json(json_path, summary)
-    write_manifest("growth", cfg, [csv_path, json_path], time.monotonic() - start)
+    write_manifest("growth", cfg, [csv_path, json_path], time.monotonic() - start, stages=stages)
     for t_tasks, frac in fractions.items():
         print(f"growth: T={t_tasks} bound satisfied in {frac:.0%} of runs")
     return 0
@@ -465,11 +469,11 @@ def _suite_twolayer_fp(seed: SeedSpec, bump: float) -> tuple[float, bool | None]
         params = TwoLayerParams(first, b0 * inst.w_star / inst.r)
         out, ok = gd_pop_flow_numeric(params, Task(inst, sgn), t_max=400.0, tol=1e-9)
         converged = converged and ok
-        fp = gd_pop_fixed_point(ScalarPair(a0, b0), 0.1, inst.r, sgn)
+        a_bar, b_bar = flow_limit(a0 * a0 - b0 * b0, inst.r, sgn)
         w_hat = inst.w_star / inst.r
         a_num = float(w_hat @ out.first_dense() @ w_hat) + bump
         b_num = float(w_hat @ out.second)
-        worst = max(worst, abs(a_num - fp.a), abs(b_num - fp.b))
+        worst = max(worst, abs(a_num - a_bar), abs(b_num - b_bar))
     return worst, converged
 
 

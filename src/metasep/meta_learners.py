@@ -8,7 +8,10 @@ whole trajectory lives in the reduced (a_i, b_i) coordinates:
     a_{i+1} = (1 - tau) a_i + tau * a_bar(c_i)
     b_{i+1} = (1 - tau) b_i + tau * s_{i+1} * b_bar(c_i)
 
-with c_i = a_i^2 - b_i^2. The meta-output is the first layer only.
+with c_i = a_i^2 - b_i^2 and (a_bar, b_bar) the within-task flow limit,
+whose closed form lives once in twolayer.flow_limit. The recursion runs
+on plain floats and the trajectory is stored as two float64 arrays. The
+meta-output is the first layer only.
 
 RepLearn: joint gradient flow on the summed multi-task objective with
 one shared first layer and per-task second layers. Its limit has the
@@ -31,7 +34,7 @@ import numpy as np
 from .linalg import SpikedIdentity
 from .rng import SeedSpec, rademacher_signs
 from .tasks import MetaInstance
-from .twolayer import ScalarPair, gd_pop_fixed_point
+from .twolayer import flow_limit
 
 
 @dataclass(frozen=True)
@@ -53,29 +56,16 @@ class ReptileSpec:
 
 @dataclass(frozen=True)
 class ScalarTrajectory:
-    """Reduced meta-trajectory: T+1 states and the T signs that drove it."""
+    """Reduced meta-trajectory: T+1 values of a and of b, and the T signs behind them."""
 
-    states: list
+    a_values: np.ndarray
+    b_values: np.ndarray
     signs: list
 
     def __post_init__(self):
-        if len(self.states) != len(self.signs) + 1:
-            raise ValueError(f"{len(self.states)} states for {len(self.signs)} signs")
-
-    @property
-    def a_values(self) -> np.ndarray:
-        return np.array([st.a for st in self.states])
-
-    @property
-    def b_values(self) -> np.ndarray:
-        return np.array([st.b for st in self.states])
-
-
-def reptile_scalar_step(state: ScalarPair, s: int, tau: float, r: float) -> ScalarPair:
-    """One meta-step: interpolate toward the task's flow limit."""
-    fp = gd_pop_fixed_point(state, 0.0, r, s)
-    return ScalarPair((1.0 - tau) * state.a + tau * fp.a,
-                      (1.0 - tau) * state.b + tau * fp.b)
+        if len(self.a_values) != len(self.signs) + 1 or len(self.b_values) != len(self.a_values):
+            raise ValueError(f"a, b lengths {len(self.a_values)}, {len(self.b_values)} "
+                             f"for {len(self.signs)} signs")
 
 
 def run_reptile(spec: ReptileSpec, inst: MetaInstance,
@@ -86,19 +76,18 @@ def run_reptile(spec: ReptileSpec, inst: MetaInstance,
     kappa I and the full trajectory; the final second layer is
     discarded, matching the meta-algorithm's output contract.
     """
-    r = inst.r
-    if spec.t_tasks == 0:
-        signs = []
-    else:
-        signs = [int(s) for s in rademacher_signs(seed, spec.t_tasks)]
-    state = ScalarPair(spec.kappa, 0.0)
-    states = [state]
+    r, tau = inst.r, spec.tau
+    signs = rademacher_signs(seed, spec.t_tasks).tolist() if spec.t_tasks else []
+    keep = 1.0 - tau
+    a, b = spec.kappa, 0.0
+    a_list, b_list = [a], [b]
     for s in signs:
-        state = reptile_scalar_step(state, s, spec.tau, r)
-        states.append(state)
-    w_hat = inst.w_star / r
-    learned = SpikedIdentity(w_hat, state.a, spec.kappa)
-    return learned, ScalarTrajectory(states, signs)
+        a_bar, b_bar = flow_limit(a * a - b * b, r, s)
+        a, b = keep * a + tau * a_bar, keep * b + tau * b_bar
+        a_list.append(a)
+        b_list.append(b)
+    return SpikedIdentity(inst.w_star / r, a, spec.kappa), ScalarTrajectory(
+        np.array(a_list, dtype=np.float64), np.array(b_list, dtype=np.float64), signs)
 
 
 def reptile_tau_schedule(t_tasks: int, delta: float) -> float:

@@ -142,7 +142,7 @@ def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
     outer = np.outer(w_hat, w_hat)
     a_mat = kappa * np.eye(d)
     w_vec = np.zeros(d)
-    states = [ScalarPair(kappa, 0.0)]
+    a_list, b_list = [kappa], [0.0]
     worst = 0.0
     for s in signs:
         a_coord = float(w_hat @ a_mat @ w_hat)
@@ -158,8 +158,9 @@ def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
         worst = max(worst,
                     float(np.linalg.norm(a_mat - spiked)),
                     float(np.linalg.norm(w_vec - b_coord * w_hat)))
-        states.append(ScalarPair(a_coord, b_coord))
-    return ScalarTrajectory(states, [int(s) for s in signs]), worst
+        a_list.append(a_coord)
+        b_list.append(b_coord)
+    return ScalarTrajectory(np.array(a_list), np.array(b_list), [int(s) for s in signs]), worst
 
 
 def replearn_joint_flow(inst: MetaInstance, signs, kappa: float,

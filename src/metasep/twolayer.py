@@ -62,6 +62,16 @@ class TwoLayerParams:
         return np.asarray(self.first, dtype=np.float64)
 
 
+def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
+    """Closed-form flow limit (a_bar, b_bar) on plain floats for gap c.
+
+    The pair satisfies a_bar * b_bar = s * r and a_bar^2 - b_bar^2 = c.
+    s is not checked here; gd_pop_fixed_point is the checked entry.
+    """
+    root = math.sqrt(4.0 * r * r + c * c)
+    return math.sqrt((c + root) / 2.0), s * math.sqrt((root - c) / 2.0)
+
+
 def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> ScalarPair:
     """Limit of the population flow from reduced state (a, b).
 
@@ -75,11 +85,7 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
     del kappa
     if s not in (1, -1):
         raise ValueError(f"s must be +1 or -1, got {s}")
-    c = state.gap
-    root = math.sqrt(4.0 * r * r + c * c)
-    a_bar = math.sqrt((c + root) / 2.0)
-    b_bar = s * math.sqrt((root - c) / 2.0)
-    return ScalarPair(a_bar, b_bar)
+    return ScalarPair(*flow_limit(state.gap, r, s))
 
 
 def _flow_rhs(a: np.ndarray, w: np.ndarray, v: np.ndarray):

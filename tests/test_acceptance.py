@@ -181,7 +181,7 @@ def test_criterion_05_growth_law():
         for si in range(20):
             _, traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst,
                                   SeedSpec(500).child(ti, si))
-            hits += int(traj.states[-1].a >= bound)
+            hits += int(traj.a_values[-1] >= bound)
         fractions[t_tasks] = hits / 20.0
         assert hits >= 18, f"T={t_tasks}: only {hits}/20 runs beat the bound"
     print(f"CRITERION 5 PASS: growth bound satisfaction {fractions} "

@@ -59,6 +59,33 @@ def test_growth_small(tmp_path):
     assert len(lines) == 1 + 2 * 3
     summary = json.loads(_read(out + ".json"))
     assert set(summary["satisfaction_fraction"]) == {"100", "200"}
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    assert set(stages) == {"100", "200"}
+    for t_tasks, stage in stages.items():
+        assert stage["runs"] == 3 and stage["meta_steps"] == 3 * int(t_tasks)
+        assert stage["wall_s"] >= 0.0
+
+
+# sha256 of the data files at fixed seeds: the seed contract in bytes. A
+# change to the seed streams or to the arithmetic order of the Reptile
+# meta-step changes them
+_GOLDEN = {
+    "growth": (["--t-list", "1000,10000", "--seeds", "3", "--seed", "0"],
+               "48dd0f48e2aafc77ccea542418b6781436487dc958154c5ee7a1213a0127f00a",
+               "f9fdfed54cc1cbf2f76a4a5801b260373c973a799eef764ee4789a09cd7ffa27"),
+    "dynamics": (["--t-tasks", "200", "--seed", "0"],
+                 "378741d4820fe134e32b5db9703cbd3d3f5df28576ed90ecffc98288cefb1f69",
+                 "73b8bdb3105db4d046073bd9c9e9faed98ed7131c464867eebeb88c40eef41dd"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN))
+def test_golden_bytes(tmp_path, command):
+    args, csv_sha, json_sha = _GOLDEN[command]
+    out = str(tmp_path / command)
+    assert _run([command, *args, "--out", out]) == 0
+    assert cli._sha256(out + ".csv") == csv_sha
+    assert cli._sha256(out + ".json") == json_sha
 
 
 def test_risk_json_record(tmp_path):

@@ -8,9 +8,8 @@ from metasep.meta_learners import (ReptileSpec, ScalarTrajectory, bad_minimizer,
                                    replearn_alpha, replearn_loss,
                                    replearn_tasks_for_alpha,
                                    reptile_fluctuation_bound, reptile_growth_bound,
-                                   reptile_scalar_step, reptile_tau_schedule,
-                                   run_replearn, run_reptile)
-from metasep.rng import SeedSpec
+                                   reptile_tau_schedule, run_replearn, run_reptile)
+from metasep.rng import SeedSpec, rademacher_signs
 from metasep.tasks import MetaInstance
 from metasep.twolayer import ScalarPair, gd_pop_fixed_point
 from metasep import oracles
@@ -25,31 +24,79 @@ def test_spec_validation():
         ReptileSpec(0.3, 0.0, 10)
 
 
+def _reference_trajectory(tau, kappa, r, signs):
+    """The meta-step on ScalarPair states: the flow-limit formula written
+    out (not through twolayer.flow_limit) plus interpolation, in the
+    arithmetic order the seed contract fixes."""
+    state = ScalarPair(kappa, 0.0)
+    a_values, b_values = [state.a], [state.b]
+    for s in signs:
+        c = state.gap
+        root = math.sqrt(4.0 * r * r + c * c)
+        a_bar = math.sqrt((c + root) / 2.0)
+        b_bar = s * math.sqrt((root - c) / 2.0)
+        state = ScalarPair((1.0 - tau) * state.a + tau * a_bar,
+                           (1.0 - tau) * state.b + tau * b_bar)
+        a_values.append(state.a)
+        b_values.append(state.b)
+    return np.array(a_values), np.array(b_values)
+
+
 def test_trajectory_length_validation():
     with pytest.raises(ValueError):
-        ScalarTrajectory([ScalarPair(0.1, 0.0)], [1])
+        ScalarTrajectory(np.array([0.1]), np.array([0.0]), [1])
+    with pytest.raises(ValueError):
+        ScalarTrajectory(np.array([0.1, 0.2]), np.array([0.0]), [1])
+    traj = ScalarTrajectory(np.array([0.1, 0.2]), np.array([0.0, 0.1]), [1])
+    assert traj.signs == [1]
+
+
+@pytest.mark.parametrize("tau", [1e-12, 0.3, 1.0 - 1e-12])
+def test_run_reptile_equals_reference_exactly(tau):
+    inst = MetaInstance.from_config(3, 1.5, 0.0)
+    for t_tasks in (1, 2, 1000):
+        for k in range(3):
+            seed = SeedSpec(17).child(t_tasks, k)
+            learned, traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst, seed)
+            signs = [int(s) for s in rademacher_signs(seed, t_tasks)]
+            assert traj.signs == signs
+            a_ref, b_ref = _reference_trajectory(tau, 0.1, inst.r, signs)
+            assert traj.a_values.dtype == np.float64
+            assert np.array_equal(traj.a_values, a_ref)
+            assert np.array_equal(traj.b_values, b_ref)
+            assert learned.spike == a_ref[-1]
 
 
 def test_scalar_step_tau_limits():
-    state = ScalarPair(0.4, 0.1)
-    fp = gd_pop_fixed_point(state, 0.0, 1.0, -1)
-    near_one = reptile_scalar_step(state, -1, 1.0 - 1e-12, 1.0)
-    assert np.isclose(near_one.a, fp.a) and np.isclose(near_one.b, fp.b)
-    near_zero = reptile_scalar_step(state, -1, 1e-12, 1.0)
-    assert np.isclose(near_zero.a, state.a) and np.isclose(near_zero.b, state.b)
+    inst = MetaInstance.from_config(2, 1.0, 0.0)
+    for k in range(4):
+        seed = SeedSpec(5).child(k)
+        _, near_one = run_reptile(ReptileSpec(1.0 - 1e-12, 0.4, 1), inst, seed)
+        fp = gd_pop_fixed_point(ScalarPair(0.4, 0.0), 0.0, 1.0, near_one.signs[0])
+        a_ref, b_ref = _reference_trajectory(1.0 - 1e-12, 0.4, 1.0, near_one.signs)
+        assert near_one.a_values[1] == a_ref[1] and near_one.b_values[1] == b_ref[1]
+        assert np.isclose(near_one.a_values[1], fp.a) and np.isclose(near_one.b_values[1], fp.b)
+        _, near_zero = run_reptile(ReptileSpec(1e-12, 0.4, 1), inst, seed)
+        a_ref, b_ref = _reference_trajectory(1e-12, 0.4, 1.0, near_zero.signs)
+        assert near_zero.a_values[1] == a_ref[1] and near_zero.b_values[1] == b_ref[1]
+        assert np.isclose(near_zero.a_values[1], 0.4) and np.isclose(near_zero.b_values[1], 0.0)
 
 
 def test_scalar_step_figure_values():
-    out = reptile_scalar_step(ScalarPair(0.1, 0.0), -1, 0.3, 1.0)
+    inst = MetaInstance.from_config(2, 1.0, 0.0)
+    _, traj = run_reptile(ReptileSpec(0.3, 0.1, 1), inst, SeedSpec(3))
+    s = traj.signs[0]
+    a_ref, b_ref = _reference_trajectory(0.3, 0.1, 1.0, [s])
+    assert traj.a_values[1] == a_ref[1] and traj.b_values[1] == b_ref[1]
     a_bar = math.sqrt((0.01 + math.sqrt(4.0001)) / 2.0)
-    assert np.isclose(out.a, 0.7 * 0.1 + 0.3 * a_bar)
-    assert np.isclose(out.b, -0.3 / a_bar)
+    assert np.isclose(traj.a_values[1], 0.7 * 0.1 + 0.3 * a_bar)
+    assert np.isclose(traj.b_values[1], 0.3 * s / a_bar)
 
 
 def test_run_reptile_t_zero():
     inst = MetaInstance.from_config(3, 1.0, 0.0)
     learned, traj = run_reptile(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1))
-    assert len(traj.states) == 1 and traj.signs == []
+    assert len(traj.a_values) == len(traj.b_values) == 1 and traj.signs == []
     assert np.allclose(learned.to_dense(), 0.1 * np.eye(3))
 
 
@@ -65,9 +112,9 @@ def test_run_reptile_output_shape():
     inst = MetaInstance.from_config(5, 2.0, 0.0)
     learned, traj = run_reptile(ReptileSpec(0.2, 0.1, 50), inst, SeedSpec(3))
     assert isinstance(learned, SpikedIdentity)
-    assert np.isclose(learned.spike, traj.states[-1].a)
+    assert learned.spike == traj.a_values[-1]
     assert learned.bulk == 0.1
-    assert len(traj.states) == 51 and len(traj.signs) == 50
+    assert len(traj.a_values) == len(traj.b_values) == 51 and len(traj.signs) == 50
 
 
 def test_matrix_form_agrees_with_scalar():
