@@ -15,7 +15,8 @@ override file values. Every run writes its data files plus a
 sha256 of each data file. Data files contain no timestamps and are
 byte-identical for a fixed seed regardless of --workers.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 config error.
+Exit codes: 0 success, 1 verification-suite failure, 2 config error,
+3 numerical failure (a matrix that must be positive definite is not).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve, linear_step_solve
-from .linalg import SpikedIdentity
+from .linalg import NotPsdError, SpikedIdentity
 from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_tau_schedule,
                             replearn_alpha, replearn_tasks_for_alpha,
                             run_replearn, run_reptile)
@@ -490,9 +491,7 @@ def _suite_gd2_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
         out = gd2_reg(lam, ds, a0)
         m = a0 @ (ds.x.T @ ds.x / n) @ a0 + lam * np.eye(d)
         b = a0 @ (ds.x.T @ ds.y / n)
-        numeric = oracles.linear_flow_rk4(
-            m, b, np.zeros(d), 50.0 / float(np.linalg.eigvalsh(m)[0]),
-            h=min(1e-3, 0.1 / float(np.linalg.eigvalsh(m)[-1])))
+        numeric = oracles.linear_flow_rk4(m, b, np.zeros(d), 50.0 / float(np.linalg.eigvalsh(m)[0]))
         worst = max(worst, float(np.linalg.norm(out.second + bump - numeric)))
         # identity first layer reduces to the one-layer ridge solution
         reduced = gd2_reg(lam, ds, np.eye(d)).second
@@ -531,9 +530,12 @@ def cmd_verify(cfg: dict) -> int:
     # suite must then notice, which certifies the checks have teeth
     bump = 1e-4 if cfg["self_test_perturb"] else 0.0
     report = []
+    stages = {}
     all_ok = True
     for i, (name, fn, tol) in enumerate(_SUITES):
+        suite_start = time.monotonic()
         residual, converged = fn(seed.child(i), bump)
+        stages[name] = {"wall_s": time.monotonic() - suite_start}
         ok = residual <= tol and converged is not False
         all_ok = all_ok and ok
         report.append({"suite": name, "residual": residual, "tol": tol,
@@ -544,7 +546,7 @@ def cmd_verify(cfg: dict) -> int:
     json_path = cfg["out"] + ".json"
     write_json(json_path, {"config": _science_config(cfg), "seed": cfg["seed"],
                            "passed": all_ok, "suites": report})
-    write_manifest("verify", cfg, [json_path], time.monotonic() - start)
+    write_manifest("verify", cfg, [json_path], time.monotonic() - start, stages=stages)
     return 0 if all_ok else 1
 
 
@@ -564,6 +566,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _RUNNERS[args.command](cfg)
+    except NotPsdError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

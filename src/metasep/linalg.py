@@ -39,10 +39,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        v, s = self.eigenvectors, self.eigenvalues
-        return (v * s) @ v.T
-
     def apply(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
         """Apply the spectral function f(eigenvalues) as a matrix to x."""
         v = self.eigenvectors

@@ -136,16 +136,14 @@ def replearn_tasks_for_alpha(alpha: float, kappa: float, r: float) -> int:
 
 
 def run_replearn(t_tasks: int, kappa: float, inst: MetaInstance,
-                 signs=None, seed: SeedSpec | None = None) -> SpikedIdentity:
+                 signs=None) -> SpikedIdentity:
     """Closed-form limit of the joint multi-task flow from (kappa I, 0).
 
     The sign pattern only rotates the per-task second layers; the
     shared first layer depends on it solely through the task count, so
-    signs (or a seed to draw them) are accepted for record-keeping but
-    do not change the output.
+    signs, if given, are only checked to number t_tasks and do not
+    change the output.
     """
-    if signs is None and seed is not None:
-        signs = [int(s) for s in rademacher_signs(seed, t_tasks)]
     if signs is not None and len(signs) != t_tasks:
         raise ValueError(f"{len(signs)} signs for t_tasks = {t_tasks}")
     a_bar = replearn_alpha(t_tasks, kappa, inst.r)

@@ -5,9 +5,15 @@ the production implementations, which evaluate every closed form as a
 spectral function of one symmetric eigendecomposition: linear systems
 here go through numpy.linalg.solve (LU) / pinv (SVD), eigenvalues enter
 only as step-size and horizon bounds, and dynamics are integrated by
-brute-force RK4 or explicit iteration. These routines are test machinery; they are
-slower and exist to catch errors in the closed forms, not to run
-experiments.
+brute-force RK4 or explicit iteration. These routines are test
+machinery; they are slower and exist to catch errors in the closed
+forms, not to run experiments.
+
+Nonlinear flows run on twolayer.rk4, the one RK4 integrator; a linear
+flow is stepped by its RK4 step matrix, formed once from the four
+stages (see linear_flow_rk4). Either way the result is the same
+sequence of explicit RK4 steps, with no eigendecomposition or matrix
+exponential, so it stays independent of the spectral closed forms.
 
 Linear solvers accept a leading batch axis so that hundreds of small
 random instances integrate in one vectorized sweep.
@@ -22,7 +28,7 @@ import numpy as np
 from .linalg import SpikedIdentity
 from .meta_learners import ScalarTrajectory
 from .tasks import Dataset, MetaInstance, emp_covariance
-from .twolayer import ScalarPair, _flow_rhs, gd_pop_fixed_point
+from .twolayer import ScalarPair, _flow_rhs, _flow_step_size, gd_pop_fixed_point, rk4
 
 
 def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
@@ -31,26 +37,32 @@ def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
 
     m is (..., d, d), b and w0 are (..., d); a shared step size
     h = min(1e-3, 0.1 / max lambda_max) is used across the batch.
+    On z = (w, 1) the flow is z' = K z with K = [[-M, b], [0, 0]], so
+    every RK4 step is z <- z + inc z with one increment matrix
+    inc = (h/6)(k1 + 2 k2 + 2 k3 + k4), k1 = K, k2 = K (I + h/2 k1),
+    k3 = K (I + h/2 k2), k4 = K (I + h k3).
     """
     m = np.asarray(m, dtype=np.float64)
-    w = np.array(w0, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    w0 = np.asarray(w0, dtype=np.float64)
     if h is None:
         lam_max = float(np.max(np.abs(np.linalg.eigvalsh(m))))
         h = min(1e-3, 0.1 / max(lam_max, 1e-12))
     steps = int(math.ceil(t_max / h))
     h = t_max / steps
 
-    def f(x):
-        return b - np.einsum("...ij,...j->...i", m, x)
-
+    d = w0.shape[-1]
+    k = np.zeros(m.shape[:-2] + (d + 1, d + 1))
+    k[..., :d, :d] = -m
+    k[..., :d, d] = b
+    eye = np.eye(d + 1)
+    k2 = k @ (eye + 0.5 * h * k)
+    k3 = k @ (eye + 0.5 * h * k2)
+    k4 = k @ (eye + h * k3)
+    inc = (h / 6.0) * (k + 2.0 * k2 + 2.0 * k3 + k4)
+    z = np.concatenate([w0, np.ones(w0.shape[:-1] + (1,))], axis=-1)[..., None]
     for _ in range(steps):
-        k1 = f(w)
-        k2 = f(w + 0.5 * h * k1)
-        k3 = f(w + 0.5 * h * k2)
-        k4 = f(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return w
+        z = z + inc @ z
+    return z[..., :d, 0]
 
 
 def gd_iteration(ds: Dataset, w0: np.ndarray, eta: float, t: int) -> np.ndarray:
@@ -86,44 +98,26 @@ def reg_flow_oracle(ds: Dataset, w0: np.ndarray, lam: float) -> np.ndarray:
     slowest time constant (t_max = 50 / lambda_min of S + lam I)."""
     cov = emp_covariance(ds)
     m = cov + lam * np.eye(ds.d)
-    evals = np.linalg.eigvalsh(m)
-    lam_min = float(evals[0])
+    lam_min = float(np.linalg.eigvalsh(m)[0])
     if lam_min <= 1e-12:
         raise ValueError("regularized flow oracle needs lam > 0 for a finite horizon")
-    t_max = 50.0 / lam_min
-    h = min(1e-3, 0.1 / float(evals[-1]))
-    return linear_flow_rk4(m, ds.x.T @ ds.y / ds.n, w0, t_max, h)
+    return linear_flow_rk4(m, ds.x.T @ ds.y / ds.n, w0, 50.0 / lam_min)
 
 
 def gd_pop_flow_batched(a0: np.ndarray, w0: np.ndarray, targets: np.ndarray,
                         t_max: float, tol: float = 1e-9):
-    """Batched RK4 on the two-layer population flow.
+    """Batched rk4 on the two-layer population flow, state (k, d^2 + d).
 
     a0 is (k, d, d), w0 and targets are (k, d). One shared step size
-    per step (the most conservative over the batch); trajectories that
-    have already converged simply stop moving. Returns (a, w, rhs_norm)
-    with rhs_norm the per-trajectory RHS norm at exit.
+    per step (the most conservative over the batch). Returns (a, w,
+    rhs_norm) with rhs_norm the per-trajectory RHS norm at exit.
     """
-    a = np.array(a0, dtype=np.float64)
-    w = np.array(w0, dtype=np.float64)
-    v = np.asarray(targets, dtype=np.float64)
-    t = 0.0
-    while t < t_max:
-        k1a, k1w = _flow_rhs(a, w, v)
-        norms = np.sqrt(np.sum(k1a * k1a, axis=(-2, -1)) + np.sum(k1w * k1w, axis=-1))
-        if float(np.max(norms)) < tol:
-            break
-        sq = float(np.max(np.sum(a * a, axis=(-2, -1))))
-        h = min(1e-3, 0.05 / (1.0 + sq))
-        k2a, k2w = _flow_rhs(a + 0.5 * h * k1a, w + 0.5 * h * k1w, v)
-        k3a, k3w = _flow_rhs(a + 0.5 * h * k2a, w + 0.5 * h * k2w, v)
-        k4a, k4w = _flow_rhs(a + h * k3a, w + h * k3w, v)
-        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t += h
-    k1a, k1w = _flow_rhs(a, w, v)
-    norms = np.sqrt(np.sum(k1a * k1a, axis=(-2, -1)) + np.sum(k1w * k1w, axis=-1))
-    return a, w, norms
+    k, d = np.shape(w0)
+    v = np.asarray(targets, dtype=np.float64)[..., None]
+    y0 = np.concatenate([np.reshape(a0, (k, d * d)), w0], axis=-1)
+    y, _ = rk4(lambda y: _flow_rhs(y, v), y0, t_max, lambda y: _flow_step_size(y, d), tol)
+    norms = np.linalg.norm(_flow_rhs(y, v), axis=-1)
+    return y[:, :d * d].reshape(k, d, d), y[:, d * d:], norms
 
 
 def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
@@ -165,7 +159,7 @@ def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
 
 def replearn_joint_flow(inst: MetaInstance, signs, kappa: float,
                         t_max: float, tol: float = 1e-9):
-    """RK4 on the joint multi-task flow with shared first layer.
+    """rk4 on the joint multi-task flow with shared first layer.
 
     State: A (d x d) and W (d x T, column i the second layer of task i).
     dA/dt = W V^T - W W^T A, dW/dt = A V - A A^T W, with V the matrix
@@ -174,27 +168,7 @@ def replearn_joint_flow(inst: MetaInstance, signs, kappa: float,
     """
     d = inst.d
     v = np.column_stack([s * inst.w_star for s in signs])
-    a = kappa * np.eye(d)
-    w = np.zeros_like(v)
-    t = 0.0
-    converged = False
-
-    def rhs(a_cur, w_cur):
-        wta = w_cur.T @ a_cur
-        da = w_cur @ (v.T - wta)
-        dw = a_cur @ v - a_cur @ (a_cur.T @ w_cur)
-        return da, dw
-
-    while t < t_max:
-        k1a, k1w = rhs(a, w)
-        if math.hypot(np.linalg.norm(k1a), np.linalg.norm(k1w)) < tol:
-            converged = True
-            break
-        h = min(1e-3, 0.05 / (1.0 + float(np.sum(a * a))))
-        k2a, k2w = rhs(a + 0.5 * h * k1a, w + 0.5 * h * k1w)
-        k3a, k3w = rhs(a + 0.5 * h * k2a, w + 0.5 * h * k2w)
-        k4a, k4w = rhs(a + h * k3a, w + h * k3w)
-        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t += h
-    return a, w, converged
+    y0 = np.concatenate([(kappa * np.eye(d)).ravel(), np.zeros(v.size)])
+    y, converged = rk4(lambda y: _flow_rhs(y, v), y0, t_max,
+                       lambda y: _flow_step_size(y, d), tol)
+    return y[:d * d].reshape(d, d), y[d * d:].reshape(v.shape), converged

@@ -11,8 +11,9 @@ Two within-task procedures:
   direction, b the aligned second-layer coordinate) with conserved
   gap c = a^2 - b^2, and the limit has the closed form
   a_bar = sqrt((c + sqrt(4 r^2 + c^2)) / 2), b_bar = s * sqrt((-c +
-  sqrt(4 r^2 + c^2)) / 2). A fixed-step RK4 integrator of the full
-  matrix flow serves as the numeric cross-check.
+  sqrt(4 r^2 + c^2)) / 2). gd_pop_flow_numeric integrates the full
+  matrix flow with rk4, the package's one fixed-step RK4 integrator,
+  as the numeric cross-check.
 * gd2_reg: ridge regression on the second layer only, first layer
   frozen.
 
@@ -88,56 +89,75 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
     return ScalarPair(*flow_limit(state.gap, r, s))
 
 
-def _flow_rhs(a: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """RHS of dA/dt = w v^T - w w^T A, dw/dt = A v - A A^T w.
+def rk4(rhs, y, t_max: float, step, tol: float, callback=None):
+    """Classical RK4, without error control, on a flat state y (..., n).
 
-    v = s * w_star is the signed target. Supports a leading batch axis:
-    a is (..., d, d), w and v are (..., d).
+    Each step takes one size h = step(y), shared across the batch.
+    Integration stops with converged True as soon as the largest row
+    norm of rhs(y) is below tol; if t_max is reached first, converged
+    is that same test at the final state. callback, if given, is
+    called as callback(t, y) after every step. Returns (y, converged).
     """
-    wta = np.einsum("...i,...ij->...j", w, a)
-    da = w[..., :, None] * (v - wta)[..., None, :]
-    dw = np.einsum("...ij,...j->...i", a, v) - np.einsum("...ij,...j->...i", a, wta)
-    return da, dw
+    y = np.asarray(y, dtype=np.float64)
+    t = 0.0
+    while True:
+        k1 = rhs(y)
+        if (k1 * k1).sum(axis=-1).max() < tol * tol:
+            return y, True
+        if t >= t_max:
+            return y, False
+        h = step(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        if callback is not None:
+            callback(t, y)
 
 
-def _flow_step_size(a: np.ndarray) -> float:
-    """Fixed-step heuristic: shrink with the first-layer scale."""
-    sq = float(np.max(np.sum(a * a, axis=(-2, -1))))
-    return min(1e-3, 0.05 / (1.0 + sq))
+def _flow_rhs(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """RHS of dA/dt = W G^T, dW/dt = A G with G = V - A^T W.
+
+    y is the flat state (A, W), A (d, d) and W (d, T) raveled; V
+    (..., d, T) holds the signed targets s_i w_star as columns, T = 1
+    for the single-task flow. y and V share any leading batch axes.
+    """
+    *batch, d, t = v.shape
+    a = y[..., :d * d].reshape(*batch, d, d)
+    w = y[..., d * d:].reshape(v.shape)
+    g = v - a.swapaxes(-1, -2) @ w
+    da = w @ g.swapaxes(-1, -2)
+    return np.concatenate([da.reshape(*batch, d * d), (a @ g).reshape(*batch, d * t)], axis=-1)
+
+
+def _flow_step_size(y: np.ndarray, d: int) -> float:
+    """Fixed-step heuristic min(1e-3, 0.05 / (1 + ||A||_F^2)) on the flat
+    flow state, with the largest first layer of the batch."""
+    a = y[..., :d * d]
+    return min(1e-3, 0.05 / (1.0 + float((a * a).sum(axis=-1).max())))
 
 
 def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
                         t_max: float = 1e4, tol: float = 1e-10,
                         callback=None):
-    """Integrate the population flow by RK4 until the RHS is small.
+    """Integrate the population flow by rk4 until the RHS is small.
 
     Returns (TwoLayerParams, converged). The step size is recomputed
-    every step as min(1e-3, 0.05 / (1 + ||A||_F^2)). callback, if
-    given, is called as callback(t, a_matrix, w) after every step.
+    every step by _flow_step_size. callback, if given, is called as
+    callback(t, a_matrix, w) after every step.
     """
-    a = params.first_dense().copy()
-    w = np.array(params.second, dtype=np.float64)
-    v = task.target
-    t = 0.0
-    converged = False
-    while t < t_max:
-        k1a, k1w = _flow_rhs(a, w, v)
-        if math.hypot(np.linalg.norm(k1a), np.linalg.norm(k1w)) < tol:
-            converged = True
-            break
-        h = _flow_step_size(a)
-        k2a, k2w = _flow_rhs(a + 0.5 * h * k1a, w + 0.5 * h * k1w, v)
-        k3a, k3w = _flow_rhs(a + 0.5 * h * k2a, w + 0.5 * h * k2w, v)
-        k4a, k4w = _flow_rhs(a + h * k3a, w + h * k3w, v)
-        a = a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        t += h
-        if callback is not None:
-            callback(t, a, w)
-    else:
-        k1a, k1w = _flow_rhs(a, w, v)
-        converged = math.hypot(np.linalg.norm(k1a), np.linalg.norm(k1w)) < tol
-    return TwoLayerParams(a, w), converged
+    d = params.d
+    v = task.target[:, None]
+    y0 = np.concatenate([params.first_dense().ravel(), params.second])
+
+    def unpack(y):
+        return y[:d * d].reshape(d, d), y[d * d:]
+
+    report = None if callback is None else lambda t, y: callback(t, *unpack(y))
+    y, converged = rk4(lambda y: _flow_rhs(y, v), y0, t_max,
+                       lambda y: _flow_step_size(y, d), tol, report)
+    return TwoLayerParams(*unpack(y)), converged
 
 
 def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:

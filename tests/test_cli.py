@@ -6,6 +6,7 @@ import pytest
 
 from metasep import cli
 from metasep.cli import main
+from metasep.linalg import NotPsdError
 
 
 def _run(args):
@@ -154,6 +155,11 @@ def test_verify_passes_and_perturb_fails(tmp_path):
     flags = {s["suite"]: s["oracle_converged"] for s in report["suites"]}
     assert flags["twolayer-fixed-point"] is True
     assert flags["replearn-fixed-point"] is True
+    # per-suite timings go to the manifest only
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    assert set(stages) == {s["suite"] for s in report["suites"]}
+    assert all(stage["wall_s"] >= 0.0 for stage in stages.values())
+    assert "wall_s" not in _read(out + ".json")
     out_p = str(tmp_path / "verify_p")
     assert _run(["verify", "--out", out_p, "--self-test-perturb"]) == 1
     report_p = json.loads(_read(out_p + ".json"))
@@ -168,6 +174,15 @@ def test_verify_fails_on_nonconverged_oracle(tmp_path, monkeypatch):
     (suite,) = json.loads(_read(out + ".json"))["suites"]
     assert suite["oracle_converged"] is False
     assert suite["passed"] is False
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise NotPsdError("ridge matrix not positive definite")
+
+    monkeypatch.setitem(cli._RUNNERS, "risk", fail)
+    assert _run(["risk", "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical failure:")
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

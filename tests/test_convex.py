@@ -43,6 +43,42 @@ def test_flow_matches_rk4():
     assert np.linalg.norm(closed - numeric) < 1e-8
 
 
+def _literal_rk4(m, b, w0, t_max, h):
+    """Four-stage RK4 on dw/dt = b - M w, one matrix-vector product per stage."""
+    steps = math.ceil(t_max / h)
+    h = t_max / steps
+    w = np.array(w0, dtype=np.float64)
+
+    def f(x):
+        return b - np.einsum("...ij,...j->...i", m, x)
+
+    for _ in range(steps):
+        k1 = f(w)
+        k2 = f(w + 0.5 * h * k1)
+        k3 = f(w + 0.5 * h * k2)
+        k4 = f(w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w
+
+
+def test_rk4_step_matrix_equals_literal_rk4():
+    # unbatched with the default step rule
+    m = _psd(34, 4)
+    b, w0 = gaussian_vector(SeedSpec(35), 4), gaussian_vector(SeedSpec(36), 4)
+    h = min(1e-3, 0.1 / float(np.max(np.linalg.eigvalsh(m))))
+    out = oracles.linear_flow_rk4(m, b, w0, 2.0)
+    ref = _literal_rk4(m, b, w0, 2.0, h)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    # a batch of three with an explicit step
+    m = np.stack([_psd(40 + k, 5) for k in range(3)])
+    b = np.stack([gaussian_vector(SeedSpec(50 + k), 5) for k in range(3)])
+    w0 = np.stack([gaussian_vector(SeedSpec(60 + k), 5) for k in range(3)])
+    out = oracles.linear_flow_rk4(m, b, w0, 3.0, h=0.01)
+    ref = _literal_rk4(m, b, w0, 3.0, 0.01)
+    assert out.shape == (3, 5)
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_flow_range_check():
     m = np.diag([1.0, 0.0])
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from metasep.linalg import NotPsdError, SpikedIdentity
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
 from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg,
-                              gd_pop_fixed_point, gd_pop_flow_numeric)
+                              gd_pop_fixed_point, gd_pop_flow_numeric, rk4)
 from metasep import oracles
 
 finite_coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -101,6 +101,33 @@ def test_flow_nonconverged_flag():
     params = TwoLayerParams(first, np.zeros(3))
     _, converged = gd_pop_flow_numeric(params, Task(inst, 1), t_max=0.01, tol=1e-14)
     assert not converged
+
+
+def test_rk4_is_fourth_order():
+    # binary-exact steps, so t lands on 1 exactly: with h = 0.1, ten
+    # t += h sum to just under 1 and an eleventh step is taken
+    errors = []
+    for h in (0.125, 0.0625):
+        y, converged = rk4(lambda y: -y, np.ones(1), 1.0, lambda y: h, tol=0.0)
+        assert not converged
+        errors.append(abs(float(y[0]) - math.exp(-1.0)))
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+
+def test_rk4_converged_flag():
+    # rows decay from 1 and from 100; the RHS norm of a row is its value, so
+    # convergence waits for the first step after 100 exp(-t) falls below 0.5
+    times = []
+    y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 100.0,
+                       lambda y: 1.0 / 64.0, tol=0.5, callback=lambda t, y: times.append(t))
+    assert converged
+    assert float(np.max(np.abs(y))) < 0.5
+    assert math.log(200.0) < times[-1] <= math.log(200.0) + 1.0 / 64.0
+    # the t_max budget runs out first
+    y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 1.0,
+                       lambda y: 1.0 / 64.0, tol=0.5)
+    assert not converged
+    assert float(np.max(np.abs(y))) > 0.5
 
 
 def test_gd2_reg_requires_positive_lambda():
