@@ -16,7 +16,9 @@ sha256 of each data file. Data files contain no timestamps and are
 byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error,
-3 numerical failure (a matrix that must be positive definite is not).
+3 numerical failure (linalg.NumericalError: a matrix that must be
+positive definite is not, or a vector that must lie in a matrix's range
+does not).
 """
 
 from __future__ import annotations
@@ -33,16 +35,16 @@ import numpy as np
 
 from . import __version__
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve, linear_step_solve
-from .linalg import NotPsdError, SpikedIdentity
+from .linalg import NumericalError, SpikedIdentity
 from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_tau_schedule,
                             replearn_alpha, replearn_tasks_for_alpha,
                             run_replearn, run_reptile)
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
-from .tasks import MetaInstance, Task, sample_dataset, sample_task
-from .twolayer import TwoLayerParams, flow_limit, gd2_reg, gd_pop_flow_numeric
+from .tasks import MetaInstance, sample_dataset, sample_task
+from .twolayer import flow_limit, gd2_reg
 from . import oracles
-from .risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk, risk_record,
-                   sample_complexity_search)
+from .risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk, mc_excess_risk_many,
+                   risk_record, sample_complexity_search)
 
 
 class ConfigError(Exception):
@@ -186,6 +188,9 @@ def write_manifest(command: str, cfg: dict, paths, wall: float, **extra) -> str:
         "version": __version__,
         "wall_time_s": wall,
         "outputs": {os.path.basename(p): _sha256(p) for p in paths},
+        "environment": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
+                        "threads": {k: v for k, v in sorted(os.environ.items())
+                                    if k.endswith("_NUM_THREADS")}},
         **extra,
     }
     path = cfg["out"] + ".manifest.json"
@@ -459,23 +464,19 @@ def _suite_linear_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]
 
 
 def _suite_twolayer_fp(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
-    worst, converged = 0.0, True
-    for k in range(4):
-        sk = seed.child(k)
-        d = 5
-        inst = MetaInstance.from_config(d, 0.5 + 0.5 * k, 0.0)
-        sgn = 1 if k % 2 == 0 else -1
-        a0, b0 = 0.4 + 0.1 * k, 0.1
-        first = SpikedIdentity(inst.w_star / inst.r, a0, 0.1).to_dense()
-        params = TwoLayerParams(first, b0 * inst.w_star / inst.r)
-        out, ok = gd_pop_flow_numeric(params, Task(inst, sgn), t_max=400.0, tol=1e-9)
-        converged = converged and ok
-        a_bar, b_bar = flow_limit(a0 * a0 - b0 * b0, inst.r, sgn)
-        w_hat = inst.w_star / inst.r
-        a_num = float(w_hat @ out.first_dense() @ w_hat) + bump
-        b_num = float(w_hat @ out.second)
-        worst = max(worst, abs(a_num - a_bar), abs(b_num - b_bar))
-    return worst, converged
+    d, k = 5, np.arange(4)
+    r = 0.5 + 0.5 * k
+    sgn = np.where(k % 2 == 0, 1, -1)
+    a0, b0 = 0.4 + 0.1 * k, 0.1
+    w_hat = np.eye(d)[0]
+    firsts = np.stack([SpikedIdentity(w_hat, a, 0.1).to_dense() for a in a0])
+    a, w, norms = oracles.gd_pop_flow_batched(firsts, np.outer(np.full(4, b0), w_hat),
+                                              np.outer(sgn * r, w_hat), t_max=400.0, tol=1e-9)
+    worst = 0.0
+    for i in range(4):
+        a_bar, b_bar = flow_limit(a0[i] ** 2 - b0 ** 2, r[i], int(sgn[i]))
+        worst = max(worst, abs(float(a[i, 0, 0]) + bump - a_bar), abs(float(w[i, 0]) - b_bar))
+    return worst, bool(np.all(norms < 1e-9))
 
 
 def _suite_gd2_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
@@ -512,6 +513,44 @@ def _suite_replearn(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     return worst, converged
 
 
+def _suite_risk_estimator(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
+    """Each trial's conditional excess risk against the explicit predictor
+    matrices (P, D) on the same design: (||w0||^2/d) ||D||_F^2 +
+    (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 for the convex learners
+    (the exact average over Haar eigenvectors, since a trace is the sum
+    over basis directions) and ||(P X - I) w*||^2 + sigma^2 ||P||_F^2
+    for gd2_reg, given X."""
+    d, trials = 6, 3
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    w_star = inst.w_star
+    w0 = gaussian_vector(seed.child(100), d)
+    g = gaussian_matrix(seed.child(101), d, d)
+    algs = [AlgSpec("gd_reg", GdRegSpec(0.0), w0), AlgSpec("gd_reg", GdRegSpec(0.3), w0),
+            AlgSpec("gd_step", GdStepSpec(0.05, 20), w0),
+            AlgSpec("gd2_reg", GdRegSpec(5.0 ** 1.5), SpikedIdentity(w_star, 5.0, 0.1)),
+            AlgSpec("gd2_reg", GdRegSpec(0.3), g @ g.T / d + 0.5 * np.eye(d))]
+    worst = 0.0
+    for k, n in enumerate((3, 6, 12)):
+        sk = seed.child(k)
+        designs = [gaussian_matrix(sk.child(t, 1, 0), n, d) for t in range(trials)]
+        for alg, est in zip(algs, mc_excess_risk_many(algs, inst, n, trials, sk)):
+            values = []
+            for x in designs:
+                p, dm = oracles.predictor_matrices(alg, x)
+                e = p @ x - np.eye(d)
+                if alg.family == "gd2_reg":
+                    bias = float(np.sum((e @ w_star) ** 2))
+                else:
+                    bias = (w0 @ w0 * np.sum(dm * dm) + w_star @ w_star * np.sum(e * e)) / d
+                values.append(bias + inst.sigma ** 2 * float(np.sum(p * p)))
+            mean = float(np.mean(values))
+            stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
+            scale = max(1.0, abs(mean))
+            worst = max(worst, abs(est.mean + bump - mean) / scale,
+                        abs(est.stderr - stderr) / scale)
+    return worst, None
+
+
 _SUITES = [
     ("gd-step-closed-form", _suite_gd_step, 1e-8),
     ("gd-reg-closed-form", _suite_gd_reg, 1e-10),
@@ -520,6 +559,7 @@ _SUITES = [
     ("twolayer-fixed-point", _suite_twolayer_fp, 1e-6),
     ("second-layer-ridge", _suite_gd2_reg, 1e-6),
     ("replearn-fixed-point", _suite_replearn, 1e-5),
+    ("risk-estimator", _suite_risk_estimator, 1e-9),
 ]
 
 
@@ -566,7 +606,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _RUNNERS[args.command](cfg)
-    except NotPsdError as exc:
+    except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenDecomposition, sym_eigen
+from .linalg import EigenDecomposition, NumericalError, sym_eigen
 from .tasks import Dataset, emp_covariance
 
 _RANGE_RTOL = 1e-8
@@ -62,86 +62,104 @@ class GdRegSpec:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
 
-def _prepare(m, b: np.ndarray, eig: EigenDecomposition | None):
-    """Diagonalize M, check b is in its range, return (eig, coords of b)."""
-    if eig is None:
-        eig = sym_eigen(np.asarray(m, dtype=np.float64))
-    s = eig.eigenvalues
-    cutoff = _EIG_RTOL * max(float(s[0]), 0.0)
-    beta = eig.eigenvectors.T @ b
-    null = s <= cutoff
+def _flow_factors(s: np.ndarray, t: float):
+    """Per-eigenvalue (decay, gain, null) of the flow w' = -(M w - b) at
+    time t (t = inf allowed), for the eigenvalues s (..., d) of M, each
+    row in descending order: w(t) = V (decay V^T w0 + gain V^T b). Null
+    directions keep w0."""
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
+    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
+    if math.isinf(t):
+        decay = np.where(null, 1.0, 0.0)
+    else:
+        decay = np.exp(-t * np.where(null, 0.0, s))
+    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
+    return decay, gain, null
+
+
+def _step_factors(s: np.ndarray, eta: float, t: int):
+    """Per-eigenvalue (decay, gain, null) of t steps w <- w - eta (M w - b),
+    as _flow_factors. Warns if eta >= 2 / lambda_max, where the iteration
+    diverges; divergent steps overflow to inf rather than raise, so
+    callers sweeping unstable (eta, t) grids get inf risk."""
+    if eta < 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
+    top = float(np.max(s[..., 0]))
+    if eta > 0 and top > 0 and eta >= 2.0 / top:
+        warnings.warn(
+            f"step size eta = {eta} is at or beyond the stability limit "
+            f"2 / lambda_max = {2.0 / top:.3e}; the iteration diverges",
+            RuntimeWarning, stacklevel=3)
+    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
+    with np.errstate(over="ignore"):
+        decay = (1.0 - eta * np.where(null, 0.0, s)) ** t
+    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
+    return decay, gain, null
+
+
+def learner_factors(spec, s: np.ndarray):
+    """Per-eigenvalue (decay, gain, null) of a convex learner, for the
+    eigenvalues s (..., d) of empirical covariances S, rows descending.
+
+    The learner maps (w0, X^T y / n) to V (decay V^T w0 + gain V^T X^T y / n),
+    V the eigenvectors of S. gd_reg is the t = inf flow on S + lam I, so
+    its null cutoff applies to the shifted spectrum; gd_step is t0 steps
+    on S. This is the one home of both families' spectral factors.
+    """
+    if isinstance(spec, GdRegSpec):
+        return _flow_factors(s + spec.lam, math.inf)
+    return _step_factors(s, spec.eta, spec.t0)
+
+
+def _spectral_solve(eig: EigenDecomposition, b: np.ndarray, w0: np.ndarray,
+                    decay: np.ndarray, gain: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """V (decay V^T w0 + gain V^T b), after checking that b is in range(M)."""
+    v = eig.eigenvectors
+    beta = v.T @ b
     resid = float(np.linalg.norm(beta[null]))
     scale = float(np.linalg.norm(b))
     if resid > _RANGE_RTOL * max(scale, 1e-300):
-        raise ValueError(
+        raise NumericalError(
             f"b is not in range(M): null-space component {resid:.3e} "
             f"relative to ||b|| = {scale:.3e}")
-    beta = np.where(null, 0.0, beta)
-    return eig, s, cutoff, beta
+    return v @ (decay * (v.T @ w0) + gain * beta)
 
 
-def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float,
-                      eig: EigenDecomposition | None = None) -> np.ndarray:
+def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
     """Solve w' = -(M w - b), w(0) = w0, at time t (t = inf allowed).
 
-    M must be symmetric PSD (or a precomputed EigenDecomposition of it)
-    and b must lie in range(M) to within relative tolerance 1e-8.
+    M must be symmetric PSD and b must lie in range(M) to within
+    relative tolerance 1e-8.
     """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    eig, s, cutoff, beta = _prepare(m, b, eig)
-    pos = s > cutoff
-    if math.isinf(t):
-        decay = np.where(pos, 0.0, 1.0)
-    else:
-        decay = np.exp(-t * np.where(pos, s, 0.0))
-    gain = np.zeros_like(s)
-    gain[pos] = (1.0 - decay[pos]) / s[pos]
-    alpha = eig.eigenvectors.T @ w0
-    return eig.eigenvectors @ (decay * alpha + gain * beta)
+    eig = sym_eigen(m)
+    return _spectral_solve(eig, b, w0, *_flow_factors(eig.eigenvalues, t))
 
 
-def linear_step_solve(m, b: np.ndarray, w0: np.ndarray, eta: float, t: int,
-                      eig: EigenDecomposition | None = None) -> np.ndarray:
+def linear_step_solve(m, b: np.ndarray, w0: np.ndarray, eta: float, t: int) -> np.ndarray:
     """Iterate w <- w - eta (M w - b) for t steps from w0, in closed form.
 
     Warns if eta >= 2 / lambda_max, where the iteration diverges.
     eta = 0 is allowed and returns w0 for every t.
     """
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    eig, s, cutoff, beta = _prepare(m, b, eig)
-    if eta > 0 and s[0] > 0 and eta >= 2.0 / s[0]:
-        warnings.warn(
-            f"step size eta = {eta} is at or beyond the stability limit "
-            f"2 / lambda_max = {2.0 / s[0]:.3e}; the iteration diverges",
-            RuntimeWarning, stacklevel=2)
-    pos = s > cutoff
-    base = 1.0 - eta * np.where(pos, s, 0.0)
-    if isinstance(t, float) and math.isinf(t):
-        if np.any(pos & (np.abs(base) >= 1.0)):
-            raise ValueError("t = inf requires |1 - eta s| < 1 on range(M)")
-        decay = np.where(pos, 0.0, 1.0)
-    else:
-        # divergent configurations overflow to inf; callers sweeping
-        # unstable (eta, t) grids get inf risk rather than an exception
-        with np.errstate(over="ignore"):
-            decay = base ** t
-    gain = np.zeros_like(s)
-    gain[pos] = (1.0 - decay[pos]) / s[pos]
-    alpha = eig.eigenvectors.T @ w0
-    return eig.eigenvectors @ (decay * alpha + gain * beta)
+    eig = sym_eigen(m)
+    return _spectral_solve(eig, b, w0, *_step_factors(eig.eigenvalues, eta, t))
+
+
+def _learner_solve(spec, ds: Dataset, w0: np.ndarray,
+                   eig: EigenDecomposition | None) -> np.ndarray:
+    if eig is None:
+        eig = sym_eigen(emp_covariance(ds))
+    return _spectral_solve(eig, ds.x.T @ ds.y / ds.n, w0,
+                           *learner_factors(spec, eig.eigenvalues))
 
 
 def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray,
             eig: EigenDecomposition | None = None) -> np.ndarray:
     """Closed form for t0 gradient steps on the empirical loss from w0."""
-    b = ds.x.T @ ds.y / ds.n
-    if eig is None:
-        eig = sym_eigen(emp_covariance(ds))
-    return linear_step_solve(eig, b, w0, spec.eta, spec.t0, eig=eig)
+    return _learner_solve(spec, ds, w0, eig)
 
 
 def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray,
@@ -154,8 +172,4 @@ def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray,
     1 / (s + lam) applied to X^T y / n; null directions (none for
     lam > 0) keep w0.
     """
-    b = ds.x.T @ ds.y / ds.n
-    if eig is None:
-        eig = sym_eigen(emp_covariance(ds))
-    shifted = EigenDecomposition(eig.eigenvalues + spec.lam, eig.eigenvectors)
-    return linear_flow_solve(shifted, b, w0, math.inf, eig=shifted)
+    return _learner_solve(spec, ds, w0, eig)

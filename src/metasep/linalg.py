@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra plus the spiked-identity structure.
 
 Matrices are plain float64 numpy arrays stored fully symmetric; the
-dimensions of interest stay below a few hundred. sym_eigen, a wrapper
-around LAPACK's symmetric eigensolver, is the one factorization the
-package uses: every closed form and every production solve is a
-spectral function of its result.
+dimensions of interest stay below a few hundred. sym_eigen and
+sym_eigvals, wrappers around LAPACK's symmetric eigensolver, are the
+one factorization the package uses: every closed form and every
+production solve is a spectral function of their results.
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
 direction w: every first layer produced by the meta-dynamics has this
@@ -20,7 +20,11 @@ from typing import Callable
 import numpy as np
 
 
-class NotPsdError(ValueError):
+class NumericalError(ValueError):
+    """A computation failed numerically, not because of its configuration."""
+
+
+class NotPsdError(NumericalError):
     """Matrix that must be positive definite is not."""
 
 
@@ -45,16 +49,26 @@ class EigenDecomposition:
         return v @ (f(self.eigenvalues) * (v.T @ x))
 
 
-def sym_eigen(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh),
-    eigenvalues in descending order."""
+def _checked_square(m: np.ndarray) -> np.ndarray:
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    s, v = np.linalg.eigh(symmetrize(a))
+    return symmetrize(a)
+
+
+def sym_eigen(m: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh),
+    eigenvalues in descending order."""
+    s, v = np.linalg.eigh(_checked_square(m))
     return EigenDecomposition(s[::-1], v[:, ::-1])
+
+
+def sym_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by LAPACK (numpy eigvalsh), in
+    descending order."""
+    return np.linalg.eigvalsh(_checked_square(m))[::-1]
 
 
 @dataclass(frozen=True)
@@ -81,3 +95,8 @@ class SpikedIdentity:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         w = self.direction
         return self.bulk * v + (self.spike - self.bulk) * (w @ v) * w
+
+
+def as_dense(a) -> np.ndarray:
+    """A dense float64 array of a matrix or a SpikedIdentity."""
+    return a.to_dense() if isinstance(a, SpikedIdentity) else np.asarray(a, dtype=np.float64)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpikedIdentity
+from .linalg import SpikedIdentity, as_dense
 from .rng import SeedSpec, rademacher_signs
 from .tasks import MetaInstance
 from .twolayer import flow_limit
@@ -163,7 +163,7 @@ def replearn_loss(a, w_list, inst: MetaInstance, signs) -> float:
     (1/T) sum_i ||A^T w_i - s_i w_star||^2."""
     if len(w_list) != len(signs):
         raise ValueError(f"{len(w_list)} second layers for {len(signs)} signs")
-    a_dense = a.to_dense() if isinstance(a, SpikedIdentity) else np.asarray(a, dtype=np.float64)
+    a_dense = as_dense(a)
     total = 0.0
     for w, s in zip(w_list, signs):
         diff = a_dense.T @ w - s * inst.w_star

@@ -17,6 +17,11 @@ exponential, so it stays independent of the spectral closed forms.
 
 Linear solvers accept a leading batch axis so that hundreds of small
 random instances integrate in one vectorized sweep.
+
+mc_excess_risk_raw is the oracle of the risk estimator: it draws the
+sign and the label noise that risk.mc_excess_risk_many averages out in
+closed form, and scores each trial by the squared error of a predictor
+built as explicit matrices (predictor_matrices).
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ import math
 
 import numpy as np
 
-from .linalg import SpikedIdentity
+from .linalg import SpikedIdentity, as_dense
 from .meta_learners import ScalarTrajectory
-from .tasks import Dataset, MetaInstance, emp_covariance
+from .risk import AlgSpec, _estimate
+from .rng import SeedSpec
+from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import ScalarPair, _flow_rhs, _flow_step_size, gd_pop_fixed_point, rk4
 
 
@@ -172,3 +179,49 @@ def replearn_joint_flow(inst: MetaInstance, signs, kappa: float,
     y, converged = rk4(lambda y: _flow_rhs(y, v), y0, t_max,
                        lambda y: _flow_step_size(y, d), tol)
     return y[:d * d].reshape(d, d), y[d * d:].reshape(v.shape), converged
+
+
+def predictor_matrices(alg: AlgSpec, x: np.ndarray):
+    """(P, D) with the algorithm's predictor P y + D w0 on design x.
+
+    Built by numpy.linalg (pinv for gd_reg at lam = 0, solve for the
+    ridge forms) or, for gd_step, by iterating the matrices themselves.
+    gd2_reg's P is the effective predictor A w; it ignores w0 (D = 0).
+    """
+    n, d = x.shape
+    eye = np.eye(d)
+    cov = x.T @ x / n
+    if alg.family == "gd_step":
+        eta = alg.params.eta
+        p, dm = np.zeros((d, n)), eye
+        for _ in range(alg.params.t0):
+            p = p - eta * (cov @ p - x.T / n)
+            dm = dm - eta * (cov @ dm)
+        return p, dm
+    if alg.family == "gd_reg" and alg.params.lam == 0.0:
+        p = np.linalg.pinv(x)
+        return p, eye - p @ x
+    a = as_dense(alg.init) if alg.family == "gd2_reg" else eye
+    m = a @ cov @ a + alg.params.lam * eye
+    return a @ np.linalg.solve(m, a @ x.T / n), np.zeros((d, d))
+
+
+def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: SeedSpec) -> list:
+    """Raw Monte-Carlo excess risks, one RiskEstimate per algorithm.
+
+    Trial t draws a sign (seed.child(t, 0)), a design (seed.child(t, 1, 0),
+    the design risk.mc_excess_risk_many scores) and label noise
+    (seed.child(t, 1, 1)), and scores ||P y + D w0 - s w_star||^2 with
+    the matrices of predictor_matrices.
+    """
+    values = np.empty((trials, len(algs)))
+    for t in range(trials):
+        task = sample_task(inst, seed.child(t, 0))
+        ds = sample_dataset(task, n, seed.child(t, 1))
+        for j, alg in enumerate(algs):
+            p, dm = predictor_matrices(alg, ds.x)
+            diff = p @ ds.y - task.target
+            if alg.family != "gd2_reg":
+                diff += dm @ alg.init
+            values[t, j] = diff @ diff
+    return [_estimate(values[:, j]) for j in range(len(algs))]

@@ -1,18 +1,26 @@
 """Excess-risk estimation and sample-complexity search.
 
-The excess risk of a within-task algorithm at sample size n is the
-expected population loss of its output on a fresh task, minus the
-noise floor sigma^2; for every algorithm here that reduces to
-||predictor - s w_star||^2 averaged over the task sign and the
-training sample.
+The excess risk of a within-task algorithm at sample size n is
+||predictor - s w_star||^2 averaged over the task sign s, the design X
+and the label noise. Each Monte-Carlo trial draws only X, from its own
+seed stream (so estimates are bit-identical for any worker count), and
+scores it by the exact expectation over the sign (whose cross term
+vanishes) and the noise. A convex learner applies a decay delta_i to w0
+and a gain g_i to X^T y / n along eigenvector i of S = X^T X / n
+(convex.learner_factors); X is isotropic Gaussian, so the eigenvectors
+are Haar given the eigenvalues s_i and average out too:
 
-Monte-Carlo estimation draws (sign, dataset) pairs from per-trial
-seed streams, so estimates are bit-identical for a fixed seed no
-matter how trials are scheduled across workers. When several
-algorithm configurations are swept, mc_excess_risk_many feeds the
-same trial datasets (and a single covariance eigendecomposition) to
-every configuration: paired sampling, which removes dataset noise
-from comparisons and most of the linear-algebra cost from sweeps.
+    E[excess | spec S] = (||w0||^2 / d) sum delta_i^2
+                         + (r^2 / d) sum (1 - g_i s_i)^2 + (sigma^2 / n) sum g_i^2 s_i
+
+The spiked two-layer family (gd2_reg) is not rotation invariant and is
+scored given X, with Q = A M^{-1} A and M = A S A + lam I:
+
+    E[excess | X] = ||(Q S - I) w_star||^2 + (sigma^2 / n) tr(Q S Q^T)
+
+mc_excess_risk_many scores every algorithm of a sweep on the same
+designs and spectra (paired sampling). oracles.mc_excess_risk_raw is
+the raw (sign, design, noise) sampler on the same design streams.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import _EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step
-from .linalg import SpikedIdentity, sym_eigen
+from .convex import GdRegSpec, GdStepSpec, learner_factors
+from .linalg import as_dense, sym_eigvals, symmetrize
 from .rng import SeedSpec, gaussian_matrix
-from .tasks import MetaInstance, emp_covariance, sample_dataset, sample_task
-from .twolayer import gd2_reg
+from .tasks import MetaInstance
+from .twolayer import _ridge_eigen
 
 
 @dataclass(frozen=True)
@@ -71,35 +79,52 @@ class AlgSpec:
         return f"{self.family}(lam={self.params.lam:g})"
 
 
-def _needs_eigen(alg: AlgSpec) -> bool:
-    return alg.family != "gd2_reg"
+def _weighted(c: float, v: np.ndarray) -> np.ndarray:
+    """c times the row sums of v, exactly 0 when c is: the inf factors of
+    a divergent learner must not turn a zero weight into NaN."""
+    return c * np.sum(v, axis=-1) if c else np.zeros(v.shape[:-1])
 
 
-def predict_vector(alg: AlgSpec, ds, eig=None) -> np.ndarray:
-    """Run the algorithm on one dataset; return its effective linear
-    predictor (for the two-layer family, the product A w)."""
-    if alg.family == "gd_step":
-        return gd_step(alg.params, ds, alg.init, eig=eig)
-    if alg.family == "gd_reg":
-        return gd_reg(alg.params, ds, alg.init, eig=eig)
-    out = gd2_reg(alg.params.lam, ds, alg.init)
-    if isinstance(alg.init, SpikedIdentity):
-        return alg.init.matvec(out.second)
-    return np.asarray(alg.init) @ out.second
+def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
+                 r2: float, sigma2: float) -> np.ndarray:
+    """E[excess | spectrum] of a gd_step or gd_reg learner for each row
+    of the spectra s (trials, d)."""
+    decay, gain, _ = learner_factors(alg.params, s)
+    return (_weighted(float(alg.init @ alg.init) / d, decay * decay)
+            + _weighted(r2 / d, (1.0 - gain * s) ** 2)
+            + _weighted(sigma2 / n, gain * gain * s))
+
+
+def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarray,
+                   n: int, sigma2: float) -> float:
+    """E[excess | X] of second-layer ridge on the frozen first layer a."""
+    eig = _ridge_eigen(lam, a, cov)
+    v = eig.eigenvectors
+    q = (a @ v / eig.eigenvalues) @ (v.T @ a)
+    qs = q @ cov
+    err = qs @ w_star - w_star
+    return float(err @ err) + sigma2 / n * float(np.sum(qs * q))
 
 
 def _trial_block(algs, inst, n, seed, lo, hi):
-    """Excess risks for trials [lo, hi) as an (hi-lo, n_algs) array."""
-    need_eig = any(_needs_eigen(a) for a in algs)
+    """Conditional excess risks for trials [lo, hi) as an (hi-lo, n_algs)
+    array; trial t reads its design from seed.child(t, 1, 0). The convex
+    learners are scored once per block, on the stacked spectra."""
+    d, w_star = inst.d, inst.w_star
+    r2, sigma2 = float(w_star @ w_star), inst.sigma ** 2
+    firsts = {j: as_dense(a.init) for j, a in enumerate(algs) if a.family == "gd2_reg"}
+    convex = [j for j in range(len(algs)) if j not in firsts]
+    spectra = np.empty((hi - lo, d))
     out = np.empty((hi - lo, len(algs)))
     for t in range(lo, hi):
-        strial = seed.child(t)
-        task = sample_task(inst, strial.child(0))
-        ds = sample_dataset(task, n, strial.child(1))
-        eig = sym_eigen(emp_covariance(ds)) if need_eig else None
-        for j, alg in enumerate(algs):
-            diff = predict_vector(alg, ds, eig) - task.target
-            out[t - lo, j] = diff @ diff
+        x = gaussian_matrix(seed.child(t, 1, 0), n, d)
+        cov = symmetrize(x.T @ x / n)
+        if convex:
+            spectra[t - lo] = sym_eigvals(cov)
+        for j, a in firsts.items():
+            out[t - lo, j] = _twolayer_risk(algs[j].params.lam, a, cov, w_star, n, sigma2)
+    for j in convex:
+        out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
     return out
 
 
@@ -113,7 +138,7 @@ def _estimate(values: np.ndarray) -> RiskEstimate:
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
     """Paired Monte-Carlo excess risks: one RiskEstimate per algorithm,
-    all fed the same per-trial (sign, dataset) stream."""
+    all scored on the same per-trial designs."""
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     if not algs:
@@ -153,48 +178,6 @@ def convex_lower_bound_exact(d: int, n: int, r_w: float, sigma: float) -> float:
         return d * r2 * s2 / denom if denom > 0 else 0.0
     head = (n / d) * (r2 * s2 / (r2 + s2)) if r2 + s2 > 0 else 0.0
     return head + ((d - n) / d) * r2
-
-
-def decompose_bias_variance(alg: AlgSpec, inst: MetaInstance, n: int,
-                            trials: int, seed: SeedSpec):
-    """Expected bias and variance components of a convex algorithm's
-    excess risk, estimated over input draws.
-
-    Both convex families are affine in (w0, target, noise) given the
-    inputs X, so per draw the target-recovery error ||(I - B_X) w*||^2
-    and the noise error sigma^2 tr(C_X^T C_X) follow from spectral
-    functions of the empirical covariance. Their sum lower-bounds the
-    excess risk. Returns (bias, variance) RiskEstimates.
-    """
-    if alg.family not in ("gd_step", "gd_reg"):
-        raise ValueError(f"no affine decomposition for family {alg.family!r}")
-    if trials < 2:
-        raise ValueError(f"need trials >= 2, got {trials}")
-    d = inst.d
-    sigma2 = inst.sigma ** 2
-    bias_vals = np.empty(trials)
-    var_vals = np.empty(trials)
-    for t in range(trials):
-        x = gaussian_matrix(seed.child(t), n, d)
-        eig = sym_eigen(x.T @ x / n)
-        s = eig.eigenvalues
-        cutoff = _EIG_RTOL * max(float(s[0]), 0.0)
-        pos = s > cutoff
-        if alg.family == "gd_reg":
-            lam = alg.params.lam
-            shifted = s + lam
-            bias_coeff = np.where(shifted > cutoff, lam / np.where(shifted > cutoff, shifted, 1.0), 1.0)
-            var_sum = float(np.sum(s[pos] / (s[pos] + lam) ** 2))
-        else:
-            with np.errstate(over="ignore"):
-                decay = (1.0 - alg.params.eta * s[pos]) ** alg.params.t0
-            bias_coeff = np.ones_like(s)
-            bias_coeff[pos] = decay
-            var_sum = float(np.sum((1.0 - decay) ** 2 / s[pos]))
-        proj = eig.eigenvectors.T @ inst.w_star
-        bias_vals[t] = float(np.sum((bias_coeff * proj) ** 2))
-        var_vals[t] = sigma2 * var_sum / n
-    return _estimate(bias_vals), _estimate(var_vals)
 
 
 def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,

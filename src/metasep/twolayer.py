@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotPsdError, SpikedIdentity, sym_eigen
+from .linalg import NotPsdError, as_dense, sym_eigen
 from .tasks import Dataset, Task, emp_covariance
 
 
@@ -58,9 +58,7 @@ class TwoLayerParams:
         return self.second.shape[0]
 
     def first_dense(self) -> np.ndarray:
-        if isinstance(self.first, SpikedIdentity):
-            return self.first.to_dense()
-        return np.asarray(self.first, dtype=np.float64)
+        return as_dense(self.first)
 
 
 def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
@@ -160,6 +158,19 @@ def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
     return TwoLayerParams(*unpack(y)), converged
 
 
+def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
+    """Eigendecomposition of the second-layer ridge matrix A0 S A0 + lam I,
+    checked positive definite."""
+    if lam <= 0.0:
+        raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
+    eig = sym_eigen(a_dense @ cov @ a_dense + lam * np.eye(cov.shape[0]))
+    low = float(eig.eigenvalues[-1])
+    if low <= 0.0:
+        raise NotPsdError(f"ridge matrix A0 S A0 + lam I not positive definite: "
+                          f"smallest eigenvalue {low:.3e}")
+    return eig
+
+
 def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     """Ridge regression on the second layer with the first layer frozen.
 
@@ -169,14 +180,7 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     Raises NotPsdError if the (symmetrized) ridge matrix is not positive
     definite, which a non-symmetric dense A0 can cause.
     """
-    if lam <= 0.0:
-        raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
-    a_dense = a0.to_dense() if isinstance(a0, SpikedIdentity) else np.asarray(a0, dtype=np.float64)
-    cov = emp_covariance(ds)
-    eig = sym_eigen(a_dense @ cov @ a_dense + lam * np.eye(ds.d))
-    low = float(eig.eigenvalues[-1])
-    if low <= 0.0:
-        raise NotPsdError(f"ridge matrix A0 S A0 + lam I not positive definite: "
-                          f"smallest eigenvalue {low:.3e}")
+    a_dense = as_dense(a0)
+    eig = _ridge_eigen(lam, a_dense, emp_covariance(ds))
     b = a_dense @ (ds.x.T @ ds.y / ds.n)
     return TwoLayerParams(a0, eig.apply(lambda s: 1.0 / s, b))

@@ -6,6 +6,7 @@ import pytest
 
 from metasep import cli
 from metasep.cli import main
+from metasep.convex import linear_flow_solve
 from metasep.linalg import NotPsdError
 
 
@@ -153,6 +154,7 @@ def test_verify_passes_and_perturb_fails(tmp_path):
     assert report["passed"] is True
     assert all(s["passed"] for s in report["suites"])
     flags = {s["suite"]: s["oracle_converged"] for s in report["suites"]}
+    assert "risk-estimator" in flags
     assert flags["twolayer-fixed-point"] is True
     assert flags["replearn-fixed-point"] is True
     # per-suite timings go to the manifest only
@@ -183,6 +185,27 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._RUNNERS, "risk", fail)
     assert _run(["risk", "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.startswith("error: numerical failure:")
+
+
+def test_range_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a right-hand side outside range(M) is a numerical failure, not a config error
+    def fail(cfg):
+        linear_flow_solve(np.diag([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2), 1.0)
+
+    monkeypatch.setitem(cli._RUNNERS, "risk", fail)
+    assert _run(["risk", "--out", str(tmp_path / "x")]) == 3
+    assert "b is not in range(M)" in capsys.readouterr().err
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    out = str(tmp_path / "env")
+    assert _run(["dynamics", "--t-tasks", "5", "--out", out]) == 0
+    env = json.loads(_read(out + ".manifest.json"))["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert "environment" not in _read(out + ".json")
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasep.linalg import EigenDecomposition, SpikedIdentity, sym_eigen
+from metasep.linalg import EigenDecomposition, SpikedIdentity, sym_eigen, sym_eigvals
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 
 
@@ -21,6 +21,16 @@ def test_identity_eigen():
 def test_diagonal_eigen_sorted():
     e = sym_eigen(np.diag([1.0, 3.0]))
     assert np.allclose(e.eigenvalues, [3.0, 1.0])
+
+
+def test_eigvals_match_eigen():
+    for k in range(20):
+        m = _random_sym(100 + k, 2 + k % 7)
+        s = sym_eigvals(m)
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.allclose(s, sym_eigen(m).eigenvalues, atol=1e-12)
+    with pytest.raises(ValueError):
+        sym_eigvals(np.ones((2, 3)))
 
 
 def test_reconstruction_batch():

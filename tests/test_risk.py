@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from metasep import oracles
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
-from metasep.rng import SeedSpec
+from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.risk import (AlgSpec, RiskEstimate, convex_lower_bound_exact,
-                          decompose_bias_variance, mc_excess_risk,
-                          mc_excess_risk_many, risk_record,
+                          mc_excess_risk, mc_excess_risk_many, risk_record,
                           sample_complexity_search)
 from metasep.tasks import MetaInstance
 
@@ -93,31 +95,43 @@ def test_gd2_reg_family_runs():
     assert est.mean < 0.2
 
 
-def test_bias_variance_terms():
-    inst = MetaInstance.from_config(6, 1.0, 0.0)
-    bias, var = decompose_bias_variance(_reg_alg(0.5, 6), inst, 10, 40, SeedSpec(7))
-    assert var.mean == 0.0  # sigma = 0
-    assert bias.mean > 0.0
-    noisy = MetaInstance.from_config(6, 1.0, 1.0)
-    bias, var = decompose_bias_variance(_reg_alg(0.0, 6), noisy, 12, 40, SeedSpec(8))
-    assert bias.mean <= 1e-12  # full rank, lam = 0: exact recovery term
-    assert var.mean > 0.0
+@pytest.mark.parametrize("n", [4, 16])
+def test_estimator_matches_raw_sampler(n):
+    # the raw sampler draws the sign and the noise that the estimator
+    # averages out, on the same designs; the means must agree
+    d = 8
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    g = gaussian_vector(SeedSpec(20), d)
+    algs = []
+    for w0 in (np.zeros(d), inst.w_star.copy(), 3.0 * g / np.linalg.norm(g)):
+        algs += [_reg_alg(lam, d, w0) for lam in (0.0, 0.1, 1.0)]
+        algs.append(AlgSpec("gd_step", GdStepSpec(0.1, 30), w0))
+    dense = gaussian_matrix(SeedSpec(21), d, d)
+    algs.append(AlgSpec("gd2_reg", GdRegSpec(30.0 ** 1.5), SpikedIdentity(inst.w_star, 30.0, 0.1)))
+    algs.append(AlgSpec("gd2_reg", GdRegSpec(0.5), dense @ dense.T / d + 0.5 * np.eye(d)))
+    exact = mc_excess_risk_many(algs, inst, n, 400, SeedSpec(22))
+    raw = oracles.mc_excess_risk_raw(algs, inst, n, 400, SeedSpec(22))
+    for alg, e, r in zip(algs, exact, raw):
+        assert abs(e.mean - r.mean) <= 4.0 * math.hypot(e.stderr, r.stderr), alg.label()
+        assert e.stderr <= r.stderr, alg.label()
 
 
-def test_bias_variance_lower_bounds_mc():
-    inst = MetaInstance.from_config(5, 1.0, 1.0)
-    alg = AlgSpec("gd_step", GdStepSpec(0.05, 50), np.zeros(5))
-    bias, var = decompose_bias_variance(alg, inst, 8, 400, SeedSpec(9))
-    est = mc_excess_risk(alg, inst, 8, 400, SeedSpec(9))
-    combined_err = 5.0 * (bias.stderr + var.stderr + est.stderr)
-    assert bias.mean + var.mean <= est.mean + combined_err
+def test_ols_risk_matches_exact_value():
+    # lam = 0 with n > d + 1: E ||(X^T X)^{-1} X^T noise||^2 = sigma^2 d / (n - d - 1)
+    d, n = 10, 30
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    est = mc_excess_risk(_reg_alg(0.0, d), inst, n, 400, SeedSpec(23))
+    assert abs(est.mean - d / (n - d - 1)) <= 4.0 * est.stderr
 
 
-def test_bias_variance_rejects_twolayer():
-    inst = MetaInstance.from_config(4, 1.0, 1.0)
-    alg = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 1.0, 0.1))
-    with pytest.raises(ValueError):
-        decompose_bias_variance(alg, inst, 8, 10, SeedSpec(10))
+@pytest.mark.parametrize("w0_scale", [0.0, 1.0])
+def test_divergent_step_gives_inf(w0_scale):
+    d = 6
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    alg = AlgSpec("gd_step", GdStepSpec(5.0, 2000), w0_scale * np.ones(d))
+    with pytest.warns(RuntimeWarning):
+        est = mc_excess_risk(alg, inst, 12, 10, SeedSpec(24))
+    assert est.mean == math.inf
 
 
 def test_search_trivial_epsilon_takes_first_point():
