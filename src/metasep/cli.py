@@ -17,8 +17,9 @@ byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error,
 3 numerical failure (linalg.NumericalError: a matrix that must be
-positive definite is not, or a vector that must lie in a matrix's range
-does not).
+positive definite is not, a vector that must lie in a matrix's range
+does not, or a value bound for a JSON file is inf or NaN; risk points
+are the exception, written with null mean and stderr).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .tasks import MetaInstance, sample_dataset, sample_task
 from .twolayer import flow_limit, gd2_reg
 from . import oracles
 from .risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk, mc_excess_risk_many,
-                   risk_record, sample_complexity_search)
+                   point_record, risk_record, sample_complexity_search)
 
 
 class ConfigError(Exception):
@@ -168,9 +169,24 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path: str, obj) -> None:
+    """Strict JSON: an inf or NaN is a numerical failure, never a literal
+    that JSON parsers reject."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _report_nonfinite(command: str, estimates) -> None:
+    """One stderr line counting the trials whose excess risk is inf or
+    NaN; their records hold null."""
+    bad = sum(e.nonfinite for e in estimates)
+    if bad:
+        total = sum(e.trials for e in estimates)
+        print(f"{command}: {bad} of {total} trials gave a non-finite excess risk "
+              f"(a divergent learner); mean/stderr written as null", file=sys.stderr)
 
 
 def _sha256(path: str) -> str:
@@ -269,37 +285,57 @@ def cmd_growth(cfg: dict) -> int:
     return 0
 
 
+def _separation_search(half: str, algs, inst: MetaInstance, cfg: dict, grid,
+                       seed: SeedSpec, stages: dict):
+    """One paired search over the fixed algorithms algs. Prints a progress
+    line per grid point and records its stage; returns the n_eps list
+    and each algorithm's (n, RiskEstimate) points."""
+    labels = [a.label() for a in algs]
+    points = [[] for _ in algs]
+    last = time.monotonic()
+
+    def collect(n, scored):
+        nonlocal last
+        now = time.monotonic()
+        wall, last = now - last, now
+        for j, est in scored.items():
+            points[j].append((n, est))
+        scored_labels = [labels[j] for j in scored]
+        stages[f"{half}/{n}"] = {"algorithms": scored_labels, "trials": cfg["trials"],
+                                 "wall_s": wall}
+        print(f"separation: {half} n={n} open={','.join(scored_labels)} {wall:.2f} s",
+              file=sys.stderr)
+
+    found = sample_complexity_search(lambda n: algs, inst, cfg["epsilon"], grid,
+                                     cfg["trials"], seed, workers=cfg["workers"],
+                                     collect=collect)
+    return found, points
+
+
 def cmd_separation(cfg: dict) -> int:
     start = time.monotonic()
     d, r, sigma = cfg["d"], cfg["r"], cfg["sigma"]
     inst = MetaInstance.from_config(d, r, sigma)
     master = SeedSpec(cfg["seed"])
     eps = cfg["epsilon"]
+    stages = {}
 
-    sweep = []
-    convex_hits = []
-    for li, lam in enumerate(cfg["lam_sweep"]):
-        points = []
-        found = sample_complexity_search(
-            lambda n: AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)),
-            inst, eps, cfg["convex_grid"], cfg["trials"], master.child(0, li),
-            workers=cfg["workers"], collect=points)
-        sweep.append({"lam": lam, "n_eps": found,
-                      "points": [{"n": n, "mean": e.mean, "stderr": e.stderr}
-                                 for n, e in points]})
-        if found is not None:
-            convex_hits.append(found)
-    convex_n = min(convex_hits) if convex_hits else None
+    # grid point idx of the convex half reads master.child(0, idx), shared
+    # by every lambda; of the nonconvex half, master.child(1, idx)
+    convex_found, convex_points = _separation_search(
+        "convex", [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]],
+        inst, cfg, cfg["convex_grid"], master.child(0), stages)
+    sweep = [{"lam": lam, "n_eps": found, "points": [point_record(n, e) for n, e in pts]}
+             for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
+    convex_n = min((found for found in convex_found if found is not None), default=None)
 
     t_tasks = replearn_tasks_for_alpha(cfg["alpha_target"], cfg["kappa"], r)
     learned = run_replearn(t_tasks, cfg["kappa"], inst)
     alpha = learned.spike
     lam2 = alpha ** 1.5
-    points = []
-    nonconvex_n = sample_complexity_search(
-        lambda n: AlgSpec("gd2_reg", GdRegSpec(lam2), learned),
-        inst, eps, cfg["nonconvex_grid"], cfg["trials"], master.child(1),
-        workers=cfg["workers"], collect=points)
+    (nonconvex_n,), (points,) = _separation_search(
+        "nonconvex", [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
+        inst, cfg, cfg["nonconvex_grid"], master.child(1), stages)
 
     max_n = cfg["convex_grid"][-1]
     table = {
@@ -311,12 +347,12 @@ def cmd_separation(cfg: dict) -> int:
                    "sweep": sweep},
         "nonconvex": {"n_eps": nonconvex_n, "alpha": alpha,
                       "t_tasks": t_tasks, "lam": lam2,
-                      "points": [{"n": n, "mean": e.mean, "stderr": e.stderr}
-                                 for n, e in points]},
+                      "points": [point_record(n, e) for n, e in points]},
     }
+    _report_nonfinite("separation", [e for pts in convex_points + [points] for _, e in pts])
     json_path = cfg["out"] + ".json"
     write_json(json_path, table)
-    write_manifest("separation", cfg, [json_path], time.monotonic() - start)
+    write_manifest("separation", cfg, [json_path], time.monotonic() - start, stages=stages)
     print(f"separation: convex n_eps={convex_n} nonconvex n_eps={nonconvex_n} "
           f"(alpha={alpha:.4g})")
     return 0
@@ -358,6 +394,7 @@ def cmd_risk(cfg: dict) -> int:
                          workers=cfg["workers"])
     record = risk_record(alg, inst, cfg["n"], est, seed)
     record["config"] = _science_config(cfg)
+    _report_nonfinite("risk", [est])
     json_path = cfg["out"] + ".json"
     write_json(json_path, record)
     write_manifest("risk", cfg, [json_path], time.monotonic() - start)
@@ -370,18 +407,19 @@ def cmd_nsearch(cfg: dict) -> int:
     start = time.monotonic()
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], cfg["sigma"])
     seed = SeedSpec(cfg["seed"])
+    alg = _make_alg(cfg, inst, seed)
     points = []
-    found = sample_complexity_search(
-        lambda n: _make_alg(cfg, inst, seed), inst, cfg["epsilon"],
-        cfg["n_grid"], cfg["trials"], seed, workers=cfg["workers"],
-        collect=points)
+    (found,) = sample_complexity_search(
+        lambda n: [alg], inst, cfg["epsilon"], cfg["n_grid"], cfg["trials"], seed,
+        workers=cfg["workers"], collect=lambda n, scored: points.append((n, scored[0])))
     result = {
         "config": _science_config(cfg),
         "seed": cfg["seed"],
         "epsilon": cfg["epsilon"],
         "n_eps": found,
-        "points": [{"n": n, "mean": e.mean, "stderr": e.stderr} for n, e in points],
+        "points": [point_record(n, e) for n, e in points],
     }
+    _report_nonfinite("nsearch", [e for _, e in points])
     json_path = cfg["out"] + ".json"
     write_json(json_path, result)
     write_manifest("nsearch", cfg, [json_path], time.monotonic() - start)

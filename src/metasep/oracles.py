@@ -186,7 +186,7 @@ def predictor_matrices(alg: AlgSpec, x: np.ndarray):
 
     Built by numpy.linalg (pinv for gd_reg at lam = 0, solve for the
     ridge forms) or, for gd_step, by iterating the matrices themselves.
-    gd2_reg's P is the effective predictor A w; it ignores w0 (D = 0).
+    gd2_reg's P is the effective predictor A^T w; it ignores w0 (D = 0).
     """
     n, d = x.shape
     eye = np.eye(d)
@@ -202,8 +202,8 @@ def predictor_matrices(alg: AlgSpec, x: np.ndarray):
         p = np.linalg.pinv(x)
         return p, eye - p @ x
     a = as_dense(alg.init) if alg.family == "gd2_reg" else eye
-    m = a @ cov @ a + alg.params.lam * eye
-    return a @ np.linalg.solve(m, a @ x.T / n), np.zeros((d, d))
+    m = a @ cov @ a.T + alg.params.lam * eye
+    return a.T @ np.linalg.solve(m, a @ x.T / n), np.zeros((d, d))
 
 
 def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: SeedSpec) -> list:

@@ -14,13 +14,16 @@ are Haar given the eigenvalues s_i and average out too:
                          + (r^2 / d) sum (1 - g_i s_i)^2 + (sigma^2 / n) sum g_i^2 s_i
 
 The spiked two-layer family (gd2_reg) is not rotation invariant and is
-scored given X, with Q = A M^{-1} A and M = A S A + lam I:
+scored given X, with Q = A^T M^{-1} A and M = A S A^T + lam I (the
+effective predictor is A^T w = Q X^T y / n):
 
     E[excess | X] = ||(Q S - I) w_star||^2 + (sigma^2 / n) tr(Q S Q^T)
 
 mc_excess_risk_many scores every algorithm of a sweep on the same
-designs and spectra (paired sampling). oracles.mc_excess_risk_raw is
-the raw (sign, design, noise) sampler on the same design streams.
+designs and spectra (paired sampling), and sample_complexity_search
+runs it once per grid point for every algorithm still searching.
+oracles.mc_excess_risk_raw is the raw (sign, design, noise) sampler on
+the same design streams.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ from .twolayer import _ridge_eigen
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte-Carlo mean, standard error, and trial count."""
+    """Monte-Carlo mean, standard error, trial count, and the number of
+    trials whose excess risk is not finite (a divergent learner)."""
 
     mean: float
     stderr: float
     trials: int
+    nonfinite: int = 0
 
     def __post_init__(self):
         if self.trials < 2:
@@ -100,7 +105,7 @@ def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarra
     """E[excess | X] of second-layer ridge on the frozen first layer a."""
     eig = _ridge_eigen(lam, a, cov)
     v = eig.eigenvectors
-    q = (a @ v / eig.eigenvalues) @ (v.T @ a)
+    q = (a.T @ v / eig.eigenvalues) @ (v.T @ a)
     qs = q @ cov
     err = qs @ w_star - w_star
     return float(err @ err) + sigma2 / n * float(np.sum(qs * q))
@@ -132,7 +137,7 @@ def _estimate(values: np.ndarray) -> RiskEstimate:
     trials = values.shape[0]
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
-    return RiskEstimate(mean, stderr, trials)
+    return RiskEstimate(mean, stderr, trials, int(np.count_nonzero(~np.isfinite(values))))
 
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
@@ -182,10 +187,22 @@ def convex_lower_bound_exact(d: int, n: int, r_w: float, sigma: float) -> float:
 
 def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,
                              n_grid, trials: int, seed: SeedSpec,
-                             workers: int = 1, collect=None):
-    """Smallest grid n whose estimated excess risk is confidently at
-    most epsilon (mean + 2 stderr <= epsilon); None if no grid point
-    qualifies. collect, if given, receives (n, RiskEstimate) pairs."""
+                             workers: int = 1, collect=None) -> list:
+    """Paired sample-complexity search over the algorithms alg_builder(n)
+    returns, a non-empty list of AlgSpecs of the same length at every n.
+
+    Returns one entry per algorithm: the smallest grid n whose estimated
+    excess risk is confidently at most epsilon (mean + 2 stderr <=
+    epsilon), or None if no grid point qualifies. At grid index idx,
+    every algorithm still searching is scored by one
+    mc_excess_risk_many call on seed.child(idx), so they share the
+    designs of that point, and each one's estimate equals its own
+    mc_excess_risk on seed.child(idx). An algorithm stops at its first
+    qualifying n; the search stops once none is left. collect, if given,
+    is called as collect(n, scored) after each grid point, with scored
+    mapping the index of every algorithm scored there to its
+    RiskEstimate.
+    """
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError("n_grid must be non-empty")
@@ -193,13 +210,39 @@ def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,
         raise ValueError(f"n_grid must be strictly ascending, got {grid}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    found = []
     for idx, n in enumerate(grid):
-        est = mc_excess_risk(alg_builder(n), inst, n, trials, seed.child(idx), workers)
+        algs = list(alg_builder(n))
+        if idx == 0:
+            if not algs:
+                raise ValueError("alg_builder must return at least one algorithm")
+            found = [None] * len(algs)
+        elif len(algs) != len(found):
+            raise ValueError(f"alg_builder returned {len(algs)} algorithms at n={n}, "
+                             f"{len(found)} at n={grid[0]}")
+        active = [j for j, hit in enumerate(found) if hit is None]
+        estimates = mc_excess_risk_many([algs[j] for j in active], inst, n, trials,
+                                        seed.child(idx), workers)
+        scored = dict(zip(active, estimates))
         if collect is not None:
-            collect.append((n, est))
-        if est.mean + 2.0 * est.stderr <= epsilon:
-            return n
-    return None
+            collect(n, scored)
+        for j, est in scored.items():
+            if est.mean + 2.0 * est.stderr <= epsilon:
+                found[j] = n
+        if None not in found:
+            break
+    return found
+
+
+def _finite_or_none(x: float):
+    """x, or None (JSON null) when it is inf or NaN: strict JSON has no
+    non-finite numbers."""
+    return x if math.isfinite(x) else None
+
+
+def point_record(n: int, est: RiskEstimate) -> dict:
+    """JSON-ready record of one search point."""
+    return {"n": n, "mean": _finite_or_none(est.mean), "stderr": _finite_or_none(est.stderr)}
 
 
 def risk_record(alg: AlgSpec, inst: MetaInstance, n: int,
@@ -211,8 +254,8 @@ def risk_record(alg: AlgSpec, inst: MetaInstance, n: int,
         "n": n,
         "r": inst.r,
         "sigma": inst.sigma,
-        "mean": est.mean,
-        "stderr": est.stderr,
+        "mean": _finite_or_none(est.mean),
+        "stderr": _finite_or_none(est.stderr),
         "trials": est.trials,
         "seed": seed.master_seed,
     }

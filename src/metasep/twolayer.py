@@ -159,14 +159,14 @@ def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
 
 
 def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
-    """Eigendecomposition of the second-layer ridge matrix A0 S A0 + lam I,
+    """Eigendecomposition of the second-layer ridge matrix A0 S A0^T + lam I,
     checked positive definite."""
     if lam <= 0.0:
         raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
-    eig = sym_eigen(a_dense @ cov @ a_dense + lam * np.eye(cov.shape[0]))
+    eig = sym_eigen(a_dense @ cov @ a_dense.T + lam * np.eye(cov.shape[0]))
     low = float(eig.eigenvalues[-1])
     if low <= 0.0:
-        raise NotPsdError(f"ridge matrix A0 S A0 + lam I not positive definite: "
+        raise NotPsdError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
                           f"smallest eigenvalue {low:.3e}")
     return eig
 
@@ -174,11 +174,12 @@ def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
 def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     """Ridge regression on the second layer with the first layer frozen.
 
-    Minimizes the empirical loss of x -> w^T A0 x plus (lam/2)||w||^2;
-    the optimum is w = (A0 S A0 + lam I)^{-1} A0 X^T y / n with S the
-    empirical covariance. Requires lam > 0 so the optimum is unique.
-    Raises NotPsdError if the (symmetrized) ridge matrix is not positive
-    definite, which a non-symmetric dense A0 can cause.
+    Minimizes (1/2n) ||X A0^T w - y||^2 + (lam/2) ||w||^2, the empirical
+    loss of x -> w^T A0 x plus the penalty; the optimum is
+    w = (A0 S A0^T + lam I)^{-1} A0 X^T y / n with S the empirical
+    covariance, and the effective predictor is A0^T w. Requires lam > 0
+    so the optimum is unique. Raises NotPsdError if rounding leaves the
+    (symmetrized) ridge matrix without a positive smallest eigenvalue.
     """
     a_dense = as_dense(a0)
     eig = _ridge_eigen(lam, a_dense, emp_covariance(ds))

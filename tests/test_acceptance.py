@@ -251,11 +251,12 @@ def test_criterion_08_separation_at_desk_scale():
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     master = SeedSpec(800)
 
-    convex_grid = [100, 300, 500, 700, 900]
-    for li, lam in enumerate((0.0, 0.1, 1.0)):
-        found = sample_complexity_search(
-            lambda n: AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)),
-            inst, eps, convex_grid, trials, master.child(0, li), workers=4)
+    # one paired search: every lambda is scored on the same designs
+    lams = (0.0, 0.1, 1.0)
+    convex_found = sample_complexity_search(
+        lambda n: [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in lams],
+        inst, eps, [100, 300, 500, 700, 900], trials, master.child(0), workers=4)
+    for lam, found in zip(lams, convex_found):
         assert found is None, f"convex lam={lam} reached eps at n={found}"
 
     t_tasks = replearn_tasks_for_alpha(1e4, 0.1, 1.0)
@@ -263,8 +264,8 @@ def test_criterion_08_separation_at_desk_scale():
     alpha = learned.spike
     assert alpha >= 1e4
     lam2 = alpha ** 1.5
-    found = sample_complexity_search(
-        lambda n: AlgSpec("gd2_reg", GdRegSpec(lam2), learned),
+    (found,) = sample_complexity_search(
+        lambda n: [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
         inst, eps, [20, 40, 60, 80, 100], trials, master.child(1), workers=4)
     assert found is not None and found <= 100
     print(f"CRITERION 8 PASS: convex none at n<=900 (bound at 900 is "

@@ -7,7 +7,7 @@ import pytest
 from metasep import cli
 from metasep.cli import main
 from metasep.convex import linear_flow_solve
-from metasep.linalg import NotPsdError
+from metasep.linalg import NotPsdError, NumericalError
 
 
 def _run(args):
@@ -70,24 +70,84 @@ def test_growth_small(tmp_path):
 
 # sha256 of the data files at fixed seeds: the seed contract in bytes. A
 # change to the seed streams or to the arithmetic order of the Reptile
-# meta-step changes them
+# meta-step or of the risk estimator changes them. nsearch runs the
+# single-algorithm search on the streams the search has always used;
+# separation scores every lambda on the designs of master.child(0, idx)
 _GOLDEN = {
-    "growth": (["--t-list", "1000,10000", "--seeds", "3", "--seed", "0"],
-               "48dd0f48e2aafc77ccea542418b6781436487dc958154c5ee7a1213a0127f00a",
-               "f9fdfed54cc1cbf2f76a4a5801b260373c973a799eef764ee4789a09cd7ffa27"),
-    "dynamics": (["--t-tasks", "200", "--seed", "0"],
-                 "378741d4820fe134e32b5db9703cbd3d3f5df28576ed90ecffc98288cefb1f69",
-                 "73b8bdb3105db4d046073bd9c9e9faed98ed7131c464867eebeb88c40eef41dd"),
+    "growth": (["growth", "--t-list", "1000,10000", "--seeds", "3", "--seed", "0"],
+               {".csv": "48dd0f48e2aafc77ccea542418b6781436487dc958154c5ee7a1213a0127f00a",
+                ".json": "f9fdfed54cc1cbf2f76a4a5801b260373c973a799eef764ee4789a09cd7ffa27"}),
+    "dynamics": (["dynamics", "--t-tasks", "200", "--seed", "0"],
+                 {".csv": "378741d4820fe134e32b5db9703cbd3d3f5df28576ed90ecffc98288cefb1f69",
+                  ".json": "73b8bdb3105db4d046073bd9c9e9faed98ed7131c464867eebeb88c40eef41dd"}),
+    "nsearch": (["nsearch", "--d", "6", "--lam", "0.5", "--epsilon", "0.6",
+                 "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
+                {".json": "d006494ac93679b41274166acf09118fef54265d6e2d0cc159fc5521e96cfc27"}),
+    "nsearch-gd2_reg": (["nsearch", "--family", "gd2_reg", "--alpha", "10", "--d", "8",
+                         "--epsilon", "0.3", "--n-grid", "4,8,16,32", "--trials", "40",
+                         "--seed", "0"],
+                        {".json": "242e99d6a6702956f1d262751a037dce24b3629421e52a43f53e57042517ccdb"}),
+    "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
+                    "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
+                    "--lam-sweep", "0.5", "--seed", "0"],
+                   {".json": "bab4edecce29a8e93795a3dcea5ed77c552cfaccbc8492683ae61a9559016a97"}),
 }
 
 
-@pytest.mark.parametrize("command", sorted(_GOLDEN))
-def test_golden_bytes(tmp_path, command):
-    args, csv_sha, json_sha = _GOLDEN[command]
-    out = str(tmp_path / command)
-    assert _run([command, *args, "--out", out]) == 0
-    assert cli._sha256(out + ".csv") == csv_sha
-    assert cli._sha256(out + ".json") == json_sha
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_bytes(tmp_path, name):
+    args, digests = _GOLDEN[name]
+    out = str(tmp_path / name)
+    assert _run([*args, "--out", out]) == 0
+    for ext, digest in digests.items():
+        assert cli._sha256(out + ext) == digest, ext
+
+
+def test_divergent_risk_writes_strict_json(tmp_path, capsys):
+    out = str(tmp_path / "risk")
+    with pytest.warns(RuntimeWarning):
+        assert _run(["risk", "--family", "gd_step", "--eta", "5", "--t0", "2000",
+                     "--d", "6", "--n", "12", "--trials", "10", "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    rec = json.loads(_read(out + ".json"), parse_constant=reject)
+    assert rec["mean"] is None and rec["stderr"] is None
+    assert rec["trials"] == 10
+    err = [line for line in capsys.readouterr().err.splitlines() if "non-finite" in line]
+    assert err == ["risk: 10 of 10 trials gave a non-finite excess risk "
+                   "(a divergent learner); mean/stderr written as null"]
+
+
+def test_write_json_rejects_nan(tmp_path):
+    with pytest.raises(NumericalError):
+        cli.write_json(str(tmp_path / "nan.json"), {"x": float("nan")})
+    assert not (tmp_path / "nan.json").exists()
+
+
+def test_separation_progress_and_stages(tmp_path, capsys):
+    out = str(tmp_path / "sep")
+    assert _run(["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
+                 "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
+                 "--lam-sweep", "0,0.5", "--out", out]) == 0
+    table = json.loads(_read(out + ".json"))
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    progress = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("separation: ")]
+    # one stage and one progress line per grid point scored, in order
+    expected = [f"convex/{n}" for n in (4, 8)]
+    expected += [f"nonconvex/{p['n']}" for p in table["nonconvex"]["points"]]
+    assert list(stages) == expected
+    assert len(progress) == len(expected)
+    for key, line in zip(expected, progress):
+        half, n = key.split("/")
+        assert line.startswith(f"separation: {half} n={n} open=")
+        assert stages[key]["trials"] == 40 and stages[key]["wall_s"] >= 0.0
+        assert line.split("open=")[1].split(" ")[0] == ",".join(stages[key]["algorithms"])
+    assert stages["convex/4"]["algorithms"] == ["gd_reg(lam=0)", "gd_reg(lam=0.5)"]
+    assert [s["lam"] for s in table["convex"]["sweep"]] == [0.0, 0.5]
+    assert "wall_s" not in _read(out + ".json")
 
 
 def test_risk_json_record(tmp_path):

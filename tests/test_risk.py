@@ -132,32 +132,113 @@ def test_divergent_step_gives_inf(w0_scale):
     with pytest.warns(RuntimeWarning):
         est = mc_excess_risk(alg, inst, 12, 10, SeedSpec(24))
     assert est.mean == math.inf
+    assert est.nonfinite == 10
+    rec = risk_record(alg, inst, 12, est, SeedSpec(24))
+    assert rec["mean"] is None and rec["stderr"] is None
 
 
 def test_search_trivial_epsilon_takes_first_point():
     inst = MetaInstance.from_config(4, 1.0, 1.0)
-    found = sample_complexity_search(lambda n: _reg_alg(1.0, 4), inst,
+    found = sample_complexity_search(lambda n: [_reg_alg(1.0, 4)], inst,
                                      epsilon=2.1, n_grid=[2, 4], trials=50,
                                      seed=SeedSpec(11))
-    assert found == 2
+    assert found == [2]
 
 
 def test_search_none_when_unreachable():
     inst = MetaInstance.from_config(10, 1.0, 1.0)
-    found = sample_complexity_search(lambda n: _reg_alg(1.0, 10), inst,
+    found = sample_complexity_search(lambda n: [_reg_alg(1.0, 10)], inst,
                                      epsilon=1e-6, n_grid=[3, 6], trials=50,
                                      seed=SeedSpec(12))
-    assert found is None
+    assert found == [None]
 
 
 def test_search_grid_validation():
     inst = MetaInstance.from_config(3, 1.0, 1.0)
     with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: _reg_alg(1.0, 3), inst, 0.1, [],
+        sample_complexity_search(lambda n: [_reg_alg(1.0, 3)], inst, 0.1, [],
                                  50, SeedSpec(13))
     with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: _reg_alg(1.0, 3), inst, 0.1, [5, 5],
+        sample_complexity_search(lambda n: [_reg_alg(1.0, 3)], inst, 0.1, [5, 5],
                                  50, SeedSpec(13))
+
+
+def test_search_builder_validation():
+    inst = MetaInstance.from_config(3, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        sample_complexity_search(lambda n: [], inst, 0.1, [2, 4], 50, SeedSpec(13))
+    # the second grid point asks for one algorithm more than the first
+    with pytest.raises(ValueError):
+        sample_complexity_search(lambda n: [_reg_alg(lam, 3) for lam in range(n // 2)],
+                                 inst, 1e-6, [4, 6], 50, SeedSpec(13))
+
+
+def _collector():
+    points = []
+    return points, lambda n, scored: points.append((n, dict(scored)))
+
+
+def test_search_points_equal_solo_estimates():
+    # every algorithm's point at grid index idx is its own estimate on
+    # seed.child(idx), bit for bit: the paired search changes which
+    # designs are shared, not what a point is
+    d = 6
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    algs = [_reg_alg(lam, d) for lam in (0.0, 0.1, 1.0)]
+    algs.append(AlgSpec("gd2_reg", GdRegSpec(10.0 ** 1.5), SpikedIdentity(inst.w_star, 10.0, 0.1)))
+    grid, seed = [4, 8, 16], SeedSpec(14)
+    points, collect = _collector()
+    found = sample_complexity_search(lambda n: algs, inst, 1e-6, grid, 40, seed,
+                                     workers=2, collect=collect)
+    assert found == [None] * len(algs)
+    assert [n for n, _ in points] == grid
+    for idx, (n, scored) in enumerate(points):
+        assert sorted(scored) == list(range(len(algs)))
+        for j, alg in enumerate(algs):
+            assert scored[j] == mc_excess_risk(alg, inst, n, 40, seed.child(idx))
+
+
+def test_search_resolved_algorithm_stops_collecting():
+    # OLS (lam = 0) reaches eps at n = 32 (risk sigma^2 d / (n - d - 1) =
+    # 0.148); lam = 100 keeps a bias near r^2 and never does. It goes on
+    # alone, on the draws it would have had in company
+    d = 4
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    algs = [_reg_alg(0.0, d), _reg_alg(100.0, d)]
+    grid, seed = [8, 16, 32, 64], SeedSpec(15)
+    points, collect = _collector()
+    found = sample_complexity_search(lambda n: algs, inst, 0.2, grid, 400, seed,
+                                     collect=collect)
+    assert found == [32, None]
+    assert [(n, sorted(scored)) for n, scored in points] == [
+        (8, [0, 1]), (16, [0, 1]), (32, [0, 1]), (64, [1])]
+    n, scored = points[-1]
+    assert scored[1] == mc_excess_risk(algs[1], inst, n, 400, seed.child(3))
+    # and the search stops at the first grid point where none is open
+    points, collect = _collector()
+    assert sample_complexity_search(lambda n: algs[:1], inst, 0.2, grid, 400, seed,
+                                    collect=collect) == [32]
+    assert [n for n, _ in points] == [8, 16, 32]
+
+
+def test_nonsymmetric_first_layer_risk_matches_predictor():
+    # E[excess | X] with Q = A^T M^-1 A, M = A S A^T + lam I, against
+    # ||(P X - I) w*||^2 + sigma^2 ||P||_F^2 from the oracle's explicit
+    # predictor matrix, on the same designs, for a non-symmetric A
+    d, n, trials = 5, 7, 3
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    a0 = np.eye(d) + 0.3 * gaussian_matrix(SeedSpec(16), d, d)
+    alg = AlgSpec("gd2_reg", GdRegSpec(0.3), a0)
+    seed = SeedSpec(17)
+    values = []
+    for t in range(trials):
+        x = gaussian_matrix(seed.child(t, 1, 0), n, d)
+        p, _ = oracles.predictor_matrices(alg, x)
+        err = (p @ x - np.eye(d)) @ inst.w_star
+        values.append(err @ err + inst.sigma ** 2 * np.sum(p * p))
+    est = mc_excess_risk(alg, inst, n, trials, seed)
+    assert est.mean == pytest.approx(np.mean(values), rel=1e-10)
+    assert est.stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(trials), rel=1e-8)
 
 
 def test_risk_record_fields():

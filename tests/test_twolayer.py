@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasep.convex import GdRegSpec, gd_reg
-from metasep.linalg import NotPsdError, SpikedIdentity
+from metasep.linalg import SpikedIdentity
+from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
 from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg,
@@ -137,14 +138,32 @@ def test_gd2_reg_requires_positive_lambda():
         gd2_reg(0.0, ds, np.eye(3))
 
 
-def test_gd2_reg_rejects_indefinite_ridge_matrix():
-    # with S = I, the non-symmetric first layer A gives A S A = diag(1, -1, -1),
-    # so A S A + 0.5 I is indefinite
-    x = math.sqrt(3.0) * np.eye(3)
-    ds = Dataset(x, np.zeros(3), x @ np.ones(3))
-    a0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-    with pytest.raises(NotPsdError):
-        gd2_reg(0.5, ds, a0)
+def test_gd2_reg_nonsymmetric_first_layer_solves_objective():
+    # gd2_reg minimizes (1/2n)||X A^T w - y||^2 + (lam/2)||w||^2, whose normal
+    # equations are (A S A^T + lam I) w = A X^T y / n; a non-symmetric A
+    # tells A S A^T from A S A, and A^T w from A w
+    d, n, lam = 4, 8, 0.3
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    ds = sample_dataset(sample_task(inst, SeedSpec(30)), n, SeedSpec(31))
+    a0 = np.eye(d) + 0.3 * gaussian_matrix(SeedSpec(32), d, d)
+    assert not np.allclose(a0, a0.T)
+
+    def objective(w):
+        resid = ds.x @ a0.T @ w - ds.y
+        return resid @ resid / (2 * n) + 0.5 * lam * w @ w
+
+    w = gd2_reg(lam, ds, a0).second
+    expected = np.linalg.solve(a0 @ (ds.x.T @ ds.x / n) @ a0.T + lam * np.eye(d),
+                               a0 @ ds.x.T @ ds.y / n)
+    assert np.allclose(w, expected, rtol=1e-10, atol=1e-12)
+    grad = a0 @ ds.x.T @ (ds.x @ a0.T @ w - ds.y) / n + lam * w
+    assert np.linalg.norm(grad) < 1e-12
+    for k in range(5):
+        assert objective(w) < objective(w + 1e-3 * gaussian_vector(SeedSpec(33).child(k), d))
+    # the oracle's predictor matrix gives the effective predictor A^T w
+    alg = AlgSpec("gd2_reg", GdRegSpec(lam), a0)
+    p, _ = oracles.predictor_matrices(alg, ds.x)
+    assert np.allclose(p @ ds.y, a0.T @ w, rtol=1e-10, atol=1e-12)
 
 
 def test_gd2_reg_identity_layer_reduces_to_ridge():
