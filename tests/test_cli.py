@@ -91,6 +91,8 @@ _GOLDEN = {
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
                    {".json": "bab4edecce29a8e93795a3dcea5ed77c552cfaccbc8492683ae61a9559016a97"}),
+    "verify": (["verify", "--seed", "0"],
+               {".json": "89a5b8723730f6d7992717abb3bb6b798990fce8ee66cbefe26eeb745e31c7a8"}),
 }
 
 
