@@ -62,6 +62,10 @@ _COMMON = {
     "workers": 0,      # 0 means machine core count
 }
 
+# the one algorithm that risk and nsearch score (_make_alg) and its instance
+_ALG = {"family": "gd_reg", "lam": 0.0, "eta": 0.1, "t0": 100, "alpha": 1.0,
+        "kappa": 0.1, "w0": "zero", "d": 20, "r": 1.0, "sigma": 1.0}
+
 _OPTIONS = {
     "dynamics": {**_COMMON, "t_tasks": 1000, "tau": 0.3, "kappa": 0.1,
                  "r": 1.0, "d": 2},
@@ -73,12 +77,8 @@ _OPTIONS = {
                    "convex_grid": [100, 300, 500, 700, 900],
                    "nonconvex_grid": [20, 40, 60, 80, 100]},
     "verify": {**_COMMON, "self_test_perturb": False},
-    "risk": {**_COMMON, "family": "gd_reg", "lam": 0.0, "eta": 0.1, "t0": 100,
-             "alpha": 1.0, "kappa": 0.1, "w0": "zero", "d": 20, "r": 1.0,
-             "sigma": 1.0, "n": 20, "trials": 2000},
-    "nsearch": {**_COMMON, "family": "gd_reg", "lam": 0.0, "eta": 0.1, "t0": 100,
-                "alpha": 1.0, "kappa": 0.1, "w0": "zero", "d": 20, "r": 1.0,
-                "sigma": 1.0, "epsilon": 0.05, "trials": 400,
+    "risk": {**_COMMON, **_ALG, "n": 20, "trials": 2000},
+    "nsearch": {**_COMMON, **_ALG, "epsilon": 0.05, "trials": 400,
                 "n_grid": [5, 10, 20, 40, 80, 160]},
 }
 
@@ -285,11 +285,12 @@ def cmd_growth(cfg: dict) -> int:
     return 0
 
 
-def _separation_search(half: str, algs, inst: MetaInstance, cfg: dict, grid,
-                       seed: SeedSpec, stages: dict):
-    """One paired search over the fixed algorithms algs. Prints a progress
-    line per grid point and records its stage; returns the n_eps list
-    and each algorithm's (n, RiskEstimate) points."""
+def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
+            seed: SeedSpec, stages: dict):
+    """One paired search over algs at cfg's epsilon, trials and workers.
+    Prints a progress line per grid point and records its stage under
+    "<half>/<n>" ("<n>" when half is empty); returns the n_eps list and
+    each algorithm's (n, RiskEstimate) points."""
     labels = [a.label() for a in algs]
     points = [[] for _ in algs]
     last = time.monotonic()
@@ -301,14 +302,14 @@ def _separation_search(half: str, algs, inst: MetaInstance, cfg: dict, grid,
         for j, est in scored.items():
             points[j].append((n, est))
         scored_labels = [labels[j] for j in scored]
-        stages[f"{half}/{n}"] = {"algorithms": scored_labels, "trials": cfg["trials"],
-                                 "wall_s": wall}
-        print(f"separation: {half} n={n} open={','.join(scored_labels)} {wall:.2f} s",
+        stages[f"{half}/{n}" if half else str(n)] = {
+            "algorithms": scored_labels, "trials": cfg["trials"], "wall_s": wall}
+        where = f"{half} n={n}" if half else f"n={n}"
+        print(f"{command}: {where} open={','.join(scored_labels)} {wall:.2f} s",
               file=sys.stderr)
 
-    found = sample_complexity_search(lambda n: algs, inst, cfg["epsilon"], grid,
-                                     cfg["trials"], seed, workers=cfg["workers"],
-                                     collect=collect)
+    found = sample_complexity_search(algs, inst, cfg["epsilon"], grid, cfg["trials"], seed,
+                                     workers=cfg["workers"], collect=collect)
     return found, points
 
 
@@ -322,8 +323,9 @@ def cmd_separation(cfg: dict) -> int:
 
     # grid point idx of the convex half reads master.child(0, idx), shared
     # by every lambda; of the nonconvex half, master.child(1, idx)
-    convex_found, convex_points = _separation_search(
-        "convex", [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]],
+    convex_found, convex_points = _search(
+        "separation", "convex",
+        [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]],
         inst, cfg, cfg["convex_grid"], master.child(0), stages)
     sweep = [{"lam": lam, "n_eps": found, "points": [point_record(n, e) for n, e in pts]}
              for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
@@ -333,8 +335,8 @@ def cmd_separation(cfg: dict) -> int:
     learned = run_replearn(t_tasks, cfg["kappa"], inst)
     alpha = learned.spike
     lam2 = alpha ** 1.5
-    (nonconvex_n,), (points,) = _separation_search(
-        "nonconvex", [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
+    (nonconvex_n,), (points,) = _search(
+        "separation", "nonconvex", [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
         inst, cfg, cfg["nonconvex_grid"], master.child(1), stages)
 
     max_n = cfg["convex_grid"][-1]
@@ -407,11 +409,9 @@ def cmd_nsearch(cfg: dict) -> int:
     start = time.monotonic()
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], cfg["sigma"])
     seed = SeedSpec(cfg["seed"])
-    alg = _make_alg(cfg, inst, seed)
-    points = []
-    (found,) = sample_complexity_search(
-        lambda n: [alg], inst, cfg["epsilon"], cfg["n_grid"], cfg["trials"], seed,
-        workers=cfg["workers"], collect=lambda n, scored: points.append((n, scored[0])))
+    stages = {}
+    (found,), (points,) = _search("nsearch", "", [_make_alg(cfg, inst, seed)], inst, cfg,
+                                  cfg["n_grid"], seed, stages)
     result = {
         "config": _science_config(cfg),
         "seed": cfg["seed"],
@@ -422,7 +422,7 @@ def cmd_nsearch(cfg: dict) -> int:
     _report_nonfinite("nsearch", [e for _, e in points])
     json_path = cfg["out"] + ".json"
     write_json(json_path, result)
-    write_manifest("nsearch", cfg, [json_path], time.monotonic() - start)
+    write_manifest("nsearch", cfg, [json_path], time.monotonic() - start, stages=stages)
     print(f"nsearch: n_eps={found}")
     return 0
 
@@ -432,16 +432,19 @@ def cmd_nsearch(cfg: dict) -> int:
 # flag None when the suite's oracle has no convergence criterion
 
 
+def _convex_case(sk: SeedSpec, k: int):
+    """Case k of the convex closed-form suites: a dataset with d in 2..7
+    and n in 3..12, and a start vector."""
+    d, n = 2 + k % 6, 3 + k % 10
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    ds = sample_dataset(sample_task(inst, sk.child(0)), n, sk.child(1))
+    return ds, gaussian_vector(sk.child(2), d)
+
+
 def _suite_gd_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(30):
-        sk = seed.child(k)
-        d = 2 + k % 6
-        n = 3 + k % 10
-        inst = MetaInstance.from_config(d, 1.0, 0.5)
-        task = sample_task(inst, sk.child(0))
-        ds = sample_dataset(task, n, sk.child(1))
-        w0 = gaussian_vector(sk.child(2), d)
+        ds, w0 = _convex_case(seed.child(k), k)
         eta, t0 = 0.02 + 0.01 * (k % 3), 5 + 7 * (k % 5)
         closed = gd_step(GdStepSpec(eta, t0), ds, w0) + bump
         explicit = oracles.gd_iteration(ds, w0, eta, t0)
@@ -453,14 +456,8 @@ def _suite_gd_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
 def _suite_gd_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(30):
-        sk = seed.child(k)
-        d = 2 + k % 6
-        n = 3 + k % 10
+        ds, w0 = _convex_case(seed.child(k), k)
         lam = 0.0 if k % 4 == 0 else 0.1 + 0.3 * (k % 3)
-        inst = MetaInstance.from_config(d, 1.0, 0.5)
-        task = sample_task(inst, sk.child(0))
-        ds = sample_dataset(task, n, sk.child(1))
-        w0 = gaussian_vector(sk.child(2), d)
         closed = gd_reg(GdRegSpec(lam), ds, w0) + bump
         reference = oracles.gd_reg_pinv_oracle(ds, w0, lam)
         worst = max(worst, float(np.linalg.norm(closed - reference)
@@ -468,15 +465,18 @@ def _suite_gd_reg(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     return worst, None
 
 
+def _linear_case(sk: SeedSpec, d: int):
+    """(M, b, w0) of the linear-dynamics suites: M = G G^T / d for a
+    Gaussian G, b in range(M)."""
+    g = gaussian_matrix(sk.child(0), d, d)
+    m = g @ g.T / d
+    return m, m @ gaussian_vector(sk.child(1), d), gaussian_vector(sk.child(2), d)
+
+
 def _suite_linear_flow(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(10):
-        sk = seed.child(k)
-        d = 4
-        g = gaussian_matrix(sk.child(0), d, d)
-        m = g @ g.T / d
-        b = m @ gaussian_vector(sk.child(1), d)
-        w0 = gaussian_vector(sk.child(2), d)
+        m, b, w0 = _linear_case(seed.child(k), 4)
         closed = linear_flow_solve(m, b, w0, 2.0) + bump
         numeric = oracles.linear_flow_rk4(m, b, w0, 2.0)
         worst = max(worst, float(np.linalg.norm(closed - numeric)))
@@ -486,12 +486,7 @@ def _suite_linear_flow(seed: SeedSpec, bump: float) -> tuple[float, bool | None]
 def _suite_linear_step(seed: SeedSpec, bump: float) -> tuple[float, bool | None]:
     worst = 0.0
     for k in range(10):
-        sk = seed.child(k)
-        d = 5
-        g = gaussian_matrix(sk.child(0), d, d)
-        m = g @ g.T / d
-        b = m @ gaussian_vector(sk.child(1), d)
-        w0 = gaussian_vector(sk.child(2), d)
+        m, b, w0 = _linear_case(seed.child(k), 5)
         eta = 0.5 / float(np.linalg.norm(m, 2))
         closed = linear_step_solve(m, b, w0, eta, 57) + bump
         w = w0.copy()

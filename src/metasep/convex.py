@@ -62,6 +62,19 @@ class GdRegSpec:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
 
+def _spectral_factors(s: np.ndarray, decay_of):
+    """Per-eigenvalue (decay, gain, null) for the eigenvalues s (..., d),
+    each row in descending order. An eigenvalue is null when it is at
+    most _EIG_RTOL times the largest of its row. decay_of(null, s_range)
+    gives the decay from the null mask and s with its null entries
+    zeroed; the gain is (1 - decay) / s on range directions and 0 on
+    null ones."""
+    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
+    decay = decay_of(null, np.where(null, 0.0, s))
+    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
+    return decay, gain, null
+
+
 def _flow_factors(s: np.ndarray, t: float):
     """Per-eigenvalue (decay, gain, null) of the flow w' = -(M w - b) at
     time t (t = inf allowed), for the eigenvalues s (..., d) of M, each
@@ -69,13 +82,9 @@ def _flow_factors(s: np.ndarray, t: float):
     directions keep w0."""
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
     if math.isinf(t):
-        decay = np.where(null, 1.0, 0.0)
-    else:
-        decay = np.exp(-t * np.where(null, 0.0, s))
-    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
-    return decay, gain, null
+        return _spectral_factors(s, lambda null, s_range: np.where(null, 1.0, 0.0))
+    return _spectral_factors(s, lambda null, s_range: np.exp(-t * s_range))
 
 
 def _step_factors(s: np.ndarray, eta: float, t: int):
@@ -93,11 +102,12 @@ def _step_factors(s: np.ndarray, eta: float, t: int):
             f"step size eta = {eta} is at or beyond the stability limit "
             f"2 / lambda_max = {2.0 / top:.3e}; the iteration diverges",
             RuntimeWarning, stacklevel=3)
-    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
-    with np.errstate(over="ignore"):
-        decay = (1.0 - eta * np.where(null, 0.0, s)) ** t
-    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
-    return decay, gain, null
+
+    def decay_of(null, s_range):
+        with np.errstate(over="ignore"):
+            return (1.0 - eta * s_range) ** t
+
+    return _spectral_factors(s, decay_of)
 
 
 def learner_factors(spec, s: np.ndarray):
@@ -148,22 +158,18 @@ def linear_step_solve(m, b: np.ndarray, w0: np.ndarray, eta: float, t: int) -> n
     return _spectral_solve(eig, b, w0, *_step_factors(eig.eigenvalues, eta, t))
 
 
-def _learner_solve(spec, ds: Dataset, w0: np.ndarray,
-                   eig: EigenDecomposition | None) -> np.ndarray:
-    if eig is None:
-        eig = sym_eigen(emp_covariance(ds))
+def _learner_solve(spec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
+    eig = sym_eigen(emp_covariance(ds))
     return _spectral_solve(eig, ds.x.T @ ds.y / ds.n, w0,
                            *learner_factors(spec, eig.eigenvalues))
 
 
-def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray,
-            eig: EigenDecomposition | None = None) -> np.ndarray:
+def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
     """Closed form for t0 gradient steps on the empirical loss from w0."""
-    return _learner_solve(spec, ds, w0, eig)
+    return _learner_solve(spec, ds, w0)
 
 
-def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray,
-           eig: EigenDecomposition | None = None) -> np.ndarray:
+def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
     """Closed form for the ridge gradient-flow limit started at w0.
 
     w = (I - (S+lam I)^+ (S+lam I)) w0 + (S+lam I)^+ (X^T y / n) with
@@ -172,4 +178,4 @@ def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray,
     1 / (s + lam) applied to X^T y / n; null directions (none for
     lam > 0) keep w0.
     """
-    return _learner_solve(spec, ds, w0, eig)
+    return _learner_solve(spec, ds, w0)

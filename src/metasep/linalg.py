@@ -39,10 +39,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def apply(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
         """Apply the spectral function f(eigenvalues) as a matrix to x."""
         v = self.eigenvectors
@@ -91,10 +87,6 @@ class SpikedIdentity:
     def to_dense(self) -> np.ndarray:
         w = self.direction
         return (self.spike - self.bulk) * np.outer(w, w) + self.bulk * np.eye(self.dim)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        w = self.direction
-        return self.bulk * v + (self.spike - self.bulk) * (w @ v) * w
 
 
 def as_dense(a) -> np.ndarray:

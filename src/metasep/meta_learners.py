@@ -135,17 +135,12 @@ def replearn_tasks_for_alpha(alpha: float, kappa: float, r: float) -> int:
     return max(1, math.ceil(a2 * (a2 - kappa * kappa) / (r * r)))
 
 
-def run_replearn(t_tasks: int, kappa: float, inst: MetaInstance,
-                 signs=None) -> SpikedIdentity:
+def run_replearn(t_tasks: int, kappa: float, inst: MetaInstance) -> SpikedIdentity:
     """Closed-form limit of the joint multi-task flow from (kappa I, 0).
 
     The sign pattern only rotates the per-task second layers; the
-    shared first layer depends on it solely through the task count, so
-    signs, if given, are only checked to number t_tasks and do not
-    change the output.
+    shared first layer depends on it solely through the task count.
     """
-    if signs is not None and len(signs) != t_tasks:
-        raise ValueError(f"{len(signs)} signs for t_tasks = {t_tasks}")
     a_bar = replearn_alpha(t_tasks, kappa, inst.r)
     w_hat = inst.w_star / inst.r
     return SpikedIdentity(w_hat, a_bar, kappa)

@@ -185,11 +185,11 @@ def convex_lower_bound_exact(d: int, n: int, r_w: float, sigma: float) -> float:
     return head + ((d - n) / d) * r2
 
 
-def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,
+def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
                              n_grid, trials: int, seed: SeedSpec,
                              workers: int = 1, collect=None) -> list:
-    """Paired sample-complexity search over the algorithms alg_builder(n)
-    returns, a non-empty list of AlgSpecs of the same length at every n.
+    """Paired sample-complexity search over algs, a non-empty list of
+    AlgSpecs.
 
     Returns one entry per algorithm: the smallest grid n whose estimated
     excess risk is confidently at most epsilon (mean + 2 stderr <=
@@ -203,6 +203,8 @@ def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,
     mapping the index of every algorithm scored there to its
     RiskEstimate.
     """
+    if not algs:
+        raise ValueError("need at least one algorithm")
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError("n_grid must be non-empty")
@@ -210,16 +212,8 @@ def sample_complexity_search(alg_builder, inst: MetaInstance, epsilon: float,
         raise ValueError(f"n_grid must be strictly ascending, got {grid}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    found = []
+    found = [None] * len(algs)
     for idx, n in enumerate(grid):
-        algs = list(alg_builder(n))
-        if idx == 0:
-            if not algs:
-                raise ValueError("alg_builder must return at least one algorithm")
-            found = [None] * len(algs)
-        elif len(algs) != len(found):
-            raise ValueError(f"alg_builder returned {len(algs)} algorithms at n={n}, "
-                             f"{len(found)} at n={grid[0]}")
         active = [j for j, hit in enumerate(found) if hit is None]
         estimates = mc_excess_risk_many([algs[j] for j in active], inst, n, trials,
                                         seed.child(idx), workers)

@@ -5,6 +5,8 @@ generator is counter-based (a splitmix64-style finalizer applied to a
 keyed counter), so output never depends on call order, worker count or
 platform. Normal variates come from Box-Muller applied to 53-bit
 uniforms, which keeps the uniform->normal transform fixed and portable.
+They have mean zero; gaussian_vector's std scales them for the label
+noise, and designs and start vectors are standard normal.
 
 Stream derivation for parallel work: ``seed.child(i)`` (or ``hash_mix``)
 mixes integer indices into the stream id, so per-trial seeds are a pure
@@ -95,14 +97,14 @@ def uniforms(seed: SeedSpec, count: int) -> np.ndarray:
     return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
-def gaussian_vector(seed: SeedSpec, d: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """d i.i.d. N(mean, std^2) variates via Box-Muller on paired uniforms."""
+def gaussian_vector(seed: SeedSpec, d: int, std: float = 1.0) -> np.ndarray:
+    """d i.i.d. N(0, std^2) variates via Box-Muller on paired uniforms."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if std < 0:
         raise ValueError(f"std must be nonnegative, got {std}")
     if std == 0.0:
-        return np.full(d, float(mean))
+        return np.zeros(d)
     pairs = (d + 1) // 2
     u = uniforms(seed, 2 * pairs)
     u1, u2 = u[:pairs], u[pairs:]
@@ -111,13 +113,12 @@ def gaussian_vector(seed: SeedSpec, d: int, mean: float = 0.0, std: float = 1.0)
     z = np.empty(2 * pairs)
     z[0::2] = radius * np.cos(angle)
     z[1::2] = radius * np.sin(angle)
-    return mean + std * z[:d]
+    return std * z[:d]
 
 
-def gaussian_matrix(seed: SeedSpec, rows: int, cols: int,
-                    mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """rows x cols i.i.d. normal matrix (row-major fill of a single stream)."""
-    return gaussian_vector(seed, rows * cols, mean, std).reshape(rows, cols)
+def gaussian_matrix(seed: SeedSpec, rows: int, cols: int) -> np.ndarray:
+    """rows x cols i.i.d. standard normal matrix (row-major fill of a single stream)."""
+    return gaussian_vector(seed, rows * cols).reshape(rows, cols)
 
 
 def rademacher_signs(seed: SeedSpec, t: int) -> np.ndarray:

@@ -1,13 +1,11 @@
-"""Task distributions, sampled datasets and population losses.
+"""Task distributions and sampled datasets.
 
-A problem instance is a direction w_star with ||w_star|| = r and a noise
-level sigma. Tasks are signed copies of the direction (sign +1 or -1,
-each with probability 1/2); a task's regression target is sign * w_star.
+A problem instance is a direction w_star with ||w_star|| = r (r e_1
+from a config) and a noise level sigma. Tasks are signed copies of the
+direction (sign +1 or -1, each with probability 1/2); a task's
+regression target is sign * w_star.
 Within a task, inputs are standard normal and labels are
 y = x^T (sign * w_star) + noise with noise ~ N(0, sigma^2).
-
-Population losses here are the raw expected squared errors, so the
-excess risk of a predictor is pop_loss - sigma^2.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpikedIdentity, symmetrize
+from .linalg import symmetrize
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector, rademacher_signs
 
 
@@ -43,25 +41,10 @@ class MetaInstance:
         return float(np.linalg.norm(self.w_star))
 
     @staticmethod
-    def from_config(d: int, r: float, sigma: float, w_star="e1") -> "MetaInstance":
-        """Build an instance from scalars.
-
-        w_star is either the string "e1" (r times the first basis vector)
-        or an explicit length-d vector, which gets rescaled to norm r.
-        """
-        if isinstance(w_star, str):
-            if w_star != "e1":
-                raise ValueError(f"unknown w_star spec {w_star!r}")
-            w = np.zeros(d)
-            w[0] = r
-        else:
-            w = np.asarray(w_star, dtype=np.float64)
-            if w.shape != (d,):
-                raise ValueError(f"w_star has shape {w.shape}, expected ({d},)")
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                raise ValueError("w_star must be nonzero")
-            w = (r / nrm) * w
+    def from_config(d: int, r: float, sigma: float) -> "MetaInstance":
+        """The instance with w_star = r e_1 (r times the first basis vector)."""
+        w = np.zeros(d)
+        w[0] = r
         return MetaInstance(w, float(sigma))
 
 
@@ -80,10 +63,9 @@ class Task:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n labelled examples from one task, with the noise kept separate."""
+    """n labelled examples from one task."""
 
     x: np.ndarray
-    noise: np.ndarray
     y: np.ndarray
 
     @property
@@ -111,31 +93,4 @@ def sample_dataset(task: Task, n: int, seed: SeedSpec) -> Dataset:
         raise ValueError(f"need n >= 1, got {n}")
     x = gaussian_matrix(seed.child(0), n, task.instance.d)
     noise = gaussian_vector(seed.child(1), n, std=task.instance.sigma)
-    y = x @ task.target + noise
-    return Dataset(x, noise, y)
-
-
-def pop_loss_linear(w: np.ndarray, task: Task) -> float:
-    """Expected squared error of x -> w^T x: ||w - target||^2 + sigma^2."""
-    diff = w - task.target
-    return float(diff @ diff + task.instance.sigma ** 2)
-
-
-def pop_loss_twolayer(a, w: np.ndarray, task: Task) -> float:
-    """Expected squared error of x -> w^T A x for a symmetric first layer.
-
-    a may be a dense matrix or a SpikedIdentity. Equals
-    ||A^T w - target||^2 + sigma^2 for standard normal inputs.
-    """
-    if isinstance(a, SpikedIdentity):
-        eff = a.matvec(w)
-    else:
-        eff = np.asarray(a).T @ w
-    diff = eff - task.target
-    return float(diff @ diff + task.instance.sigma ** 2)
-
-
-def emp_loss_linear(w: np.ndarray, ds: Dataset) -> float:
-    """Mean squared error of x -> w^T x on the sample."""
-    resid = ds.x @ w - ds.y
-    return float(resid @ resid / ds.n)
+    return Dataset(x, x @ task.target + noise)

@@ -233,7 +233,7 @@ def test_criterion_07_replearn_closed_form():
 
     inst = MetaInstance.from_config(4, 1.0, 0.0)
     signs = [1, -1, 1]
-    learned = run_replearn(3, 0.1, inst, signs=signs)
+    learned = run_replearn(3, 0.1, inst)
     a, _, converged = oracles.replearn_joint_flow(inst, signs, 0.1,
                                                   t_max=400.0, tol=1e-8)
     assert converged
@@ -254,7 +254,7 @@ def test_criterion_08_separation_at_desk_scale():
     # one paired search: every lambda is scored on the same designs
     lams = (0.0, 0.1, 1.0)
     convex_found = sample_complexity_search(
-        lambda n: [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in lams],
+        [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in lams],
         inst, eps, [100, 300, 500, 700, 900], trials, master.child(0), workers=4)
     for lam, found in zip(lams, convex_found):
         assert found is None, f"convex lam={lam} reached eps at n={found}"
@@ -265,7 +265,7 @@ def test_criterion_08_separation_at_desk_scale():
     assert alpha >= 1e4
     lam2 = alpha ** 1.5
     (found,) = sample_complexity_search(
-        lambda n: [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
+        [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
         inst, eps, [20, 40, 60, 80, 100], trials, master.child(1), workers=4)
     assert found is not None and found <= 100
     print(f"CRITERION 8 PASS: convex none at n<=900 (bound at 900 is "

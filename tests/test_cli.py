@@ -172,13 +172,23 @@ def test_risk_worker_independence(tmp_path):
     assert _read(out1 + ".json") == _read(out4 + ".json")
 
 
-def test_nsearch(tmp_path):
+def test_nsearch(tmp_path, capsys):
     out = str(tmp_path / "ns")
     assert _run(["nsearch", "--d", "4", "--lam", "1.0", "--epsilon", "2.5",
                  "--n-grid", "2,4", "--trials", "40", "--out", out]) == 0
     result = json.loads(_read(out + ".json"))
     assert result["n_eps"] == 2
-    assert result["points"][0]["n"] == 2
+    assert [p["n"] for p in result["points"]] == [2]
+    # one stage and one progress line per grid point scored: the search
+    # stops at n = 2, so n = 4 has neither
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    assert list(stages) == ["2"]
+    assert stages["2"]["algorithms"] == ["gd_reg(lam=1)"]
+    assert stages["2"]["trials"] == 40 and stages["2"]["wall_s"] >= 0.0
+    progress = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("nsearch: ")]
+    assert len(progress) == 1
+    assert progress[0].startswith("nsearch: n=2 open=gd_reg(lam=1) ")
 
 
 def test_config_file_and_override(tmp_path):
@@ -247,6 +257,18 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._RUNNERS, "risk", fail)
     assert _run(["risk", "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.startswith("error: numerical failure:")
+
+
+def test_rounded_ridge_matrix_exit_code(tmp_path, capsys):
+    # a real input reaches gd2_reg's positive-definiteness guard: at
+    # alpha = kappa = 1e8, lam = 1e-12 the rounded ridge matrix is indefinite
+    assert _run(["risk", "--family", "gd2_reg", "--alpha", "1e8", "--kappa", "1e8",
+                 "--lam", "1e-12", "--d", "6", "--n", "2", "--trials", "20",
+                 "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ridge matrix A0 S A0^T + lam I "
+                          "not positive definite: smallest eigenvalue -")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_range_failure_exit_code(tmp_path, monkeypatch, capsys):

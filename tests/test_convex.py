@@ -205,16 +205,6 @@ def test_spec_validation():
         GdRegSpec(-0.1)
 
 
-def test_precomputed_eigen_path_consistent():
-    _, _, ds = _instance(66)
-    eig = sym_eigen(emp_covariance(ds))
-    w0 = gaussian_vector(SeedSpec(67), 5)
-    assert np.allclose(gd_step(GdStepSpec(0.07, 25), ds, w0),
-                       gd_step(GdStepSpec(0.07, 25), ds, w0, eig=eig))
-    assert np.allclose(gd_reg(GdRegSpec(0.2), ds, w0),
-                       gd_reg(GdRegSpec(0.2), ds, w0, eig=eig), atol=1e-10)
-
-
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_null_cutoff_near_square_designs(offset):
     # around n = d the smallest positive eigenvalue of X^T X / n is tiny,
@@ -229,6 +219,6 @@ def test_null_cutoff_near_square_designs(offset):
         s = eig.eigenvalues
         assert np.count_nonzero(s > _EIG_RTOL * s[0]) == min(n, d)
         w0 = gaussian_vector(sk.child(2), d)
-        w = gd_reg(GdRegSpec(0.0), ds, w0, eig=eig)  # range check must pass
+        w = gd_reg(GdRegSpec(0.0), ds, w0)  # range check must pass
         if n <= d:  # the min-norm fit interpolates the data
             assert np.linalg.norm(ds.x @ w - ds.y) <= 1e-6 * np.linalg.norm(ds.y)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from metasep.linalg import EigenDecomposition, SpikedIdentity, sym_eigen, sym_eigvals
+from metasep.linalg import SpikedIdentity, sym_eigen, sym_eigvals
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 
 
@@ -77,18 +75,3 @@ def test_spiked_dense_cases():
 def test_spiked_requires_unit_direction():
     with pytest.raises(ValueError):
         SpikedIdentity(np.array([1.0, 1.0]), 2.0, 1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 10))
-def test_matvec_consistent_with_dense(seed, d):
-    g = gaussian_vector(SeedSpec(seed), d)
-    w = g / np.linalg.norm(g)
-    s = SpikedIdentity(w, 2.5, 0.3)
-    v = gaussian_vector(SeedSpec(seed + 1), d)
-    assert np.allclose(s.matvec(v), s.to_dense() @ v)
-
-
-def test_eigendecomposition_dim():
-    e = EigenDecomposition(np.array([2.0, 1.0]), np.eye(2))
-    assert e.dim == 2

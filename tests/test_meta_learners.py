@@ -170,19 +170,10 @@ def test_replearn_tasks_for_alpha_inverts():
             assert replearn_alpha(t - 1, 0.1, 1.0) < alpha
 
 
-def test_run_replearn_sign_independent():
-    inst = MetaInstance.from_config(4, 1.0, 0.0)
-    a1 = run_replearn(5, 0.1, inst, signs=[1, 1, 1, 1, 1])
-    a2 = run_replearn(5, 0.1, inst, signs=[-1, 1, -1, 1, -1])
-    assert np.allclose(a1.to_dense(), a2.to_dense())
-    with pytest.raises(ValueError):
-        run_replearn(5, 0.1, inst, signs=[1, 1])
-
-
 def test_run_replearn_joint_flow_oracle():
     inst = MetaInstance.from_config(4, 1.0, 0.0)
     signs = [1, -1, 1]
-    learned = run_replearn(3, 0.1, inst, signs=signs)
+    learned = run_replearn(3, 0.1, inst)
     a, w, converged = oracles.replearn_joint_flow(inst, signs, 0.1,
                                                   t_max=400.0, tol=1e-8)
     assert converged

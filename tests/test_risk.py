@@ -139,7 +139,7 @@ def test_divergent_step_gives_inf(w0_scale):
 
 def test_search_trivial_epsilon_takes_first_point():
     inst = MetaInstance.from_config(4, 1.0, 1.0)
-    found = sample_complexity_search(lambda n: [_reg_alg(1.0, 4)], inst,
+    found = sample_complexity_search([_reg_alg(1.0, 4)], inst,
                                      epsilon=2.1, n_grid=[2, 4], trials=50,
                                      seed=SeedSpec(11))
     assert found == [2]
@@ -147,7 +147,7 @@ def test_search_trivial_epsilon_takes_first_point():
 
 def test_search_none_when_unreachable():
     inst = MetaInstance.from_config(10, 1.0, 1.0)
-    found = sample_complexity_search(lambda n: [_reg_alg(1.0, 10)], inst,
+    found = sample_complexity_search([_reg_alg(1.0, 10)], inst,
                                      epsilon=1e-6, n_grid=[3, 6], trials=50,
                                      seed=SeedSpec(12))
     assert found == [None]
@@ -156,21 +156,17 @@ def test_search_none_when_unreachable():
 def test_search_grid_validation():
     inst = MetaInstance.from_config(3, 1.0, 1.0)
     with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: [_reg_alg(1.0, 3)], inst, 0.1, [],
+        sample_complexity_search([_reg_alg(1.0, 3)], inst, 0.1, [],
                                  50, SeedSpec(13))
     with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: [_reg_alg(1.0, 3)], inst, 0.1, [5, 5],
+        sample_complexity_search([_reg_alg(1.0, 3)], inst, 0.1, [5, 5],
                                  50, SeedSpec(13))
 
 
 def test_search_builder_validation():
     inst = MetaInstance.from_config(3, 1.0, 1.0)
     with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: [], inst, 0.1, [2, 4], 50, SeedSpec(13))
-    # the second grid point asks for one algorithm more than the first
-    with pytest.raises(ValueError):
-        sample_complexity_search(lambda n: [_reg_alg(lam, 3) for lam in range(n // 2)],
-                                 inst, 1e-6, [4, 6], 50, SeedSpec(13))
+        sample_complexity_search([], inst, 0.1, [2, 4], 50, SeedSpec(13))
 
 
 def _collector():
@@ -188,7 +184,7 @@ def test_search_points_equal_solo_estimates():
     algs.append(AlgSpec("gd2_reg", GdRegSpec(10.0 ** 1.5), SpikedIdentity(inst.w_star, 10.0, 0.1)))
     grid, seed = [4, 8, 16], SeedSpec(14)
     points, collect = _collector()
-    found = sample_complexity_search(lambda n: algs, inst, 1e-6, grid, 40, seed,
+    found = sample_complexity_search(algs, inst, 1e-6, grid, 40, seed,
                                      workers=2, collect=collect)
     assert found == [None] * len(algs)
     assert [n for n, _ in points] == grid
@@ -207,7 +203,7 @@ def test_search_resolved_algorithm_stops_collecting():
     algs = [_reg_alg(0.0, d), _reg_alg(100.0, d)]
     grid, seed = [8, 16, 32, 64], SeedSpec(15)
     points, collect = _collector()
-    found = sample_complexity_search(lambda n: algs, inst, 0.2, grid, 400, seed,
+    found = sample_complexity_search(algs, inst, 0.2, grid, 400, seed,
                                      collect=collect)
     assert found == [32, None]
     assert [(n, sorted(scored)) for n, scored in points] == [
@@ -216,7 +212,7 @@ def test_search_resolved_algorithm_stops_collecting():
     assert scored[1] == mc_excess_risk(algs[1], inst, n, 400, seed.child(3))
     # and the search stops at the first grid point where none is open
     points, collect = _collector()
-    assert sample_complexity_search(lambda n: algs[:1], inst, 0.2, grid, 400, seed,
+    assert sample_complexity_search(algs[:1], inst, 0.2, grid, 400, seed,
                                     collect=collect) == [32]
     assert [n for n, _ in points] == [8, 16, 32]
 

@@ -16,8 +16,8 @@ def test_determinism_signs():
 
 
 def test_std_zero_is_constant():
-    out = gaussian_vector(SeedSpec(1), 17, mean=3.5, std=0.0)
-    assert np.all(out == 3.5)
+    out = gaussian_vector(SeedSpec(1), 17, std=0.0)
+    assert np.all(out == 0.0)
 
 
 def test_negative_std_rejected():

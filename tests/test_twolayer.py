@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasep.convex import GdRegSpec, gd_reg
-from metasep.linalg import SpikedIdentity
+from metasep.linalg import NotPsdError, SpikedIdentity
 from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
@@ -136,6 +136,17 @@ def test_gd2_reg_requires_positive_lambda():
     ds = sample_dataset(Task(inst, 1), 5, SeedSpec(1))
     with pytest.raises(ValueError):
         gd2_reg(0.0, ds, np.eye(3))
+
+
+def test_gd2_reg_rounded_ridge_matrix_not_positive_definite():
+    # with alpha = kappa = 1e8 the entries of A S A^T are near 1e16 and
+    # lam = 1e-12 is far below their rounding error; for n = 2 < d = 6 the
+    # computed matrix is indefinite (49 of seeds 0..49), which the guard
+    # reports instead of returning a solve of it
+    inst = MetaInstance.from_config(6, 1.0, 1.0)
+    ds = sample_dataset(sample_task(inst, SeedSpec(0).child(0)), 2, SeedSpec(0).child(1))
+    with pytest.raises(NotPsdError, match="not positive definite"):
+        gd2_reg(1e-12, ds, SpikedIdentity(inst.w_star, 1e8, 1e8))
 
 
 def test_gd2_reg_nonsymmetric_first_layer_solves_objective():
