@@ -8,7 +8,8 @@ from .rng import SeedSpec
 from .tasks import Dataset, MetaInstance, Task
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step
 from .twolayer import ScalarPair, TwoLayerParams, gd2_reg, gd_pop_fixed_point
-from .meta_learners import ReptileSpec, ScalarTrajectory, run_replearn, run_reptile
+from .meta_learners import (ReptileSpec, ScalarTrajectory, reptile_spike, run_replearn,
+                            run_reptile)
 from .risk import AlgSpec, RiskEstimate, convex_lower_bound_exact, mc_excess_risk
 
 __all__ = [
@@ -18,6 +19,6 @@ __all__ = [
     "Dataset", "MetaInstance", "Task",
     "GdRegSpec", "GdStepSpec", "gd_reg", "gd_step",
     "ScalarPair", "TwoLayerParams", "gd2_reg", "gd_pop_fixed_point",
-    "ReptileSpec", "ScalarTrajectory", "run_replearn", "run_reptile",
+    "ReptileSpec", "ScalarTrajectory", "reptile_spike", "run_replearn", "run_reptile",
     "AlgSpec", "RiskEstimate", "convex_lower_bound_exact", "mc_excess_risk",
 ]

@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve, linear_step_solve
 from .linalg import NumericalError, SpikedIdentity
-from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_tau_schedule,
-                            replearn_alpha, replearn_tasks_for_alpha,
+from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_spike,
+                            reptile_tau_schedule, replearn_alpha, replearn_tasks_for_alpha,
                             run_replearn, run_reptile)
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import MetaInstance, sample_dataset, sample_task
@@ -140,6 +140,8 @@ def _resolve_config(args) -> dict:
         cfg[key] = _parse_list(cfg[key], elem)
     if cfg["out"] is None:
         cfg["out"] = args.command
+    if cfg["workers"] is not None and cfg["workers"] < 0:
+        raise ConfigError(f"workers must be >= 0 (0 means the CPU count), got {cfg['workers']}")
     if cfg["workers"] in (None, 0):
         cfg["workers"] = os.cpu_count() or 1
     return cfg
@@ -253,6 +255,8 @@ def cmd_dynamics(cfg: dict) -> int:
 
 def cmd_growth(cfg: dict) -> int:
     start = time.monotonic()
+    if cfg["seeds"] < 1:
+        raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
     master = SeedSpec(cfg["seed"])
     rows = []
@@ -265,8 +269,7 @@ def cmd_growth(cfg: dict) -> int:
         spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
         hits = 0
         for si in range(cfg["seeds"]):
-            _, traj = run_reptile(spec, inst, master.child(ti, si))
-            a_t = float(traj.a_values[-1])
+            a_t = reptile_spike(spec, inst, master.child(ti, si))
             ok = a_t >= bound
             hits += int(ok)
             rows.append((t_tasks, tau, si, a_t, bound, ok))
@@ -303,7 +306,8 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
             points[j].append((n, est))
         scored_labels = [labels[j] for j in scored]
         stages[f"{half}/{n}" if half else str(n)] = {
-            "algorithms": scored_labels, "trials": cfg["trials"], "wall_s": wall}
+            "algorithms": scored_labels, "trials": cfg["trials"],
+            "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall}
         where = f"{half} n={n}" if half else f"n={n}"
         print(f"{command}: {where} open={','.join(scored_labels)} {wall:.2f} s",
               file=sys.stderr)
@@ -399,7 +403,8 @@ def cmd_risk(cfg: dict) -> int:
     _report_nonfinite("risk", [est])
     json_path = cfg["out"] + ".json"
     write_json(json_path, record)
-    write_manifest("risk", cfg, [json_path], time.monotonic() - start)
+    write_manifest("risk", cfg, [json_path], time.monotonic() - start,
+                   nonfinite=est.nonfinite)
     print(f"risk: {record['alg']} n={cfg['n']} mean={est.mean:.6g} "
           f"stderr={est.stderr:.3g}")
     return 0

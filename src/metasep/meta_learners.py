@@ -8,10 +8,15 @@ whole trajectory lives in the reduced (a_i, b_i) coordinates:
     a_{i+1} = (1 - tau) a_i + tau * a_bar(c_i)
     b_{i+1} = (1 - tau) b_i + tau * s_{i+1} * b_bar(c_i)
 
-with c_i = a_i^2 - b_i^2 and (a_bar, b_bar) the within-task flow limit,
-whose closed form lives once in twolayer.flow_limit. The recursion runs
-on plain floats and the trajectory is stored as two float64 arrays. The
-meta-output is the first layer only.
+with c_i = a_i^2 - b_i^2 and (a_bar, b_bar) the within-task flow limit
+of twolayer.flow_limit. The one loop of the recursion, _reptile_steps,
+writes that closed form out on plain floats rather than calling it, since
+the call is most of a meta-step's cost;
+tests/test_meta_learners.py::test_reptile_steps_equal_flow_limit_exactly
+pins the copy to flow_limit bit for bit. reptile_spike runs the loop once
+and keeps only a_T; run_reptile steps it one sign at a time and stores
+the trajectory as two float64 arrays. The meta-output is the first layer
+only.
 
 RepLearn: joint gradient flow on the summed multi-task objective with
 one shared first layer and per-task second layers. Its limit has the
@@ -34,7 +39,6 @@ import numpy as np
 from .linalg import SpikedIdentity, as_dense
 from .rng import SeedSpec, rademacher_signs
 from .tasks import MetaInstance
-from .twolayer import flow_limit
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,33 @@ class ScalarTrajectory:
                              f"for {len(self.signs)} signs")
 
 
+def _reptile_steps(a: float, b: float, signs, tau: float, r: float) -> tuple[float, float]:
+    """Run the Reptile meta-step from (a, b) over signs; return the final (a, b).
+
+    The flow limit of twolayer.flow_limit is written out here, in its
+    arithmetic order (the seed contract), with 1 - tau, 4 r^2 and sqrt
+    hoisted out of the loop.
+    """
+    keep, four_r2, sqrt = 1.0 - tau, 4.0 * r * r, math.sqrt
+    for s in signs:
+        c = a * a - b * b
+        root = sqrt(four_r2 + c * c)
+        a, b = (keep * a + tau * sqrt((c + root) / 2.0),
+                keep * b + tau * (s * sqrt((root - c) / 2.0)))
+    return a, b
+
+
+def _signs(spec: ReptileSpec, seed: SeedSpec) -> list:
+    """The T task signs of a run, as Python ints (cheaper to loop over)."""
+    return rademacher_signs(seed, spec.t_tasks).tolist() if spec.t_tasks else []
+
+
+def reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> float:
+    """Final spike a_T of the scalar Reptile recursion from (kappa, 0), on
+    the signs run_reptile draws; no trajectory is kept."""
+    return _reptile_steps(spec.kappa, 0.0, _signs(spec, seed), spec.tau, inst.r)[0]
+
+
 def run_reptile(spec: ReptileSpec, inst: MetaInstance,
                 seed: SeedSpec) -> tuple[SpikedIdentity, ScalarTrajectory]:
     """Run the scalar Reptile recursion from (kappa, 0) over T drawn signs.
@@ -77,13 +108,11 @@ def run_reptile(spec: ReptileSpec, inst: MetaInstance,
     discarded, matching the meta-algorithm's output contract.
     """
     r, tau = inst.r, spec.tau
-    signs = rademacher_signs(seed, spec.t_tasks).tolist() if spec.t_tasks else []
-    keep = 1.0 - tau
+    signs = _signs(spec, seed)
     a, b = spec.kappa, 0.0
     a_list, b_list = [a], [b]
     for s in signs:
-        a_bar, b_bar = flow_limit(a * a - b * b, r, s)
-        a, b = keep * a + tau * a_bar, keep * b + tau * b_bar
+        a, b = _reptile_steps(a, b, (s,), tau, r)
         a_list.append(a)
         b_list.append(b)
     return SpikedIdentity(inst.w_star / r, a, spec.kappa), ScalarTrajectory(

@@ -43,6 +43,8 @@ class MetaInstance:
     @staticmethod
     def from_config(d: int, r: float, sigma: float) -> "MetaInstance":
         """The instance with w_star = r e_1 (r times the first basis vector)."""
+        if d < 1:
+            raise ValueError(f"need d >= 1, got {d}")
         w = np.zeros(d)
         w[0] = r
         return MetaInstance(w, float(sigma))

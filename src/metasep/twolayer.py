@@ -66,6 +66,10 @@ def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
 
     The pair satisfies a_bar * b_bar = s * r and a_bar^2 - b_bar^2 = c.
     s is not checked here; gd_pop_fixed_point is the checked entry.
+    The Reptile meta-loop, meta_learners._reptile_steps, carries a
+    written-out copy of this formula;
+    tests/test_meta_learners.py::test_reptile_steps_equal_flow_limit_exactly
+    pins the two together bit for bit.
     """
     root = math.sqrt(4.0 * r * r + c * c)
     return math.sqrt((c + root) / 2.0), s * math.sqrt((root - c) / 2.0)

@@ -17,7 +17,7 @@ from metasep.linalg import SpikedIdentity
 from metasep.meta_learners import (ReptileSpec, replearn_alpha, replearn_loss,
                                    replearn_tasks_for_alpha,
                                    reptile_fluctuation_bound, reptile_growth_bound,
-                                   reptile_tau_schedule, bad_minimizer,
+                                   reptile_spike, reptile_tau_schedule, bad_minimizer,
                                    run_replearn, run_reptile)
 from metasep.rng import SeedSpec, gaussian_vector, uniforms
 from metasep.risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk,
@@ -179,9 +179,9 @@ def test_criterion_05_growth_law():
         bound = reptile_growth_bound(t_tasks, tau, delta, 1.0)
         hits = 0
         for si in range(20):
-            _, traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst,
-                                  SeedSpec(500).child(ti, si))
-            hits += int(traj.a_values[-1] >= bound)
+            a_t = reptile_spike(ReptileSpec(tau, 0.1, t_tasks), inst,
+                                SeedSpec(500).child(ti, si))
+            hits += int(a_t >= bound)
         fractions[t_tasks] = hits / 20.0
         assert hits >= 18, f"T={t_tasks}: only {hits}/20 runs beat the bound"
     print(f"CRITERION 5 PASS: growth bound satisfaction {fractions} "

@@ -117,6 +117,7 @@ def test_divergent_risk_writes_strict_json(tmp_path, capsys):
     rec = json.loads(_read(out + ".json"), parse_constant=reject)
     assert rec["mean"] is None and rec["stderr"] is None
     assert rec["trials"] == 10
+    assert json.loads(_read(out + ".manifest.json"))["nonfinite"] == 10
     err = [line for line in capsys.readouterr().err.splitlines() if "non-finite" in line]
     assert err == ["risk: 10 of 10 trials gave a non-finite excess risk "
                    "(a divergent learner); mean/stderr written as null"]
@@ -146,6 +147,7 @@ def test_separation_progress_and_stages(tmp_path, capsys):
         half, n = key.split("/")
         assert line.startswith(f"separation: {half} n={n} open=")
         assert stages[key]["trials"] == 40 and stages[key]["wall_s"] >= 0.0
+        assert stages[key]["nonfinite"] == 0
         assert line.split("open=")[1].split(" ")[0] == ",".join(stages[key]["algorithms"])
     assert stages["convex/4"]["algorithms"] == ["gd_reg(lam=0)", "gd_reg(lam=0.5)"]
     assert [s["lam"] for s in table["convex"]["sweep"]] == [0.0, 0.5]
@@ -185,10 +187,44 @@ def test_nsearch(tmp_path, capsys):
     assert list(stages) == ["2"]
     assert stages["2"]["algorithms"] == ["gd_reg(lam=1)"]
     assert stages["2"]["trials"] == 40 and stages["2"]["wall_s"] >= 0.0
+    assert stages["2"]["nonfinite"] == 0
     progress = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("nsearch: ")]
     assert len(progress) == 1
     assert progress[0].startswith("nsearch: n=2 open=gd_reg(lam=1) ")
+
+
+def test_divergent_nsearch_counts_nonfinite_per_stage(tmp_path):
+    # the divergent gd_step of test_divergent_risk_writes_strict_json never
+    # reaches epsilon, so every grid point is scored and counted
+    out = str(tmp_path / "ns")
+    with pytest.warns(RuntimeWarning):
+        assert _run(["nsearch", "--family", "gd_step", "--eta", "5", "--t0", "2000",
+                     "--d", "6", "--n-grid", "12,24", "--trials", "10", "--out", out]) == 0
+    assert json.loads(_read(out + ".json"))["n_eps"] is None
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    assert {n: stage["nonfinite"] for n, stage in stages.items()} == {"12": 10, "24": 10}
+
+
+def test_growth_without_seeds_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "g")
+    assert _run(["growth", "--t-list", "100", "--seeds", "0", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seeds must be >= 1, got 0\n"
+    assert not os.path.exists(out + ".csv")
+
+
+def test_zero_dimension_is_config_error(tmp_path, capsys):
+    assert _run(["risk", "--d", "0", "--trials", "10", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: need d >= 1, got 0\n"
+
+
+def test_negative_workers_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "w")
+    assert _run(["risk", "--d", "4", "--trials", "10", "--workers", "-3", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: workers must be >= 0")
+    assert not os.path.exists(out + ".json")
+    args = cli.build_parser().parse_args(["risk", "--workers", "0"])
+    assert cli._resolve_config(args)["workers"] == (os.cpu_count() or 1)
 
 
 def test_config_file_and_override(tmp_path):

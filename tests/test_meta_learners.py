@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from metasep.linalg import SpikedIdentity
-from metasep.meta_learners import (ReptileSpec, ScalarTrajectory, bad_minimizer,
-                                   replearn_alpha, replearn_loss,
+from metasep.meta_learners import (ReptileSpec, ScalarTrajectory, _reptile_steps,
+                                   bad_minimizer, replearn_alpha, replearn_loss,
                                    replearn_tasks_for_alpha,
                                    reptile_fluctuation_bound, reptile_growth_bound,
-                                   reptile_tau_schedule, run_replearn, run_reptile)
-from metasep.rng import SeedSpec, rademacher_signs
+                                   reptile_spike, reptile_tau_schedule, run_replearn,
+                                   run_reptile)
+from metasep.rng import SeedSpec, gaussian_vector, rademacher_signs, uniforms
 from metasep.tasks import MetaInstance
-from metasep.twolayer import ScalarPair, gd_pop_fixed_point
+from metasep.twolayer import ScalarPair, flow_limit, gd_pop_fixed_point
 from metasep import oracles
 
 
@@ -57,7 +58,8 @@ def test_run_reptile_equals_reference_exactly(tau):
     for t_tasks in (1, 2, 1000):
         for k in range(3):
             seed = SeedSpec(17).child(t_tasks, k)
-            learned, traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst, seed)
+            spec = ReptileSpec(tau, 0.1, t_tasks)
+            learned, traj = run_reptile(spec, inst, seed)
             signs = [int(s) for s in rademacher_signs(seed, t_tasks)]
             assert traj.signs == signs
             a_ref, b_ref = _reference_trajectory(tau, 0.1, inst.r, signs)
@@ -65,6 +67,23 @@ def test_run_reptile_equals_reference_exactly(tau):
             assert np.array_equal(traj.a_values, a_ref)
             assert np.array_equal(traj.b_values, b_ref)
             assert learned.spike == a_ref[-1]
+            assert reptile_spike(spec, inst, seed) == a_ref[-1]
+
+
+def test_reptile_steps_equal_flow_limit_exactly():
+    # the meta-loop's written-out flow limit is twolayer.flow_limit bit for
+    # bit, one step at a time, over states, rates and radii of many scales
+    g = gaussian_vector(SeedSpec(23), 3 * 4000).reshape(3, -1)
+    u = uniforms(SeedSpec(24), 2 * 4000).reshape(2, -1)
+    scale = 10.0 ** (4.0 * u[0] - 2.0)
+    a_all, b_all = scale * np.abs(g[0]), scale * g[1]
+    r_all = 10.0 ** (0.5 * g[2])
+    for k, (a, b, r, tau) in enumerate(zip(a_all.tolist(), b_all.tolist(),
+                                           r_all.tolist(), u[1].tolist())):
+        s = 1 if k % 2 == 0 else -1
+        a_bar, b_bar = flow_limit(a * a - b * b, r, s)
+        expected = ((1.0 - tau) * a + tau * a_bar, (1.0 - tau) * b + tau * b_bar)
+        assert _reptile_steps(a, b, (s,), tau, r) == expected, (a, b, r, tau, s)
 
 
 def test_scalar_step_tau_limits():
@@ -98,6 +117,7 @@ def test_run_reptile_t_zero():
     learned, traj = run_reptile(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1))
     assert len(traj.a_values) == len(traj.b_values) == 1 and traj.signs == []
     assert np.allclose(learned.to_dense(), 0.1 * np.eye(3))
+    assert reptile_spike(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1)) == 0.1
 
 
 def test_run_reptile_monotone_and_bounded_product():
