@@ -144,6 +144,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
     """Paired Monte-Carlo excess risks: one RiskEstimate per algorithm,
     all scored on the same per-trial designs."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if trials < 2:
         raise ValueError(f"need trials >= 2, got {trials}")
     if not algs:

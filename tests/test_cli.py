@@ -92,7 +92,7 @@ _GOLDEN = {
                     "--lam-sweep", "0.5", "--seed", "0"],
                    {".json": "bab4edecce29a8e93795a3dcea5ed77c552cfaccbc8492683ae61a9559016a97"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "89a5b8723730f6d7992717abb3bb6b798990fce8ee66cbefe26eeb745e31c7a8"}),
+               {".json": "88d9bb53a8d787ba739d5e9feb278e612c0746e108b6152dc202e16cd34bf3d5"}),
 }
 
 
@@ -218,6 +218,15 @@ def test_zero_dimension_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need d >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("args", [["risk", "--n", "0", "--trials", "10"],
+                                  ["nsearch", "--n-grid", "0,4", "--trials", "10"]])
+def test_zero_samples_is_config_error(tmp_path, capsys, args):
+    out = str(tmp_path / "n0")
+    assert _run([*args, "--d", "4", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
+    assert not os.path.exists(out + ".json")
+
+
 def test_negative_workers_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "w")
     assert _run(["risk", "--d", "4", "--trials", "10", "--workers", "-3", "--out", out]) == 2
@@ -238,6 +247,67 @@ def test_config_file_and_override(tmp_path):
     assert summary["config"]["tau"] == 0.4  # flag overrides file
 
 
+@pytest.mark.parametrize("command,entry,message", [
+    ("growth", {"seeds": 2.5}, "seeds must be int, got 2.5"),
+    ("risk", {"trials": "40"}, "trials must be int, got '40'"),
+    ("separation", {"lam_sweep": 0.5}, "lam_sweep must be a list, got 0.5"),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, entry, message):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(entry))
+    out = str(tmp_path / "x")
+    assert _run([command, "--config", str(cfg_path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out + ".manifest.json")
+
+
+def test_config_values_take_the_default_type(tmp_path):
+    # a file int stands for a float and a file list for a list; flags parse
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lam": 1, "n_grid": [2, 4]}))
+    args = cli.build_parser().parse_args(["nsearch", "--config", str(cfg_path),
+                                          "--epsilon", "2.5", "--trials", "40"])
+    cfg = cli._resolve_config(args)
+    assert type(cfg["lam"]) is float and cfg["n_grid"] == [2, 4]
+    assert type(cfg["epsilon"]) is float and type(cfg["trials"]) is int
+
+
+class _ReadLog(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, cfg, log):
+        super().__init__(cfg)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_option_is_read_by_its_runner(tmp_path, monkeypatch):
+    # an option that its runner never reads is a flag that does nothing.
+    # The runs cover every --family of risk and nsearch; verify's suites
+    # read no option, so one trivial suite stands in for them
+    monkeypatch.setattr(cli, "_SUITES", [("trivial", lambda seed: ([(0.0, 0.0, 1.0)], None),
+                                          1e-8)])
+    small = ["--d", "4", "--trials", "10"]
+    runs = [["dynamics", "--t-tasks", "5"], ["growth", "--t-list", "10", "--seeds", "2"],
+            _GOLDEN["separation"][0], ["verify"]]
+    for family in ("gd_reg", "gd_step", "gd2_reg"):
+        runs += [["risk", "--family", family, "--n", "6", *small],
+                 ["nsearch", "--family", family, "--n-grid", "4", "--epsilon", "10", *small]]
+    reads = {name: set() for name in cli._OPTIONS}
+    runners = dict(cli._RUNNERS)
+    for args in runs:
+        name = args[0]
+        monkeypatch.setitem(cli._RUNNERS, name,
+                            lambda cfg, name=name: runners[name](_ReadLog(cfg, reads[name])))
+        assert _run([*args, "--out", str(tmp_path / name)]) == 0
+    for name, options in cli._OPTIONS.items():
+        # main, not the runner, writes the files that out names
+        assert sorted(set(options) - {"out"} - reads[name]) == [], name
+
+
 def test_unknown_config_key_is_config_error(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"nope": 1}))
@@ -248,6 +318,14 @@ def test_unknown_config_key_is_config_error(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path):
     assert _run(["dynamics", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("body", ["5", "[]"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, body):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(body)
+    assert _run(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.endswith("must hold a JSON object\n")
 
 
 def test_bad_w0_spec_is_config_error(tmp_path):
@@ -265,20 +343,35 @@ def test_verify_passes_and_perturb_fails(tmp_path):
     assert "risk-estimator" in flags
     assert flags["twolayer-fixed-point"] is True
     assert flags["replearn-fixed-point"] is True
-    # per-suite timings go to the manifest only
+    # per-suite timings and self-test residuals go to the manifest only;
+    # every suite sees every closed form shifted by 1e-4
     stages = json.loads(_read(out + ".manifest.json"))["stages"]
     assert set(stages) == {s["suite"] for s in report["suites"]}
     assert all(stage["wall_s"] >= 0.0 for stage in stages.values())
+    for suite in report["suites"]:
+        assert stages[suite["suite"]]["perturbed_residual"] > suite["tol"], suite["suite"]
     assert "wall_s" not in _read(out + ".json")
-    out_p = str(tmp_path / "verify_p")
-    assert _run(["verify", "--out", out_p, "--self-test-perturb"]) == 1
-    report_p = json.loads(_read(out_p + ".json"))
-    assert not report_p["passed"]
+    assert "perturbed_residual" not in _read(out + ".json")
+
+
+def test_verify_fails_on_check_blind_to_shift(tmp_path, monkeypatch, capsys):
+    # a residual divided by a huge scale passes any closed form, wrong or
+    # right; the self-test must fail such a suite
+    monkeypatch.setattr(cli, "_SUITES", [("blind", lambda seed: ([(1.0, 1.0, 1e9)], None),
+                                          1e-8)])
+    out = str(tmp_path / "blind")
+    assert _run(["verify", "--out", out]) == 1
+    (suite,) = json.loads(_read(out + ".json"))["suites"]
+    assert suite["residual"] == 0.0 and suite["passed"] is False
+    stage = json.loads(_read(out + ".manifest.json"))["stages"]["blind"]
+    assert stage["perturbed_residual"] <= 1e-8
+    assert "blind to a 0.0001 shift" in capsys.readouterr().out
 
 
 def test_verify_fails_on_nonconverged_oracle(tmp_path, monkeypatch):
     # a zero residual does not count when the oracle behind it stopped early
-    monkeypatch.setattr(cli, "_SUITES", [("stalled", lambda seed, bump: (0.0, False), 1e-8)])
+    monkeypatch.setattr(cli, "_SUITES", [("stalled", lambda seed: ([(0.0, 0.0, 1.0)], False),
+                                          1e-8)])
     out = str(tmp_path / "stalled")
     assert _run(["verify", "--out", out]) == 1
     (suite,) = json.loads(_read(out + ".json"))["suites"]
