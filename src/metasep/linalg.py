@@ -77,7 +77,7 @@ class SpikedIdentity:
 
     def __post_init__(self):
         nrm = np.linalg.norm(self.direction)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be unit norm, got {nrm}")
 
     @property

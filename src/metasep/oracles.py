@@ -1,17 +1,17 @@
-"""Independent numeric oracles for cross-checking the closed forms.
+"""Independent numeric oracles for the closed forms, and the verify suites.
 
-Everything here is deliberately built on a different code path than
-the production implementations, which evaluate every closed form as a
-spectral function of one symmetric eigendecomposition: linear systems
-here go through numpy.linalg.solve (LU) / pinv (SVD), eigenvalues enter
-only as step-size and horizon bounds, and dynamics are integrated by
-brute-force RK4 or explicit iteration. These routines are test
-machinery; they are slower and exist to catch errors in the closed
-forms, not to run experiments.
+The reference routines are deliberately built on a different code path
+than the production implementations, which evaluate every closed form
+as a spectral function of one symmetric eigendecomposition: linear
+systems here go through numpy.linalg.solve (LU) / pinv (SVD),
+eigenvalues enter only as step-size and horizon bounds, and dynamics
+are integrated by brute-force RK4 or explicit iteration. No reference
+calls the closed form it checks. They are slower and exist to catch
+errors in the closed forms, not to run experiments.
 
 Nonlinear flows run on twolayer.rk4, the one RK4 integrator; a linear
-flow is stepped by its RK4 step matrix, formed once from the four
-stages (see linear_flow_rk4). Either way the result is the same
+flow raises its RK4 step matrix, formed once from the four stages, to
+the step count (see linear_flow_rk4). Either way the result is the same
 sequence of explicit RK4 steps, with no eigendecomposition or matrix
 exponential, so it stays independent of the spectral closed forms.
 
@@ -22,20 +22,26 @@ mc_excess_risk_raw is the oracle of the risk estimator: it draws the
 sign and the label noise that risk.mc_excess_risk_many averages out in
 closed form, and scores each trial by the squared error of a predictor
 built as explicit matrices (predictor_matrices).
+
+The last section holds the suites that `metasep verify` runs through
+run_suites; they call the closed forms and pair them with references.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
+from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve, linear_step_solve
 from .linalg import SpikedIdentity, as_dense
-from .meta_learners import ScalarTrajectory
-from .risk import AlgSpec, _estimate
-from .rng import SeedSpec
+from .meta_learners import ScalarTrajectory, replearn_alpha
+from .risk import AlgSpec, _estimate, mc_excess_risk_many
+from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
-from .twolayer import ScalarPair, _flow_rhs, _flow_step_size, gd_pop_fixed_point, rk4
+from .twolayer import (ScalarPair, _flow_rhs, _flow_step_size, flow_limit, gd2_reg,
+                       gd_pop_fixed_point, rk4)
 
 
 def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
@@ -45,9 +51,10 @@ def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
     m is (..., d, d), b and w0 are (..., d); a shared step size
     h = min(1e-3, 0.1 / max lambda_max) is used across the batch.
     On z = (w, 1) the flow is z' = K z with K = [[-M, b], [0, 0]], so
-    every RK4 step is z <- z + inc z with one increment matrix
+    every RK4 step is z <- (I + inc) z with one increment matrix
     inc = (h/6)(k1 + 2 k2 + 2 k3 + k4), k1 = K, k2 = K (I + h/2 k1),
-    k3 = K (I + h/2 k2), k4 = K (I + h k3).
+    k3 = K (I + h/2 k2), k4 = K (I + h k3), applied t_max / h times as
+    the step matrix I + inc raised to that power (by repeated squaring).
     """
     m = np.asarray(m, dtype=np.float64)
     w0 = np.asarray(w0, dtype=np.float64)
@@ -67,9 +74,7 @@ def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
     k4 = k @ (eye + h * k3)
     inc = (h / 6.0) * (k + 2.0 * k2 + 2.0 * k3 + k4)
     z = np.concatenate([w0, np.ones(w0.shape[:-1] + (1,))], axis=-1)[..., None]
-    for _ in range(steps):
-        z = z + inc @ z
-    return z[..., :d, 0]
+    return (np.linalg.matrix_power(eye + inc, steps) @ z)[..., :d, 0]
 
 
 def gd_iteration(ds: Dataset, w0: np.ndarray, eta: float, t: int) -> np.ndarray:
@@ -225,3 +230,194 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
                 diff += dm @ alg.init
             values[t, j] = diff @ diff
     return [_estimate(values[:, j]) for j in range(len(algs))]
+
+
+# ---------------------------------------------------------------------------
+# verification suites: each returns (pairs, oracle converged). A pair is
+# (closed form, reference, scale), its residual ||closed - reference|| /
+# scale; the flag is None when the suite's oracle has no convergence
+# criterion
+
+
+def _convex_case(sk: SeedSpec, k: int):
+    """Case k of the convex closed-form suites: a dataset with d in 2..7
+    and n in 3..12, and a start vector."""
+    d, n = 2 + k % 6, 3 + k % 10
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    ds = sample_dataset(sample_task(inst, sk.child(0)), n, sk.child(1))
+    return ds, gaussian_vector(sk.child(2), d)
+
+
+def _suite_gd_step(seed: SeedSpec):
+    pairs = []
+    for k in range(30):
+        ds, w0 = _convex_case(seed.child(k), k)
+        eta, t0 = 0.02 + 0.01 * (k % 3), 5 + 7 * (k % 5)
+        explicit = gd_iteration(ds, w0, eta, t0)
+        pairs.append((gd_step(GdStepSpec(eta, t0), ds, w0), explicit,
+                      max(1.0, np.linalg.norm(explicit))))
+    return pairs, None
+
+
+def _suite_gd_reg(seed: SeedSpec):
+    pairs = []
+    for k in range(30):
+        ds, w0 = _convex_case(seed.child(k), k)
+        lam = 0.0 if k % 4 == 0 else 0.1 + 0.3 * (k % 3)
+        reference = gd_reg_pinv_oracle(ds, w0, lam)
+        pairs.append((gd_reg(GdRegSpec(lam), ds, w0), reference,
+                      max(1.0, np.linalg.norm(reference))))
+    return pairs, None
+
+
+def _linear_case(sk: SeedSpec, d: int):
+    """(M, b, w0) of the linear-dynamics suites: M = G G^T / d for a
+    Gaussian G, b in range(M)."""
+    g = gaussian_matrix(sk.child(0), d, d)
+    m = g @ g.T / d
+    return m, m @ gaussian_vector(sk.child(1), d), gaussian_vector(sk.child(2), d)
+
+
+def _suite_linear_flow(seed: SeedSpec):
+    pairs = []
+    for k in range(10):
+        m, b, w0 = _linear_case(seed.child(k), 4)
+        pairs.append((linear_flow_solve(m, b, w0, 2.0),
+                      linear_flow_rk4(m, b, w0, 2.0), 1.0))
+    return pairs, None
+
+
+def _suite_linear_step(seed: SeedSpec):
+    pairs = []
+    for k in range(10):
+        m, b, w0 = _linear_case(seed.child(k), 5)
+        eta = 0.5 / float(np.linalg.norm(m, 2))
+        w = w0.copy()
+        for _ in range(57):
+            w = w - eta * (m @ w - b)
+        pairs.append((linear_step_solve(m, b, w0, eta, 57), w, 1.0))
+    return pairs, None
+
+
+def _suite_twolayer_fp(seed: SeedSpec):
+    d, k = 5, np.arange(4)
+    r = 0.5 + 0.5 * k
+    sgn = np.where(k % 2 == 0, 1, -1)
+    a0, b0 = 0.4 + 0.1 * k, 0.1
+    w_hat = np.eye(d)[0]
+    firsts = np.stack([SpikedIdentity(w_hat, a, 0.1).to_dense() for a in a0])
+    a, w, norms = gd_pop_flow_batched(firsts, np.outer(np.full(4, b0), w_hat),
+                                              np.outer(sgn * r, w_hat), t_max=400.0, tol=1e-9)
+    pairs = []
+    for i in range(4):
+        a_bar, b_bar = flow_limit(a0[i] ** 2 - b0 ** 2, r[i], int(sgn[i]))
+        pairs += [(a_bar, float(a[i, 0, 0]), 1.0), (b_bar, float(w[i, 0]), 1.0)]
+    return pairs, bool(np.all(norms < 1e-9))
+
+
+def _suite_gd2_reg(seed: SeedSpec):
+    pairs = []
+    for k in range(5):
+        sk = seed.child(k)
+        d, n, lam = 4, 8, 0.3
+        inst = MetaInstance.from_config(d, 1.0, 0.5)
+        task = sample_task(inst, sk.child(0))
+        ds = sample_dataset(task, n, sk.child(1))
+        g = gaussian_matrix(sk.child(2), d, d)
+        a0 = g @ g.T / d + 0.5 * np.eye(d)
+        out = gd2_reg(lam, ds, a0)
+        m = a0 @ (ds.x.T @ ds.x / n) @ a0 + lam * np.eye(d)
+        b = a0 @ (ds.x.T @ ds.y / n)
+        numeric = linear_flow_rk4(m, b, np.zeros(d), 50.0 / float(np.linalg.eigvalsh(m)[0]))
+        # an identity first layer reduces to the one-layer ridge solution
+        ridge = gd_reg(GdRegSpec(lam), ds, np.zeros(d))
+        pairs += [(out.second, numeric, 1.0), (gd2_reg(lam, ds, np.eye(d)).second, ridge, 1.0)]
+    return pairs, None
+
+
+def _suite_replearn(seed: SeedSpec):
+    expected = math.sqrt((0.01 + math.sqrt(4e4 + 1e-4)) / 2.0)
+    inst = MetaInstance.from_config(4, 1.0, 0.0)
+    signs = [1, -1, 1]
+    a, _, converged = replearn_joint_flow(inst, signs, 0.1, t_max=400.0, tol=1e-8)
+    w_hat = inst.w_star
+    spike = float(w_hat @ a @ w_hat)
+    return [(replearn_alpha(10 ** 4, 0.1, 1.0), expected, 1.0),
+            (replearn_alpha(3, 0.1, 1.0), spike, 1.0)], converged
+
+
+def _suite_risk_estimator(seed: SeedSpec):
+    """Each trial's conditional excess risk against the explicit predictor
+    matrices (P, D) on the same design: (||w0||^2/d) ||D||_F^2 +
+    (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 for the convex learners
+    (the exact average over Haar eigenvectors, since a trace is the sum
+    over basis directions) and ||(P X - I) w*||^2 + sigma^2 ||P||_F^2
+    for gd2_reg, given X."""
+    d, trials = 6, 3
+    inst = MetaInstance.from_config(d, 1.0, 0.5)
+    w_star = inst.w_star
+    w0 = gaussian_vector(seed.child(100), d)
+    g = gaussian_matrix(seed.child(101), d, d)
+    algs = [AlgSpec("gd_reg", GdRegSpec(0.0), w0), AlgSpec("gd_reg", GdRegSpec(0.3), w0),
+            AlgSpec("gd_step", GdStepSpec(0.05, 20), w0),
+            AlgSpec("gd2_reg", GdRegSpec(5.0 ** 1.5), SpikedIdentity(w_star, 5.0, 0.1)),
+            AlgSpec("gd2_reg", GdRegSpec(0.3), g @ g.T / d + 0.5 * np.eye(d))]
+    pairs = []
+    for k, n in enumerate((3, 6, 12)):
+        sk = seed.child(k)
+        designs = [gaussian_matrix(sk.child(t, 1, 0), n, d) for t in range(trials)]
+        for alg, est in zip(algs, mc_excess_risk_many(algs, inst, n, trials, sk)):
+            values = []
+            for x in designs:
+                p, dm = predictor_matrices(alg, x)
+                e = p @ x - np.eye(d)
+                if alg.family == "gd2_reg":
+                    bias = float(np.sum((e @ w_star) ** 2))
+                else:
+                    bias = (w0 @ w0 * np.sum(dm * dm) + w_star @ w_star * np.sum(e * e)) / d
+                values.append(bias + inst.sigma ** 2 * float(np.sum(p * p)))
+            mean = float(np.mean(values))
+            stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
+            scale = max(1.0, abs(mean))
+            pairs += [(est.mean, mean, scale), (est.stderr, stderr, scale)]
+    return pairs, None
+
+
+SUITES = [
+    ("gd-step-closed-form", _suite_gd_step, 1e-8),
+    ("gd-reg-closed-form", _suite_gd_reg, 1e-10),
+    ("linear-flow", _suite_linear_flow, 1e-8),
+    ("linear-step", _suite_linear_step, 1e-10),
+    ("twolayer-fixed-point", _suite_twolayer_fp, 1e-6),
+    ("second-layer-ridge", _suite_gd2_reg, 1e-6),
+    ("replearn-fixed-point", _suite_replearn, 1e-5),
+    ("risk-estimator", _suite_risk_estimator, 1e-9),
+]
+
+
+# the self-test: every closed form shifted by this much must push its
+# suite's residual above tol, which certifies that the check has teeth
+SHIFT = 1e-4
+
+
+def _residual(pairs, shift: float = 0.0) -> float:
+    """Worst ||closed + shift - reference|| / scale over the pairs; NaN
+    if any is NaN."""
+    return float(np.max([np.linalg.norm(np.asarray(closed) + shift - reference) / scale
+                         for closed, reference, scale in pairs]))
+
+
+def run_suites(seed: SeedSpec):
+    """Run suite i of SUITES on seed.child(i); return (report, stages).
+    perturbed_residual shifts every closed form by SHIFT; a suite passes
+    iff residual <= tol < perturbed_residual and converged is not False."""
+    report, stages = [], {}
+    for i, (name, fn, tol) in enumerate(SUITES):
+        start = time.monotonic()
+        pairs, converged = fn(seed.child(i))
+        residual, shifted = _residual(pairs), _residual(pairs, SHIFT)
+        stages[name] = {"wall_s": time.monotonic() - start, "perturbed_residual": shifted}
+        report.append({"suite": name, "residual": residual, "tol": tol,
+                       "oracle_converged": converged,
+                       "passed": residual <= tol < shifted and converged is not False})
+    return report, stages

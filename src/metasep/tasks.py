@@ -45,6 +45,8 @@ class MetaInstance:
         """The instance with w_star = r e_1 (r times the first basis vector)."""
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
+        if not 0.0 < r < np.inf:
+            raise ValueError(f"need finite r > 0, got {r}")
         w = np.zeros(d)
         w[0] = r
         return MetaInstance(w, float(sigma))

@@ -1,10 +1,13 @@
+import ast
 import json
 import os
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from metasep import cli
+from metasep import cli, oracles
 from metasep.cli import main
 from metasep.convex import linear_flow_solve
 from metasep.linalg import NotPsdError, NumericalError
@@ -92,7 +95,7 @@ _GOLDEN = {
                     "--lam-sweep", "0.5", "--seed", "0"],
                    {".json": "bab4edecce29a8e93795a3dcea5ed77c552cfaccbc8492683ae61a9559016a97"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "88d9bb53a8d787ba739d5e9feb278e612c0746e108b6152dc202e16cd34bf3d5"}),
+               {".json": "228d2264c61ff74cefb9f5f297d5acaaf0987fa8de6afc8f1764c35a93322611"}),
 }
 
 
@@ -288,8 +291,8 @@ def test_every_option_is_read_by_its_runner(tmp_path, monkeypatch):
     # an option that its runner never reads is a flag that does nothing.
     # The runs cover every --family of risk and nsearch; verify's suites
     # read no option, so one trivial suite stands in for them
-    monkeypatch.setattr(cli, "_SUITES", [("trivial", lambda seed: ([(0.0, 0.0, 1.0)], None),
-                                          1e-8)])
+    monkeypatch.setattr(oracles, "SUITES", [("trivial", lambda seed: ([(0.0, 0.0, 1.0)], None),
+                                              1e-8)])
     small = ["--d", "4", "--trials", "10"]
     runs = [["dynamics", "--t-tasks", "5"], ["growth", "--t-list", "10", "--seeds", "2"],
             _GOLDEN["separation"][0], ["verify"]]
@@ -357,8 +360,8 @@ def test_verify_passes_and_perturb_fails(tmp_path):
 def test_verify_fails_on_check_blind_to_shift(tmp_path, monkeypatch, capsys):
     # a residual divided by a huge scale passes any closed form, wrong or
     # right; the self-test must fail such a suite
-    monkeypatch.setattr(cli, "_SUITES", [("blind", lambda seed: ([(1.0, 1.0, 1e9)], None),
-                                          1e-8)])
+    monkeypatch.setattr(oracles, "SUITES", [("blind", lambda seed: ([(1.0, 1.0, 1e9)], None),
+                                              1e-8)])
     out = str(tmp_path / "blind")
     assert _run(["verify", "--out", out]) == 1
     (suite,) = json.loads(_read(out + ".json"))["suites"]
@@ -370,13 +373,57 @@ def test_verify_fails_on_check_blind_to_shift(tmp_path, monkeypatch, capsys):
 
 def test_verify_fails_on_nonconverged_oracle(tmp_path, monkeypatch):
     # a zero residual does not count when the oracle behind it stopped early
-    monkeypatch.setattr(cli, "_SUITES", [("stalled", lambda seed: ([(0.0, 0.0, 1.0)], False),
-                                          1e-8)])
+    monkeypatch.setattr(oracles, "SUITES", [("stalled", lambda seed: ([(0.0, 0.0, 1.0)], False),
+                                              1e-8)])
     out = str(tmp_path / "stalled")
     assert _run(["verify", "--out", out]) == 1
     (suite,) = json.loads(_read(out + ".json"))["suites"]
     assert suite["oracle_converged"] is False
     assert suite["passed"] is False
+
+
+@pytest.mark.parametrize("args", [
+    ["risk", "--r", "-1", "--d", "4", "--trials", "10"],
+    ["risk", "--family", "gd2_reg", "--r", "0", "--d", "4", "--trials", "10"],
+    ["growth", "--r", "-1", "--t-list", "10", "--seeds", "2"],
+    ["dynamics", "--r", "0", "--t-tasks", "5"],
+], ids=["risk", "risk-gd2_reg", "growth", "dynamics"])
+def test_nonpositive_r_is_config_error(tmp_path, capsys, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run([*args, "--out", str(tmp_path / "x")]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.startswith("error: need finite r > 0, got ")
+    assert not (tmp_path / "x.json").exists()
+
+
+def _imports(path) -> set:
+    """The modules and names that a source file's import statements bind."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {(node.module or "").split(".")[-1]} | {alias.name for alias in node.names}
+    return names
+
+
+def test_oracles_stay_apart_from_production():
+    # oracles is test machinery: only the CLI imports it, to run the
+    # verify suites, and the suites with their closed-form imports live there
+    src = pathlib.Path(cli.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert {p.stem for p in paths} >= {"cli", "oracles", "risk", "twolayer"}
+    for path in paths:
+        if path.stem != "cli":
+            assert "oracles" not in _imports(path), path.name
+    cli_path = src / "cli.py"
+    suite_only = {"gd_step", "gd_reg", "linear_flow_solve", "linear_step_solve", "gd2_reg",
+                  "replearn_alpha"}
+    assert _imports(cli_path) & suite_only == set()
+    suites = [node.name for node in ast.walk(ast.parse(cli_path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")]
+    assert suites == []
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

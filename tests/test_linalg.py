@@ -73,5 +73,7 @@ def test_spiked_dense_cases():
 
 
 def test_spiked_requires_unit_direction():
-    with pytest.raises(ValueError):
-        SpikedIdentity(np.array([1.0, 1.0]), 2.0, 1.0)
+    # a NaN norm compares false both ways, so it must fail the check too
+    for direction in ([1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="unit norm"):
+            SpikedIdentity(np.array(direction), 2.0, 1.0)

@@ -17,6 +17,9 @@ def test_from_config_validation():
     for d in (0, -1):
         with pytest.raises(ValueError, match="need d >= 1"):
             MetaInstance.from_config(d, 1.0, 0.5)
+    for r in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="need finite r > 0"):
+            MetaInstance.from_config(2, r, 0.5)
 
 
 def test_sample_task_deterministic_and_referencing():
