@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -102,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _typed(key: str, value, default, flag: bool):
     """value as the type of default (str when default is None). A flag's
     text is parsed; a file value must have that type already, except
-    that an int stands for a float. A list default takes a list of its
-    element type, or from a flag comma-separated text."""
+    that an int stands for a float. A float must be finite. A list
+    default takes a list of its element type, or from a flag
+    comma-separated text."""
     if isinstance(default, list):
         if flag:
             value = [p for p in value.split(",") if p.strip()]
@@ -111,14 +113,19 @@ def _typed(key: str, value, default, flag: bool):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return [_typed(key, v, default[0], flag) for v in value]
     kind = str if default is None else type(default)
+    typed = None
     if flag:
         try:
-            return kind(value)
+            typed = kind(value)
         except ValueError:
             pass
     elif type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
-    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+        typed = kind(value)
+    if typed is None:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(typed):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return typed
 
 
 def _resolve_config(args) -> dict:

@@ -45,8 +45,8 @@ class GdStepSpec:
     t0: int
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.t0 < 0:
             raise ValueError(f"t0 must be nonnegative, got {self.t0}")
 
@@ -58,8 +58,8 @@ class GdRegSpec:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
 def _spectral_factors(s: np.ndarray, decay_of):

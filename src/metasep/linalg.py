@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra plus the spiked-identity structure.
 
 Matrices are plain float64 numpy arrays stored fully symmetric; the
-dimensions of interest stay below a few hundred. sym_eigen and
-sym_eigvals, wrappers around LAPACK's symmetric eigensolver, are the
-one factorization the package uses: every closed form and every
-production solve is a spectral function of their results.
+dimensions of interest stay below a few hundred. sym_eigen, a wrapper
+around LAPACK's symmetric eigensolver, is the one factorization the
+closed forms use: every closed form and every production solve is a
+spectral function of its result. (The risk estimator's sampled spectra
+come from rng.wishart_spectra.)
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
 direction w: every first layer produced by the meta-dynamics has this
@@ -61,12 +62,6 @@ def sym_eigen(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(s[::-1], v[:, ::-1])
 
 
-def sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by LAPACK (numpy eigvalsh), in
-    descending order."""
-    return np.linalg.eigvalsh(_checked_square(m))[::-1]
-
-
 @dataclass(frozen=True)
 class SpikedIdentity:
     """(spike - bulk) w w^T + bulk I for a unit direction w."""
@@ -79,6 +74,8 @@ class SpikedIdentity:
         nrm = np.linalg.norm(self.direction)
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be unit norm, got {nrm}")
+        if not (np.isfinite(self.spike) and np.isfinite(self.bulk)):
+            raise ValueError(f"spike and bulk must be finite, got {self.spike} and {self.bulk}")
 
     @property
     def dim(self) -> int:

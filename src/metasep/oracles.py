@@ -19,9 +19,12 @@ Linear solvers accept a leading batch axis so that hundreds of small
 random instances integrate in one vectorized sweep.
 
 mc_excess_risk_raw is the oracle of the risk estimator: it draws the
-sign and the label noise that risk.mc_excess_risk_many averages out in
-closed form, and scores each trial by the squared error of a predictor
-built as explicit matrices (predictor_matrices).
+sign, the design and the label noise that risk.mc_excess_risk_many
+averages out in closed form or samples as a spectrum, and scores each
+trial by the squared error of a predictor built as explicit matrices
+(predictor_matrices). dense_wishart_spectra is the reference of the
+spectrum sampler rng.wishart_spectra: it draws the designs and
+eigensolves them.
 
 The last section holds the suites that `metasep verify` runs through
 run_suites; they call the closed forms and pair them with references.
@@ -35,9 +38,9 @@ import time
 import numpy as np
 
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve, linear_step_solve
-from .linalg import SpikedIdentity, as_dense
+from .linalg import SpikedIdentity, as_dense, symmetrize
 from .meta_learners import ScalarTrajectory, replearn_alpha
-from .risk import AlgSpec, _estimate, mc_excess_risk_many
+from .risk import AlgSpec, _convex_risk, _estimate, _twolayer_risk
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import (ScalarPair, _flow_rhs, _flow_step_size, flow_limit, gd2_reg,
@@ -215,7 +218,8 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
     """Raw Monte-Carlo excess risks, one RiskEstimate per algorithm.
 
     Trial t draws a sign (seed.child(t, 0)), a design (seed.child(t, 1, 0),
-    the design risk.mc_excess_risk_many scores) and label noise
+    the design risk.mc_excess_risk_many scores gd2_reg on; its convex
+    learners score a spectrum from seed.child(t, 2, j)) and label noise
     (seed.child(t, 1, 1)), and scores ||P y + D w0 - s w_star||^2 with
     the matrices of predictor_matrices.
     """
@@ -230,6 +234,18 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
                 diff += dm @ alg.init
             values[t, j] = diff @ diff
     return [_estimate(values[:, j]) for j in range(len(algs))]
+
+
+def dense_wishart_spectra(seed: SeedSpec, n: int, d: int, trials: int) -> np.ndarray:
+    """Reference for rng.wishart_spectra: a (trials, d) array whose row t
+    holds the eigenvalues of X^T X / n in descending order, with trial
+    t's n x d design X drawn from seed.child(t, 1, 0) and eigensolved by
+    numpy.linalg.eigvalsh."""
+    out = np.empty((trials, d))
+    for t in range(trials):
+        x = gaussian_matrix(seed.child(t, 1, 0), n, d)
+        out[t] = np.linalg.eigvalsh(x.T @ x / n)[::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +364,16 @@ def _suite_replearn(seed: SeedSpec):
 
 def _suite_risk_estimator(seed: SeedSpec):
     """Each trial's conditional excess risk against the explicit predictor
-    matrices (P, D) on the same design: (||w0||^2/d) ||D||_F^2 +
-    (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 for the convex learners
-    (the exact average over Haar eigenvectors, since a trace is the sum
-    over basis directions) and ||(P X - I) w*||^2 + sigma^2 ||P||_F^2
-    for gd2_reg, given X."""
+    matrices (P, D) on the same design X: risk._convex_risk on the
+    eigvalsh spectrum of X^T X / n against (||w0||^2/d) ||D||_F^2 +
+    (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 (the exact average over
+    Haar eigenvectors, since a trace is the sum over basis directions),
+    and risk._twolayer_risk given X against ||(P X - I) w*||^2 +
+    sigma^2 ||P||_F^2."""
     d, trials = 6, 3
     inst = MetaInstance.from_config(d, 1.0, 0.5)
-    w_star = inst.w_star
+    w_star, sigma2 = inst.w_star, inst.sigma ** 2
+    r2 = float(w_star @ w_star)
     w0 = gaussian_vector(seed.child(100), d)
     g = gaussian_matrix(seed.child(101), d, d)
     algs = [AlgSpec("gd_reg", GdRegSpec(0.0), w0), AlgSpec("gd_reg", GdRegSpec(0.3), w0),
@@ -364,22 +382,22 @@ def _suite_risk_estimator(seed: SeedSpec):
             AlgSpec("gd2_reg", GdRegSpec(0.3), g @ g.T / d + 0.5 * np.eye(d))]
     pairs = []
     for k, n in enumerate((3, 6, 12)):
-        sk = seed.child(k)
-        designs = [gaussian_matrix(sk.child(t, 1, 0), n, d) for t in range(trials)]
-        for alg, est in zip(algs, mc_excess_risk_many(algs, inst, n, trials, sk)):
-            values = []
-            for x in designs:
+        for t in range(trials):
+            x = gaussian_matrix(seed.child(k).child(t, 1, 0), n, d)
+            cov = symmetrize(x.T @ x / n)
+            spectrum = np.linalg.eigvalsh(cov)[::-1]
+            for alg in algs:
                 p, dm = predictor_matrices(alg, x)
                 e = p @ x - np.eye(d)
                 if alg.family == "gd2_reg":
+                    closed = _twolayer_risk(alg.params.lam, as_dense(alg.init), cov, w_star,
+                                            n, sigma2)
                     bias = float(np.sum((e @ w_star) ** 2))
                 else:
-                    bias = (w0 @ w0 * np.sum(dm * dm) + w_star @ w_star * np.sum(e * e)) / d
-                values.append(bias + inst.sigma ** 2 * float(np.sum(p * p)))
-            mean = float(np.mean(values))
-            stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
-            scale = max(1.0, abs(mean))
-            pairs += [(est.mean, mean, scale), (est.stderr, stderr, scale)]
+                    closed = float(_convex_risk(alg, spectrum[None], d, n, r2, sigma2)[0])
+                    bias = (w0 @ w0 * np.sum(dm * dm) + r2 * np.sum(e * e)) / d
+                reference = bias + sigma2 * float(np.sum(p * p))
+                pairs.append((closed, reference, max(1.0, abs(reference))))
     return pairs, None
 
 

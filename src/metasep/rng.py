@@ -1,4 +1,4 @@
-"""Deterministic, splittable random streams.
+"""Deterministic, splittable random streams, and the Wishart spectrum sampler.
 
 Every draw is a pure function of a (master_seed, stream_id) pair: the
 generator is counter-based (a splitmix64-style finalizer applied to a
@@ -10,7 +10,27 @@ noise, and designs and start vectors are standard normal.
 
 Stream derivation for parallel work: ``seed.child(i)`` (or ``hash_mix``)
 mixes integer indices into the stream id, so per-trial seeds are a pure
-function of (experiment seed, trial index).
+function of (experiment seed, trial index). child_keys derives the keys
+of many children seed.child(t, ...) in one vectorized pass, so a block
+of trials draws from all of its streams at once.
+
+wishart_spectra samples the eigenvalues of S = X^T X / n for a Gaussian
+n x d design without drawing X. With k = min(n, d) and m = max(n, d),
+the nonzero eigenvalues of n S are the squared singular values of the
+k x k upper bidiagonal B with diagonal chi_m, ..., chi_{m-k+1} and
+superdiagonal chi_{k-1}, ..., chi_1 (the beta = 1 Laguerre model of
+Dumitriu & Edelman 2002, "Matrix models for beta ensembles", J. Math.
+Phys. 43:5830); the other d - k eigenvalues are exactly 0. That is
+2k - 1 variates instead of n d normals: at d = 50 a trial costs
+0.13-0.17 ms in a 32-trial block, against 0.4-0.5 ms (n = 100) and
+2.3 ms (n = 900) to draw X and eigensolve X^T X / n (one BLAS thread on
+a 2-CPU x86-64 VM). Each chi_a is sqrt(2 Gamma(a/2)), with Gamma drawn
+by Marsaglia & Tsang (ACM TOMS 26:363, 2000); a shape below 1 is drawn
+at shape + 1 and multiplied by U^(1/shape). Attempt j of trial t reads
+the sub-stream seed.child(t, 2, j), and attempts go on until every
+variate of the trial is accepted (over 4000 trials at d = 50 none took
+more than 4), so a spectrum depends only on (seed, t): not on the block,
+the worker count or the other trials.
 """
 
 from __future__ import annotations
@@ -30,6 +50,7 @@ _STREAM_GAMMA = 0xD1B54A32D192ED03
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX_A = np.uint64(_MIX_A)
 _U_MIX_B = np.uint64(_MIX_B)
+_U_STREAM_GAMMA = np.uint64(_STREAM_GAMMA)
 
 
 def _mix64_int(x: int) -> int:
@@ -83,18 +104,50 @@ class SeedSpec:
         return np.uint64(_mix64_int(k))
 
 
-def _raw(seed: SeedSpec, count: int) -> np.ndarray:
-    """count keyed 64-bit words: mix64(key + (i+1)*golden)."""
+def child_keys(seed: SeedSpec, first, *rest: int) -> np.ndarray:
+    """The stream key of seed.child(t, *rest) for every t of the
+    nonnegative int array first, derived in one vectorized pass: hash_mix
+    and SeedSpec._key over uint64 arrays."""
+    with np.errstate(over="ignore"):
+        s = np.asarray(first, dtype=np.uint64) + np.uint64(1)
+        s = _mix64_array(np.uint64(_mix64_int(seed.stream_id)) ^ (s * _U_STREAM_GAMMA))
+        for i in rest:
+            s = _mix64_array(_mix64_array(s) ^ np.uint64(((i + 1) * _STREAM_GAMMA) & _MASK))
+        return _mix64_array(np.uint64(_mix64_int(seed.master_seed)) ^ (s * _U_STREAM_GAMMA))
+
+
+def _raw(keys, count: int) -> np.ndarray:
+    """count keyed 64-bit words per key, mix64(key + (i+1)*golden), with
+    shape keys.shape + (count,)."""
     idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = seed._key() + idx * _U_GOLDEN
+        state = np.asarray(keys, dtype=np.uint64)[..., None] + idx * _U_GOLDEN
     return _mix64_array(state)
 
 
-def uniforms(seed: SeedSpec, count: int) -> np.ndarray:
-    """count i.i.d. uniforms in (0, 1], from the top 53 bits of each word."""
-    bits = _raw(seed, count) >> np.uint64(11)
+def _key_uniforms(keys, count: int) -> np.ndarray:
+    """count i.i.d. uniforms in (0, 1] per stream key, from the top 53
+    bits of each word, with shape keys.shape + (count,)."""
+    bits = _raw(keys, count) >> np.uint64(11)
     return (bits.astype(np.float64) + 1.0) * (2.0 ** -53)
+
+
+def uniforms(seed: SeedSpec, count: int) -> np.ndarray:
+    """count i.i.d. uniforms in (0, 1] from the stream of seed."""
+    return _key_uniforms(seed._key(), count)
+
+
+def _box_muller(u: np.ndarray, d: int) -> np.ndarray:
+    """d standard normals per row from the 2 ceil(d/2) uniforms on u's
+    last axis: the first half give the radii, the second the angles,
+    and normals 2i and 2i+1 are the cosine and sine of pair i."""
+    pairs = u.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+    angle = 2.0 * np.pi * u[..., pairs:]
+    z = np.empty(u.shape)
+    z[..., 0::2] = radius * np.cos(angle)
+    z[..., 1::2] = radius * np.sin(angle)
+    return z[..., :d]
 
 
 def gaussian_vector(seed: SeedSpec, d: int, std: float = 1.0) -> np.ndarray:
@@ -105,15 +158,7 @@ def gaussian_vector(seed: SeedSpec, d: int, std: float = 1.0) -> np.ndarray:
         raise ValueError(f"std must be nonnegative, got {std}")
     if std == 0.0:
         return np.zeros(d)
-    pairs = (d + 1) // 2
-    u = uniforms(seed, 2 * pairs)
-    u1, u2 = u[:pairs], u[pairs:]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return std * z[:d]
+    return std * _box_muller(uniforms(seed, 2 * ((d + 1) // 2)), d)
 
 
 def gaussian_matrix(seed: SeedSpec, rows: int, cols: int) -> np.ndarray:
@@ -125,5 +170,54 @@ def rademacher_signs(seed: SeedSpec, t: int) -> np.ndarray:
     """t i.i.d. uniform signs in {+1, -1} as an int array."""
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    bit = (_raw(seed, t) & np.uint64(1)).astype(np.int64)
+    bit = (_raw(seed._key(), t) & np.uint64(1)).astype(np.int64)
     return 2 * bit - 1
+
+
+def wishart_spectra(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues of S = X^T X / n, X an n x d standard normal design,
+    for trials [lo, hi): a (hi - lo, d) array, each row descending, with
+    exactly max(d - n, 0) zeros at the end of each row.
+
+    Variate i of trial t is the squared chi with dof[i] degrees of
+    freedom: the diagonal of B, then its superdiagonal (module
+    docstring). Attempt j of trial t reads
+    _key_uniforms(child_keys(seed, [t], 2, j), 2 ceil(V/2) + 2 V), V the
+    variate count: the first 2 ceil(V/2) give the V Marsaglia-Tsang
+    normals x (_box_muller), the next V the acceptance uniforms, the last
+    V the uniforms of the shape-below-1 boost. A variate takes the value
+    of its first accepted attempt.
+    """
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    k, m = min(n, d), max(n, d)
+    dof = np.concatenate([np.arange(m, m - k, -1), np.arange(k - 1, 0, -1)])
+    v, pairs = dof.size, (dof.size + 1) // 2
+    shape = dof / 2.0
+    small = shape < 1.0
+    dd = shape + small - 1.0 / 3.0  # Marsaglia-Tsang's d, at shape + 1 below 1
+    c = 1.0 / np.sqrt(9.0 * dd)
+    boost = np.where(small, 1.0 / shape, 0.0)  # U^0 = 1 leaves shapes >= 1 alone
+    trials = np.arange(lo, hi)
+    gamma = np.empty((hi - lo, v))
+    pending = np.ones((hi - lo, v), dtype=bool)
+    attempt = 0
+    while (rows := np.flatnonzero(pending.any(axis=1))).size:
+        u = _key_uniforms(child_keys(seed, trials[rows], 2, attempt), 2 * pairs + 2 * v)
+        x = _box_muller(u[:, :2 * pairs], v)
+        cube = (1.0 + c * x) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = (cube > 0.0) & (np.log(u[:, 2 * pairs:2 * pairs + v])
+                                     < 0.5 * x * x + dd - dd * cube + dd * np.log(cube))
+        r, i = np.nonzero(pending[rows] & accept)
+        gamma[rows[r], i] = dd[i] * cube[r, i] * u[r, 2 * pairs + v + i] ** boost[i]
+        pending[rows[r], i] = False
+        attempt += 1
+    chi = np.sqrt(2.0 * gamma)
+    b = np.zeros((hi - lo, k, k))
+    diag = np.arange(k)
+    b[:, diag, diag] = chi[:, :k]
+    b[:, diag[:-1], diag[1:]] = chi[:, k:]
+    out = np.zeros((hi - lo, d))
+    out[:, :k] = np.linalg.svd(b, compute_uv=False) ** 2 / n
+    return out

@@ -28,8 +28,8 @@ class MetaInstance:
     def __post_init__(self):
         if self.w_star.ndim != 1:
             raise ValueError(f"w_star must be a vector, got shape {self.w_star.shape}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     @property
     def d(self) -> int:

@@ -75,7 +75,8 @@ def test_growth_small(tmp_path):
 # change to the seed streams or to the arithmetic order of the Reptile
 # meta-step or of the risk estimator changes them. nsearch runs the
 # single-algorithm search on the streams the search has always used;
-# separation scores every lambda on the designs of master.child(0, idx)
+# separation scores every lambda on the spectra of master.child(0, idx),
+# and gd2_reg (nsearch-gd2_reg, the nonconvex half) on designs
 _GOLDEN = {
     "growth": (["growth", "--t-list", "1000,10000", "--seeds", "3", "--seed", "0"],
                {".csv": "48dd0f48e2aafc77ccea542418b6781436487dc958154c5ee7a1213a0127f00a",
@@ -85,7 +86,7 @@ _GOLDEN = {
                   ".json": "73b8bdb3105db4d046073bd9c9e9faed98ed7131c464867eebeb88c40eef41dd"}),
     "nsearch": (["nsearch", "--d", "6", "--lam", "0.5", "--epsilon", "0.6",
                  "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
-                {".json": "d006494ac93679b41274166acf09118fef54265d6e2d0cc159fc5521e96cfc27"}),
+                {".json": "88fe2c38a38c32d69ab98d1355a9aff02aa0e731b9128ad636c73437fc4786ef"}),
     "nsearch-gd2_reg": (["nsearch", "--family", "gd2_reg", "--alpha", "10", "--d", "8",
                          "--epsilon", "0.3", "--n-grid", "4,8,16,32", "--trials", "40",
                          "--seed", "0"],
@@ -93,9 +94,9 @@ _GOLDEN = {
     "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
-                   {".json": "bab4edecce29a8e93795a3dcea5ed77c552cfaccbc8492683ae61a9559016a97"}),
+                   {".json": "253e72bc0d5af29d801776801b6e690902b2471afa38393f108be4a0b007560b"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "228d2264c61ff74cefb9f5f297d5acaaf0987fa8de6afc8f1764c35a93322611"}),
+               {".json": "a9733b9e3e2384276e8e4e2b7d32741093b0dbf82a4b7949ed10a25d8c10ddb3"}),
 }
 
 
@@ -262,6 +263,28 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, command, entry,
     assert _run([command, "--config", str(cfg_path), "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("args,key,value", [
+    (["risk", "--sigma", "nan"], "sigma", "nan"),
+    (["risk", "--lam", "nan"], "lam", "nan"),
+    (["risk", "--eta", "nan"], "eta", "nan"),
+    (["nsearch", "--sigma", "inf"], "sigma", "inf"),
+    (["risk", "--family", "gd2_reg", "--kappa", "nan"], "kappa", "nan"),
+    (["risk", "--family", "gd2_reg", "--alpha", "inf"], "alpha", "inf"),
+    (["separation", "--lam-sweep", "0,nan"], "lam_sweep", "nan"),
+], ids=["risk-sigma", "risk-lam", "risk-eta", "nsearch-sigma", "risk-gd2_reg-kappa",
+        "risk-gd2_reg-alpha", "separation-lam_sweep"])
+def test_nonfinite_value_is_config_error(tmp_path, capsys, args, key, value):
+    # a NaN or inf config value is a config error naming its key, not a
+    # divergent learner, a numerical failure or a non-finite matrix
+    out = str(tmp_path / "x")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run([*args, "--d", "4", "--trials", "10", "--out", out]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == f"error: {key} must be finite, got '{value}'\n"
+    assert not os.path.exists(out + ".json")
 
 
 def test_config_values_take_the_default_type(tmp_path):

@@ -203,6 +203,12 @@ def test_spec_validation():
         GdStepSpec(0.1, -1)
     with pytest.raises(ValueError):
         GdRegSpec(-0.1)
+    # NaN compares false both ways, so it must fail the range checks too
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            GdStepSpec(bad, 5)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            GdRegSpec(bad)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metasep.linalg import SpikedIdentity, sym_eigen, sym_eigvals
+from metasep.linalg import SpikedIdentity, sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 
 
@@ -19,16 +19,6 @@ def test_identity_eigen():
 def test_diagonal_eigen_sorted():
     e = sym_eigen(np.diag([1.0, 3.0]))
     assert np.allclose(e.eigenvalues, [3.0, 1.0])
-
-
-def test_eigvals_match_eigen():
-    for k in range(20):
-        m = _random_sym(100 + k, 2 + k % 7)
-        s = sym_eigvals(m)
-        assert np.all(np.diff(s) <= 0.0)
-        assert np.allclose(s, sym_eigen(m).eigenvalues, atol=1e-12)
-    with pytest.raises(ValueError):
-        sym_eigvals(np.ones((2, 3)))
 
 
 def test_reconstruction_batch():
@@ -77,3 +67,9 @@ def test_spiked_requires_unit_direction():
     for direction in ([1.0, 1.0], [np.nan, 0.0]):
         with pytest.raises(ValueError, match="unit norm"):
             SpikedIdentity(np.array(direction), 2.0, 1.0)
+
+
+def test_spiked_requires_finite_spike_and_bulk():
+    for spike, bulk in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, -np.inf)):
+        with pytest.raises(ValueError, match="spike and bulk must be finite"):
+            SpikedIdentity(np.array([1.0, 0.0]), spike, bulk)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from metasep.rng import (SeedSpec, gaussian_matrix, gaussian_vector, hash_mix,
-                         rademacher_signs, uniforms)
+from metasep import oracles
+from metasep.rng import (SeedSpec, _key_uniforms, child_keys, gaussian_matrix, gaussian_vector,
+                         hash_mix, rademacher_signs, uniforms, wishart_spectra)
 
 
 def test_determinism_gaussian():
@@ -79,3 +82,101 @@ def test_dimension_validation():
         gaussian_vector(SeedSpec(1), 0)
     with pytest.raises(ValueError):
         rademacher_signs(SeedSpec(1), 0)
+
+
+def test_first_words_are_pinned():
+    # the design, sign and noise streams in literals: a refactor of the
+    # word generator or of Box-Muller that shifts them fails here
+    s = SeedSpec(42, 7)
+    assert uniforms(s, 4).tolist() == [0.7773104643333157, 0.4855584618577975,
+                                       0.8509763911610682, 0.8046706832434323]
+    assert gaussian_vector(s, 5).tolist() == [0.23905732217586398, -0.6683430837242663,
+                                              0.2159657167889558, -1.1824846614760451,
+                                              0.2569036935432309]
+    assert rademacher_signs(s, 12).tolist() == [-1, 1, -1, -1, -1, 1, -1, -1, -1, 1, -1, 1]
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(42), SeedSpec(9, 123)])
+def test_child_keys_match_seed_child(seed):
+    trials = [0, 1, 31, 32, 2 ** 40 + 3, 2 ** 64 - 2]
+    for attempt in (0, 3):
+        keys = child_keys(seed, np.array(trials, dtype=np.uint64), 2, attempt)
+        words = _key_uniforms(keys, 7)
+        for i, t in enumerate(trials):
+            child = seed.child(t, 2, attempt)
+            assert keys[i] == child._key()
+            assert words[i].tobytes() == uniforms(child, 7).tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(60, 20), (5, 1), (20, 60), (1, 5), (30, 30)])
+def test_wishart_moments_are_exact(n, d):
+    # E tr S = d and E tr S^2 = d (d + n + 1) / n for every n and d;
+    # E tr S^-1 = d n / (n - d - 1), tested only where its variance is
+    # finite with room to spare (n >= d + 4)
+    trials = 4000
+    s = wishart_spectra(SeedSpec(31), n, d, 0, trials)
+    moments = [(s.sum(axis=1), d), ((s * s).sum(axis=1), d * (d + n + 1) / n)]
+    if n >= d + 4:
+        moments.append(((1.0 / s).sum(axis=1), d * n / (n - d - 1)))
+    for values, exact in moments:
+        stderr = values.std(ddof=1) / np.sqrt(trials)
+        assert abs(values.mean() - exact) <= 4.0 * stderr, (values.mean(), exact, stderr)
+
+
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic."""
+    grid = np.sort(np.concatenate([a, b]))
+    cdf = lambda x: np.searchsorted(np.sort(x), grid, side="right") / x.size  # noqa: E731
+    return float(np.max(np.abs(cdf(a) - cdf(b))))
+
+
+@pytest.mark.parametrize("n,d", [(12, 5), (5, 12), (8, 8)])
+def test_wishart_spectra_match_dense_designs(n, d):
+    # the bidiagonal model against eigensolved Gaussian designs: every
+    # eigenvalue's mean by a two-sample z-test, and the law of the
+    # largest and smallest nonzero eigenvalues by a two-sample KS test at
+    # level about 1e-3
+    trials, k = 2000, min(n, d)
+    seed = SeedSpec(32)
+    sampled = wishart_spectra(seed, n, d, 0, trials)
+    dense = oracles.dense_wishart_spectra(seed, n, d, trials)
+    a, b = sampled[:, :k], dense[:, :k]
+    z = (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt((a.var(axis=0) + b.var(axis=0)) / trials)
+    assert np.all(np.abs(z) <= 4.0), z
+    for i in (0, k - 1):
+        assert _ks_distance(a[:, i], b[:, i]) <= 1.95 * np.sqrt(2.0 / trials), i
+    assert np.all(np.abs(dense[:, k:]) <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), d=st.integers(1, 60), lo=st.integers(0, 40),
+       count=st.integers(1, 40), cut=st.integers(0, 40))
+@example(n=1, d=1, lo=0, count=1, cut=0)
+@example(n=1, d=60, lo=30, count=5, cut=2)
+@example(n=60, d=1, lo=30, count=5, cut=2)
+@example(n=9, d=10, lo=0, count=40, cut=32)
+@example(n=11, d=10, lo=20, count=30, cut=12)
+@example(n=10, d=10, lo=31, count=2, cut=1)
+def test_wishart_spectra_edge_cases(n, d, lo, count, cut):
+    hi = lo + count
+    s = wishart_spectra(SeedSpec(33), n, d, lo, hi)
+    assert s.shape == (count, d)
+    assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
+    assert np.all(np.diff(s, axis=1) <= 0.0)
+    assert np.all(np.count_nonzero(s == 0.0, axis=1) == max(d - n, 0))
+    # a trial's spectrum does not depend on the block that draws it: one
+    # block, one block per trial and two blocks split anywhere (across a
+    # 32-trial chunk boundary too) give the same bytes
+    mid = lo + min(cut, count)
+    per_trial = np.concatenate([wishart_spectra(SeedSpec(33), n, d, t, t + 1)
+                                for t in range(lo, hi)])
+    split = np.concatenate([wishart_spectra(SeedSpec(33), n, d, lo, mid),
+                            wishart_spectra(SeedSpec(33), n, d, mid, hi)])
+    assert per_trial.tobytes() == s.tobytes()
+    assert split.tobytes() == s.tobytes()
+
+
+def test_wishart_spectra_validation():
+    for n, d in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            wishart_spectra(SeedSpec(1), n, d, 0, 2)

@@ -12,8 +12,9 @@ def test_from_config_e1():
 
 
 def test_from_config_validation():
-    with pytest.raises(ValueError):
-        MetaInstance.from_config(2, 1.0, -1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            MetaInstance.from_config(2, 1.0, sigma)
     for d in (0, -1):
         with pytest.raises(ValueError, match="need d >= 1"):
             MetaInstance.from_config(d, 1.0, 0.5)
