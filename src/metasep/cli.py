@@ -20,8 +20,9 @@ byte-identical for a fixed seed regardless of --workers.
 Exit codes: 0 success, 1 verification-suite failure, 2 config error,
 3 numerical failure (linalg.NumericalError: a matrix that must be
 positive definite is not, a vector that must lie in a matrix's range
-does not, or a value bound for a JSON file is inf or NaN; risk points
-are the exception, written with null mean and stderr).
+does not, a computed spike is not finite, or a value bound for a CSV or
+JSON file is inf or NaN; risk points are the exception, written with
+null mean and stderr). A run that fails writes no data file.
 """
 
 from __future__ import annotations
@@ -172,22 +173,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _render(path: str, body) -> str:
+    """A data file's text: CSV of (header, rows) for a .csv path, else JSON.
+    An inf or NaN is a numerical failure, never a literal in the file."""
+    if path.endswith(".csv"):
+        header, rows = body
+        lines = [",".join(header)]
+        for row in rows:
+            for key, v in zip(header, row):
+                if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                    raise NumericalError(f"cannot write {path}: {key} is {_fmt(v)}")
+            lines.append(",".join(_fmt(v) for v in row))
+        return "\n".join(lines) + "\n"
+    try:
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str, obj) -> None:
-    """Strict JSON: an inf or NaN is a numerical failure, never a literal
-    that JSON parsers reject."""
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"cannot write {path}: {exc}") from exc
+    _write(path, _render(path, obj))
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _report_nonfinite(command: str, estimates) -> None:
@@ -301,6 +311,11 @@ def cmd_separation(cfg: dict):
     master = SeedSpec(cfg["seed"])
     eps = cfg["epsilon"]
     stages = {}
+    try:
+        t_tasks = replearn_tasks_for_alpha(cfg["alpha_target"], cfg["kappa"], r)
+    except OverflowError:
+        raise ConfigError(f"alpha_target is too large: its RepLearn task count "
+                          f"overflows, got {cfg['alpha_target']!r}") from None
 
     # grid point idx of the convex half reads master.child(0, idx), shared
     # by every lambda; of the nonconvex half, master.child(1, idx)
@@ -312,7 +327,6 @@ def cmd_separation(cfg: dict):
              for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
     convex_n = min((found for found in convex_found if found is not None), default=None)
 
-    t_tasks = replearn_tasks_for_alpha(cfg["alpha_target"], cfg["kappa"], r)
     learned = run_replearn(t_tasks, cfg["kappa"], inst)
     alpha = learned.spike
     lam2 = alpha ** 1.5
@@ -343,10 +357,25 @@ def _make_w0(cfg: dict, inst: MetaInstance, seed: SeedSpec) -> np.ndarray:
     if spec == "wstar":
         return inst.w_star.copy()
     if spec.startswith("random:"):
-        scale = float(spec.split(":", 1)[1])
+        scale = _typed("w0 scale", spec.split(":", 1)[1], 1.0, True)
         g = gaussian_vector(seed.child(101), inst.d)
         return scale * g / np.linalg.norm(g)
     raise ConfigError(f"w0 must be 'zero', 'wstar' or 'random:<scale>', got {spec!r}")
+
+
+def _gd2_lam(lam: float, alpha: float) -> float:
+    """gd2_reg's ridge penalty: lam, or alpha^1.5 when lam is 0."""
+    if lam < 0.0:
+        raise ConfigError(f"lam must be >= 0 (0 means alpha^1.5), got {lam!r}")
+    if lam == 0.0:
+        try:  # complex below 0, 0 at 0 or on underflow, OverflowError above
+            lam = alpha ** 1.5 if alpha > 0.0 else 0.0
+        except OverflowError:
+            lam = 0.0
+        if lam == 0.0:
+            raise ConfigError(f"alpha must make alpha^1.5, the penalty when lam is 0, "
+                              f"positive and finite, got {alpha!r}")
+    return lam
 
 
 def _make_alg(cfg: dict, inst: MetaInstance, seed: SeedSpec) -> AlgSpec:
@@ -358,8 +387,7 @@ def _make_alg(cfg: dict, inst: MetaInstance, seed: SeedSpec) -> AlgSpec:
         return AlgSpec("gd_reg", GdRegSpec(cfg["lam"]), _make_w0(cfg, inst, seed))
     if family == "gd2_reg":
         first = SpikedIdentity(inst.w_star / inst.r, cfg["alpha"], cfg["kappa"])
-        lam = cfg["lam"] if cfg["lam"] > 0 else cfg["alpha"] ** 1.5
-        return AlgSpec("gd2_reg", GdRegSpec(lam), first)
+        return AlgSpec("gd2_reg", GdRegSpec(_gd2_lam(cfg["lam"], cfg["alpha"])), first)
     raise ConfigError(f"unknown family {family!r}")
 
 
@@ -422,19 +450,18 @@ def main(argv=None) -> int:
         start = time.monotonic()
         files, extra, code = _RUNNERS[args.command](cfg)
         echo = {"config": _science_config(cfg), "seed": cfg["seed"]}
-        paths = []
-        for ext, body in files.items():
-            paths.append(cfg["out"] + ext)
-            if ext == ".csv":
-                write_csv(paths[-1], *body)
-            else:
-                write_json(paths[-1], {**echo, **body})
+        # render every data file before writing any, so a failure leaves none
+        texts = {cfg["out"] + ext: _render(cfg["out"] + ext,
+                                           body if ext == ".csv" else {**echo, **body})
+                 for ext, body in files.items()}
+        for path, text in texts.items():
+            _write(path, text)
         write_json(cfg["out"] + ".manifest.json", {
             **echo,
             "command": args.command,
             "version": __version__,
             "wall_time_s": time.monotonic() - start,
-            "outputs": {os.path.basename(p): _sha256(p) for p in paths},
+            "outputs": {os.path.basename(p): _sha256(p) for p in texts},
             "environment": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
                             "threads": {k: v for k, v in sorted(os.environ.items())
                                         if k.endswith("_NUM_THREADS")}},

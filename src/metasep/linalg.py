@@ -8,9 +8,9 @@ spectral function of its result. (The risk estimator's sampled spectra
 come from rng.wishart_spectra.)
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
-direction w: every first layer produced by the meta-dynamics has this
-two-eigenvalue form, and keeping it structured makes meta-trajectories
-O(d) instead of O(d^3) per step.
+direction w, the two-eigenvalue form of every first layer that the
+meta-dynamics produce. It only records that form: Reptile runs on the
+scalars (a, b), and the risk estimator and gd2_reg use as_dense.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class SpikedIdentity:
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"direction must be unit norm, got {nrm}")
         if not (np.isfinite(self.spike) and np.isfinite(self.bulk)):
-            raise ValueError(f"spike and bulk must be finite, got {self.spike} and {self.bulk}")
+            # config values arrive checked finite, so a non-finite one was computed
+            raise NumericalError(f"spike and bulk must be finite, got {self.spike} and {self.bulk}")
 
     @property
     def dim(self) -> int:

@@ -9,11 +9,12 @@ are integrated by brute-force RK4 or explicit iteration. No reference
 calls the closed form it checks. They are slower and exist to catch
 errors in the closed forms, not to run experiments.
 
-Nonlinear flows run on twolayer.rk4, the one RK4 integrator; a linear
-flow raises its RK4 step matrix, formed once from the four stages, to
-the step count (see linear_flow_rk4). Either way the result is the same
-sequence of explicit RK4 steps, with no eigendecomposition or matrix
-exponential, so it stays independent of the spectral closed forms.
+Nonlinear flows run on twolayer.gd_pop_flow over twolayer.rk4, the one
+RK4 integrator; a linear flow raises its RK4 step matrix, formed once
+from the four stages, to the step count (see linear_flow_rk4). Either
+way the result is the same sequence of explicit RK4 steps, with no
+eigendecomposition or matrix exponential, so it stays independent of
+the spectral closed forms.
 
 Linear solvers accept a leading batch axis so that hundreds of small
 random instances integrate in one vectorized sweep.
@@ -43,8 +44,7 @@ from .meta_learners import ScalarTrajectory, replearn_alpha
 from .risk import AlgSpec, _convex_risk, _estimate, _twolayer_risk
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
-from .twolayer import (ScalarPair, _flow_rhs, _flow_step_size, flow_limit, gd2_reg,
-                       gd_pop_fixed_point, rk4)
+from .twolayer import ScalarPair, flow_limit, gd2_reg, gd_pop_fixed_point, gd_pop_flow
 
 
 def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
@@ -119,22 +119,6 @@ def reg_flow_oracle(ds: Dataset, w0: np.ndarray, lam: float) -> np.ndarray:
     return linear_flow_rk4(m, ds.x.T @ ds.y / ds.n, w0, 50.0 / lam_min)
 
 
-def gd_pop_flow_batched(a0: np.ndarray, w0: np.ndarray, targets: np.ndarray,
-                        t_max: float, tol: float = 1e-9):
-    """Batched rk4 on the two-layer population flow, state (k, d^2 + d).
-
-    a0 is (k, d, d), w0 and targets are (k, d). One shared step size
-    per step (the most conservative over the batch). Returns (a, w,
-    rhs_norm) with rhs_norm the per-trajectory RHS norm at exit.
-    """
-    k, d = np.shape(w0)
-    v = np.asarray(targets, dtype=np.float64)[..., None]
-    y0 = np.concatenate([np.reshape(a0, (k, d * d)), w0], axis=-1)
-    y, _ = rk4(lambda y: _flow_rhs(y, v), y0, t_max, lambda y: _flow_step_size(y, d), tol)
-    norms = np.linalg.norm(_flow_rhs(y, v), axis=-1)
-    return y[:, :d * d].reshape(k, d, d), y[:, d * d:], norms
-
-
 def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
     """Meta-interpolation carried out on full d x d matrices.
 
@@ -174,19 +158,11 @@ def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
 
 def replearn_joint_flow(inst: MetaInstance, signs, kappa: float,
                         t_max: float, tol: float = 1e-9):
-    """rk4 on the joint multi-task flow with shared first layer.
-
-    State: A (d x d) and W (d x T, column i the second layer of task i).
-    dA/dt = W V^T - W W^T A, dW/dt = A V - A A^T W, with V the matrix
-    of signed targets s_i w_star. Starts at (kappa I, 0). Returns
-    (A, W, converged).
-    """
-    d = inst.d
+    """gd_pop_flow of the joint multi-task flow from (kappa I, 0): A is the
+    shared first layer, column i of W (d x T) the second layer of task i,
+    whose target is s_i w_star. Returns (A, W, converged)."""
     v = np.column_stack([s * inst.w_star for s in signs])
-    y0 = np.concatenate([(kappa * np.eye(d)).ravel(), np.zeros(v.size)])
-    y, converged = rk4(lambda y: _flow_rhs(y, v), y0, t_max,
-                       lambda y: _flow_step_size(y, d), tol)
-    return y[:d * d].reshape(d, d), y[d * d:].reshape(v.shape), converged
+    return gd_pop_flow(kappa * np.eye(inst.d), np.zeros(v.shape), v, t_max, tol)
 
 
 def predictor_matrices(alg: AlgSpec, x: np.ndarray):
@@ -322,13 +298,13 @@ def _suite_twolayer_fp(seed: SeedSpec):
     a0, b0 = 0.4 + 0.1 * k, 0.1
     w_hat = np.eye(d)[0]
     firsts = np.stack([SpikedIdentity(w_hat, a, 0.1).to_dense() for a in a0])
-    a, w, norms = gd_pop_flow_batched(firsts, np.outer(np.full(4, b0), w_hat),
-                                              np.outer(sgn * r, w_hat), t_max=400.0, tol=1e-9)
+    a, w, converged = gd_pop_flow(firsts, np.outer(np.full(4, b0), w_hat)[..., None],
+                                  np.outer(sgn * r, w_hat)[..., None], 400.0, 1e-9)
     pairs = []
     for i in range(4):
         a_bar, b_bar = flow_limit(a0[i] ** 2 - b0 ** 2, r[i], int(sgn[i]))
-        pairs += [(a_bar, float(a[i, 0, 0]), 1.0), (b_bar, float(w[i, 0]), 1.0)]
-    return pairs, bool(np.all(norms < 1e-9))
+        pairs += [(a_bar, float(a[i, 0, 0]), 1.0), (b_bar, float(w[i, 0, 0]), 1.0)]
+    return pairs, converged
 
 
 def _suite_gd2_reg(seed: SeedSpec):

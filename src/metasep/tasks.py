@@ -10,6 +10,7 @@ y = x^T (sign * w_star) + noise with noise ~ N(0, sigma^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class MetaInstance:
 
     @property
     def r(self) -> float:
-        """Norm of the shared direction."""
-        return float(np.linalg.norm(self.w_star))
+        """Norm of the shared direction; hypot does not overflow above 1e154."""
+        return math.hypot(*self.w_star)
 
     @staticmethod
     def from_config(d: int, r: float, sigma: float) -> "MetaInstance":

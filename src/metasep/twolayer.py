@@ -11,9 +11,9 @@ Two within-task procedures:
   direction, b the aligned second-layer coordinate) with conserved
   gap c = a^2 - b^2, and the limit has the closed form
   a_bar = sqrt((c + sqrt(4 r^2 + c^2)) / 2), b_bar = s * sqrt((-c +
-  sqrt(4 r^2 + c^2)) / 2). gd_pop_flow_numeric integrates the full
-  matrix flow with rk4, the package's one fixed-step RK4 integrator,
-  as the numeric cross-check.
+  sqrt(4 r^2 + c^2)) / 2). gd_pop_flow integrates the batched matrix
+  flow of tasks sharing a first layer with rk4, the package's one
+  fixed-step RK4 integrator, as the numeric cross-check.
 * gd2_reg: ridge regression on the second layer only, first layer
   frozen.
 
@@ -52,10 +52,6 @@ class TwoLayerParams:
 
     first: object
     second: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.second.shape[0]
 
     def first_dense(self) -> np.ndarray:
         return as_dense(self.first)
@@ -118,48 +114,46 @@ def rk4(rhs, y, t_max: float, step, tol: float, callback=None):
             callback(t, y)
 
 
-def _flow_rhs(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """RHS of dA/dt = W G^T, dW/dt = A G with G = V - A^T W.
+def gd_pop_flow(a, w, v, t_max: float, tol: float, callback=None):
+    """Integrate dA/dt = W G^T, dW/dt = A G, G = V - A^T W, by rk4.
 
-    y is the flat state (A, W), A (d, d) and W (d, T) raveled; V
-    (..., d, T) holds the signed targets s_i w_star as columns, T = 1
-    for the single-task flow. y and V share any leading batch axes.
+    a is (..., d, d), w (..., d, T) and v, the signed targets s_i w_star
+    as columns, (..., d, T); T = 1 for one task. Every step takes
+    h = min(1e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A.
+    callback(t, a, w), if given, runs after every step. Returns
+    (a, w, converged), converged as rk4 decides it for the whole batch.
     """
-    *batch, d, t = v.shape
-    a = y[..., :d * d].reshape(*batch, d, d)
-    w = y[..., d * d:].reshape(v.shape)
-    g = v - a.swapaxes(-1, -2) @ w
-    da = w @ g.swapaxes(-1, -2)
-    return np.concatenate([da.reshape(*batch, d * d), (a @ g).reshape(*batch, d * t)], axis=-1)
+    v = np.asarray(v, dtype=np.float64)
+    *batch, d, k = v.shape
+    n = d * d
 
+    def unpack(y):
+        return y[..., :n].reshape(*batch, d, d), y[..., n:].reshape(v.shape)
 
-def _flow_step_size(y: np.ndarray, d: int) -> float:
-    """Fixed-step heuristic min(1e-3, 0.05 / (1 + ||A||_F^2)) on the flat
-    flow state, with the largest first layer of the batch."""
-    a = y[..., :d * d]
-    return min(1e-3, 0.05 / (1.0 + float((a * a).sum(axis=-1).max())))
+    def rhs(y):
+        a, w = unpack(y)
+        g = v - a.swapaxes(-1, -2) @ w
+        return np.concatenate([(w @ g.swapaxes(-1, -2)).reshape(*batch, n),
+                               (a @ g).reshape(*batch, d * k)], axis=-1)
+
+    def step(y):
+        return min(1e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
+
+    y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
+    report = None if callback is None else lambda t, y: callback(t, *unpack(y))
+    y, converged = rk4(rhs, y0, t_max, step, tol, report)
+    return (*unpack(y), converged)
 
 
 def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
                         t_max: float = 1e4, tol: float = 1e-10,
                         callback=None):
-    """Integrate the population flow by rk4 until the RHS is small.
-
-    Returns (TwoLayerParams, converged). The step size is recomputed
-    every step by _flow_step_size. callback, if given, is called as
-    callback(t, a_matrix, w) after every step.
-    """
-    d = params.d
-    v = task.target[:, None]
-    y0 = np.concatenate([params.first_dense().ravel(), params.second])
-
-    def unpack(y):
-        return y[:d * d].reshape(d, d), y[d * d:]
-
-    report = None if callback is None else lambda t, y: callback(t, *unpack(y))
-    y, converged = rk4(lambda y: _flow_rhs(y, v), y0, t_max,
-                       lambda y: _flow_step_size(y, d), tol, report)
-    return TwoLayerParams(*unpack(y)), converged
+    """gd_pop_flow on one pair and one task; returns (TwoLayerParams,
+    converged) and calls callback(t, a_matrix, w) after every step."""
+    report = None if callback is None else lambda t, a, w: callback(t, a, w[:, 0])
+    a, w, converged = gd_pop_flow(params.first_dense(), params.second[:, None],
+                                  task.target[:, None], t_max, tol, report)
+    return TwoLayerParams(a, w[:, 0]), converged
 
 
 def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):

@@ -359,6 +359,44 @@ def test_bad_w0_spec_is_config_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("args,key", [
+    (["risk", "--family", "gd2_reg", "--alpha", "-2"], "alpha"),
+    (["risk", "--family", "gd2_reg", "--alpha", "1e300"], "alpha"),
+    (["risk", "--family", "gd2_reg", "--lam", "-1"], "lam"),
+    (["separation", "--alpha-target", "1e100", "--convex-grid", "2",
+      "--nonconvex-grid", "2"], "alpha_target"),
+    (["risk", "--w0", "random:nan"], "w0"),
+    (["risk", "--w0", "random:inf"], "w0"),
+    (["risk", "--w0", "random:abc"], "w0"),
+], ids=["gd2_reg-negative-alpha", "gd2_reg-alpha-overflow", "gd2_reg-negative-lam",
+        "separation-alpha_target-overflow", "w0-nan", "w0-inf", "w0-text"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, args, key):
+    # a value that leaves its formula's domain (alpha^1.5, the RepLearn task
+    # count, the w0 scale) is a config error naming its key, not a
+    # traceback or a divergent learner
+    out = str(tmp_path / "x")
+    assert _run([*args, "--d", "3", "--trials", "4", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args,message", [
+    (["growth", "--t-list", "10", "--seeds", "2", "--r", "1e154"],
+     "x.csv: a_final is nan"),
+    (["dynamics", "--r", "1e154"], "spike and bulk must be finite, got nan and 0.1"),
+    (["dynamics", "--r", "1e155"], "spike and bulk must be finite, got nan and 0.1"),
+], ids=["growth", "dynamics", "dynamics-r-overflow"])
+def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, message):
+    # at r >= 1e154 the Reptile meta-step's 4 r^2 overflows; the NaN it
+    # leaves must not reach a data file
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _run([*args, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ") and err.endswith(message + "\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_passes_and_perturb_fails(tmp_path):
     out = str(tmp_path / "verify")
     assert _run(["verify", "--out", out]) == 0

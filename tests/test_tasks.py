@@ -11,6 +11,12 @@ def test_from_config_e1():
     assert inst.r == 2.0 and inst.d == 4
 
 
+def test_r_is_exact_without_overflow():
+    # r is the norm of r e1 bit for bit, also where r^2 overflows or underflows
+    for r in (1.0, 0.3, 2.0 ** 0.5, 1e154, 1e155, 1e300, 1e-160, 5e-324):
+        assert MetaInstance.from_config(5, r, 0.0).r == r
+
+
 def test_from_config_validation():
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):

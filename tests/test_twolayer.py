@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,25 @@ def test_flow_nonconverged_flag():
     params = TwoLayerParams(first, np.zeros(3))
     _, converged = gd_pop_flow_numeric(params, Task(inst, 1), t_max=0.01, tol=1e-14)
     assert not converged
+
+
+def test_flow_output_bytes_pinned():
+    # sha256 of the flow's final state on a dense, non-spiked start: the
+    # step rule and the arithmetic order of the RHS in bytes
+    inst = MetaInstance.from_config(3, 1.5, 0.0)
+    first = np.eye(3) + 0.3 * gaussian_matrix(SeedSpec(7), 3, 3)
+    params = TwoLayerParams(first, 0.2 * gaussian_vector(SeedSpec(8), 3))
+    shapes = set()
+    out, converged = gd_pop_flow_numeric(params, Task(inst, -1), t_max=3.0, tol=1e-10,
+                                         callback=lambda t, a, w: shapes.add((a.shape, w.shape)))
+    assert not converged and shapes == {((3, 3), (3,))}
+    assert out.second.shape == (3,)
+    digest = hashlib.sha256(out.first_dense().tobytes() + out.second.tobytes()).hexdigest()
+    assert digest == "9665943e301da78121c323f4dc467b84b06a72f0c22213d77aae247320eb2610"
+    a, w, converged = oracles.replearn_joint_flow(inst, [1, -1, 1], 0.1, t_max=3.0, tol=1e-9)
+    assert not converged and a.shape == (3, 3) and w.shape == (3, 3)
+    digest = hashlib.sha256(a.tobytes() + w.tobytes()).hexdigest()
+    assert digest == "d5d45a34bfc8760770bd4530762de18cd90dc626de8c4396e7b294df8f531d8e"
 
 
 def test_rk4_is_fourth_order():
