@@ -18,11 +18,12 @@ sha256 of each data file. Data files contain no timestamps and are
 byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error,
-3 numerical failure (linalg.NumericalError: a matrix that must be
-positive definite is not, a vector that must lie in a matrix's range
-does not, a computed spike is not finite, or a value bound for a CSV or
-JSON file is inf or NaN; risk points are the exception, written with
-null mean and stderr). A run that fails writes no data file.
+3 numerical failure (linalg.NumericalError: a computed matrix is not
+finite, a matrix that must be positive definite is not, a vector that
+must lie in a matrix's range does not, a computed spike or a growth a_T
+is not finite, or a value bound for a CSV or JSON file is inf or NaN;
+risk points are the exception, written with null mean and stderr). A
+run that fails writes no data file.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ _ALG = {"family": "gd_reg", "lam": 0.0, "eta": 0.1, "t0": 100, "alpha": 1.0,
         "kappa": 0.1, "w0": "zero", "d": 20, "r": 1.0, "sigma": 1.0}
 
 _OPTIONS = {
-    "dynamics": {**_COMMON, "t_tasks": 1000, "tau": 0.3, "kappa": 0.1,
-                 "r": 1.0, "d": 2},
+    "dynamics": {**_COMMON, "t_tasks": 1000, "tau": 0.3, "kappa": 0.1, "r": 1.0},
     "growth": {**_COMMON, "t_list": [1000, 10000, 100000], "seeds": 20,
                "delta": 0.1, "kappa": 0.1, "r": 1.0, "d": 2},
     "separation": {**_COMMON, **_WORKERS, "d": 50, "r": 1.0, "sigma": 1.0,
@@ -224,7 +224,8 @@ def _sha256(path: str) -> str:
 
 def cmd_dynamics(cfg: dict):
     spec = ReptileSpec(cfg["tau"], cfg["kappa"], cfg["t_tasks"])
-    inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
+    # the meta-step reads only r, so d = 1 serves every instance
+    inst = MetaInstance.from_config(1, cfg["r"], 0.0)
     _, traj = run_reptile(spec, inst, SeedSpec(cfg["seed"]))
     a_list, b_list = traj.a_values.tolist(), traj.b_values.tolist()
     rows = list(zip(range(len(a_list)), [0] + traj.signs, a_list, b_list))
@@ -263,6 +264,8 @@ def cmd_growth(cfg: dict):
         hits = 0
         for si in range(cfg["seeds"]):
             a_t = reptile_spike(spec, inst, master.child(ti, si))
+            if not math.isfinite(a_t):
+                raise NumericalError(f"a_final is {a_t!r} at T={t_tasks}, seed index {si}")
             ok = a_t >= bound
             hits += int(ok)
             rows.append((t_tasks, tau, si, a_t, bound, ok))

@@ -7,12 +7,13 @@ Two training rules, both started at a meta-learned point w0:
 * gd_reg: the limit of gradient flow on the ridge-regularized empirical
   loss with penalty (lam / 2) ||w||^2.
 
-Both are affine in the data, so they reduce to the generic linear
-dynamics w' = -(M w - b) (flow) or w_{k+1} = w_k - eta (M w_k - b)
-(iteration), with M = X^T X / n and b = X^T y / n. The generic solvers
-below diagonalize M and require b to lie in the range of M; the data
-case satisfies this automatically because X^T y is in the row space
-of X.
+Both are affine in the data, so they reduce to the linear dynamics
+w' = -(M w - b) (flow) or w_{k+1} = w_k - eta (M w_k - b) (iteration),
+with M = X^T X / n and b = X^T y / n. Each is one spectral function of
+M: learner_factors gives its per-eigenvalue factors and _spectral_solve
+applies them in M's eigenbasis, after checking that b lies in the range
+of M; the data case satisfies this automatically because X^T y is in
+the row space of X. linear_flow_solve is the flow on a generic (M, b).
 """
 
 from __future__ import annotations
@@ -91,13 +92,10 @@ def _step_factors(s: np.ndarray, eta: float, t: int):
     """Per-eigenvalue (decay, gain, null) of t steps w <- w - eta (M w - b),
     as _flow_factors. Warns if eta >= 2 / lambda_max, where the iteration
     diverges; divergent steps overflow to inf rather than raise, so
-    callers sweeping unstable (eta, t) grids get inf risk."""
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    callers sweeping unstable (eta, t) grids get inf risk. GdStepSpec
+    has checked 0 < eta < inf and t >= 0."""
     top = float(np.max(s[..., 0]))
-    if eta > 0 and top > 0 and eta >= 2.0 / top:
+    if top > 0 and eta >= 2.0 / top:
         warnings.warn(
             f"step size eta = {eta} is at or beyond the stability limit "
             f"2 / lambda_max = {2.0 / top:.3e}; the iteration diverges",
@@ -146,16 +144,6 @@ def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
     """
     eig = sym_eigen(m)
     return _spectral_solve(eig, b, w0, *_flow_factors(eig.eigenvalues, t))
-
-
-def linear_step_solve(m, b: np.ndarray, w0: np.ndarray, eta: float, t: int) -> np.ndarray:
-    """Iterate w <- w - eta (M w - b) for t steps from w0, in closed form.
-
-    Warns if eta >= 2 / lambda_max, where the iteration diverges.
-    eta = 0 is allowed and returns w0 for every t.
-    """
-    eig = sym_eigen(m)
-    return _spectral_solve(eig, b, w0, *_step_factors(eig.eigenvalues, eta, t))
 
 
 def _learner_solve(spec, ds: Dataset, w0: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ scalars (a, b), and the risk estimator and gd2_reg use as_dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,18 +39,14 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Apply the spectral function f(eigenvalues) as a matrix to x."""
-        v = self.eigenvectors
-        return v @ (f(self.eigenvalues) * (v.T @ x))
-
 
 def _checked_square(m: np.ndarray) -> np.ndarray:
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        # every caller passes a computed matrix, so this is a numerical failure
+        raise NumericalError("matrix has non-finite entries")
     return symmetrize(a)
 
 

@@ -87,14 +87,13 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
     return ScalarPair(*flow_limit(state.gap, r, s))
 
 
-def rk4(rhs, y, t_max: float, step, tol: float, callback=None):
+def rk4(rhs, y, t_max: float, step, tol: float):
     """Classical RK4, without error control, on a flat state y (..., n).
 
     Each step takes one size h = step(y), shared across the batch.
     Integration stops with converged True as soon as the largest row
     norm of rhs(y) is below tol; if t_max is reached first, converged
-    is that same test at the final state. callback, if given, is
-    called as callback(t, y) after every step. Returns (y, converged).
+    is that same test at the final state. Returns (y, converged).
     """
     y = np.asarray(y, dtype=np.float64)
     t = 0.0
@@ -110,18 +109,17 @@ def rk4(rhs, y, t_max: float, step, tol: float, callback=None):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        if callback is not None:
-            callback(t, y)
 
 
-def gd_pop_flow(a, w, v, t_max: float, tol: float, callback=None):
+def gd_pop_flow(a, w, v, t_max: float, tol: float):
     """Integrate dA/dt = W G^T, dW/dt = A G, G = V - A^T W, by rk4.
 
     a is (..., d, d), w (..., d, T) and v, the signed targets s_i w_star
     as columns, (..., d, T); T = 1 for one task. Every step takes
-    h = min(1e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A.
-    callback(t, a, w), if given, runs after every step. Returns
-    (a, w, converged), converged as rk4 decides it for the whole batch.
+    h = min(1e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A, a
+    function of the state alone, so a flow stopped at t and restarted
+    takes the same steps. Returns (a, w, converged), converged as rk4
+    decides it for the whole batch.
     """
     v = np.asarray(v, dtype=np.float64)
     *batch, d, k = v.shape
@@ -140,19 +138,16 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float, callback=None):
         return min(1e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
 
     y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
-    report = None if callback is None else lambda t, y: callback(t, *unpack(y))
-    y, converged = rk4(rhs, y0, t_max, step, tol, report)
+    y, converged = rk4(rhs, y0, t_max, step, tol)
     return (*unpack(y), converged)
 
 
 def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
-                        t_max: float = 1e4, tol: float = 1e-10,
-                        callback=None):
+                        t_max: float = 1e4, tol: float = 1e-10):
     """gd_pop_flow on one pair and one task; returns (TwoLayerParams,
-    converged) and calls callback(t, a_matrix, w) after every step."""
-    report = None if callback is None else lambda t, a, w: callback(t, a, w[:, 0])
+    converged)."""
     a, w, converged = gd_pop_flow(params.first_dense(), params.second[:, None],
-                                  task.target[:, None], t_max, tol, report)
+                                  task.target[:, None], t_max, tol)
     return TwoLayerParams(a, w[:, 0]), converged
 
 
@@ -182,4 +177,5 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     a_dense = as_dense(a0)
     eig = _ridge_eigen(lam, a_dense, emp_covariance(ds))
     b = a_dense @ (ds.x.T @ ds.y / ds.n)
-    return TwoLayerParams(a0, eig.apply(lambda s: 1.0 / s, b))
+    v = eig.eigenvectors
+    return TwoLayerParams(a0, v @ ((1.0 / eig.eigenvalues) * (v.T @ b)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metasep.linalg import SpikedIdentity, sym_eigen
-from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
+from metasep.rng import SeedSpec, gaussian_matrix
 
 
 def _random_sym(seed, d):
@@ -43,15 +43,6 @@ def test_eigen_rejects_nonsquare_and_nonfinite():
         sym_eigen(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_eigen_apply_spectral_function():
-    m = _random_sym(11, 5)
-    m = m @ m  # PSD
-    e = sym_eigen(m)
-    v = gaussian_vector(SeedSpec(12), 5)
-    out = e.apply(lambda s: s ** 2, v)
-    assert np.allclose(out, m @ (m @ v), atol=1e-9)
 
 
 def test_spiked_dense_cases():

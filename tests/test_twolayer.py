@@ -76,22 +76,21 @@ def test_flow_reaches_closed_form_and_conserves_gap():
     inst = MetaInstance.from_config(4, 1.0, 0.0)
     a0, b0, kappa = 0.5, 0.0, 0.1
     first = SpikedIdentity(inst.w_star, a0, kappa).to_dense()
-    params = TwoLayerParams(first, np.zeros(4))
-    gaps = []
-
-    def watch(t, a_mat, w_vec):
-        a = inst.w_star @ a_mat @ inst.w_star
-        b = inst.w_star @ w_vec
-        gaps.append(a * a - b * b)
-
-    out, converged = gd_pop_flow_numeric(params, Task(inst, 1), t_max=300.0,
-                                         tol=1e-9, callback=watch)
+    out = TwoLayerParams(first, np.zeros(4))
+    drift = 0.0
+    # segments of t = 2 up to t = 300, checking the gap after each; the
+    # step size depends only on the state, so the steps are those of one run
+    for _ in range(150):
+        out, converged = gd_pop_flow_numeric(out, Task(inst, 1), t_max=2.0, tol=1e-9)
+        a_num = inst.w_star @ out.first_dense() @ inst.w_star
+        b_num = inst.w_star @ out.second
+        drift = max(drift, abs(a_num * a_num - b_num * b_num - (a0 ** 2 - b0 ** 2)))
+        if converged:
+            break
     assert converged
     fp = gd_pop_fixed_point(ScalarPair(a0, b0), kappa, 1.0, 1)
-    a_num = inst.w_star @ out.first_dense() @ inst.w_star
-    b_num = inst.w_star @ out.second
     assert abs(a_num - fp.a) < 1e-6 and abs(b_num - fp.b) < 1e-6
-    assert max(abs(g - (a0 ** 2 - b0 ** 2)) for g in gaps) < 1e-8
+    assert drift < 1e-8
     # the dense first layer never leaves spiked form
     spiked = SpikedIdentity(inst.w_star, float(a_num), kappa).to_dense()
     assert np.linalg.norm(out.first_dense() - spiked) <= 1e-8 * np.linalg.norm(spiked)
@@ -111,11 +110,9 @@ def test_flow_output_bytes_pinned():
     inst = MetaInstance.from_config(3, 1.5, 0.0)
     first = np.eye(3) + 0.3 * gaussian_matrix(SeedSpec(7), 3, 3)
     params = TwoLayerParams(first, 0.2 * gaussian_vector(SeedSpec(8), 3))
-    shapes = set()
-    out, converged = gd_pop_flow_numeric(params, Task(inst, -1), t_max=3.0, tol=1e-10,
-                                         callback=lambda t, a, w: shapes.add((a.shape, w.shape)))
-    assert not converged and shapes == {((3, 3), (3,))}
-    assert out.second.shape == (3,)
+    out, converged = gd_pop_flow_numeric(params, Task(inst, -1), t_max=3.0, tol=1e-10)
+    assert not converged
+    assert out.first_dense().shape == (3, 3) and out.second.shape == (3,)
     digest = hashlib.sha256(out.first_dense().tobytes() + out.second.tobytes()).hexdigest()
     assert digest == "9665943e301da78121c323f4dc467b84b06a72f0c22213d77aae247320eb2610"
     a, w, converged = oracles.replearn_joint_flow(inst, [1, -1, 1], 0.1, t_max=3.0, tol=1e-9)
@@ -137,13 +134,12 @@ def test_rk4_is_fourth_order():
 
 def test_rk4_converged_flag():
     # rows decay from 1 and from 100; the RHS norm of a row is its value, so
-    # convergence waits for the first step after 100 exp(-t) falls below 0.5
-    times = []
+    # convergence stops at the first state below 0.5, one step of about
+    # exp(-1/64) after the last one at or above it
     y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 100.0,
-                       lambda y: 1.0 / 64.0, tol=0.5, callback=lambda t, y: times.append(t))
+                       lambda y: 1.0 / 64.0, tol=0.5)
     assert converged
-    assert float(np.max(np.abs(y))) < 0.5
-    assert math.log(200.0) < times[-1] <= math.log(200.0) + 1.0 / 64.0
+    assert 0.5 * math.exp(-1.0 / 64.0) < float(np.max(np.abs(y))) < 0.5
     # the t_max budget runs out first
     y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 1.0,
                        lambda y: 1.0 / 64.0, tol=0.5)
