@@ -20,10 +20,10 @@ byte-identical for a fixed seed regardless of --workers.
 Exit codes: 0 success, 1 verification-suite failure, 2 config error,
 3 numerical failure (linalg.NumericalError: a computed matrix is not
 finite, a matrix that must be positive definite is not, a vector that
-must lie in a matrix's range does not, a computed spike or a growth a_T
-is not finite, or a value bound for a CSV or JSON file is inf or NaN;
-risk points are the exception, written with null mean and stderr). A
-run that fails writes no data file.
+must lie in a matrix's range does not, a computed spike, a dynamics
+meta-step or a growth a_T is not finite, or a value bound for a CSV or
+JSON file is inf or NaN; risk points are the exception, written with
+null mean and stderr). A run that fails writes no data file.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_spike, re
 from .rng import SeedSpec, gaussian_vector
 from .tasks import MetaInstance
 from .twolayer import flow_limit
-from .risk import (AlgSpec, convex_lower_bound_exact, mc_excess_risk, point_record,
-                   risk_record, sample_complexity_search)
+from .risk import AlgSpec, convex_lower_bound_exact, mc_excess_risk, sample_complexity_search
 
 
 class ConfigError(Exception):
@@ -191,13 +190,19 @@ def _render(path: str, body) -> str:
         raise NumericalError(f"cannot write {path}: {exc}") from exc
 
 
-def write_json(path: str, obj) -> None:
-    _write(path, _render(path, obj))
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _finite_or_none(x: float):
+    """x, or None (JSON null) when inf or NaN: strict JSON has no such numbers."""
+    return x if math.isfinite(x) else None
+
+
+def _point_record(n: int, est) -> dict:
+    """JSON-ready record of one search point and its RiskEstimate."""
+    return {"n": n, "mean": _finite_or_none(est.mean), "stderr": _finite_or_none(est.stderr)}
 
 
 def _report_nonfinite(command: str, estimates) -> None:
@@ -226,8 +231,11 @@ def cmd_dynamics(cfg: dict):
     spec = ReptileSpec(cfg["tau"], cfg["kappa"], cfg["t_tasks"])
     # the meta-step reads only r, so d = 1 serves every instance
     inst = MetaInstance.from_config(1, cfg["r"], 0.0)
-    _, traj = run_reptile(spec, inst, SeedSpec(cfg["seed"]))
+    traj = run_reptile(spec, inst, SeedSpec(cfg["seed"]))
     a_list, b_list = traj.a_values.tolist(), traj.b_values.tolist()
+    for i, (a, b) in enumerate(zip(a_list, b_list)):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NumericalError(f"meta-step {i} is not finite: a = {a}, b = {b}")
     rows = list(zip(range(len(a_list)), [0] + traj.signs, a_list, b_list))
     geometry = []
     for i, (s, a, b) in enumerate(zip(traj.signs, a_list, b_list)):
@@ -326,7 +334,7 @@ def cmd_separation(cfg: dict):
         "separation", "convex",
         [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]],
         inst, cfg, cfg["convex_grid"], master.child(0), stages)
-    sweep = [{"lam": lam, "n_eps": found, "points": [point_record(n, e) for n, e in pts]}
+    sweep = [{"lam": lam, "n_eps": found, "points": [_point_record(n, e) for n, e in pts]}
              for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
     convex_n = min((found for found in convex_found if found is not None), default=None)
 
@@ -345,7 +353,7 @@ def cmd_separation(cfg: dict):
                    "sweep": sweep},
         "nonconvex": {"n_eps": nonconvex_n, "alpha": alpha,
                       "t_tasks": t_tasks, "lam": lam2,
-                      "points": [point_record(n, e) for n, e in points]},
+                      "points": [_point_record(n, e) for n, e in points]},
     }
     _report_nonfinite("separation", [e for pts in convex_points + [points] for _, e in pts])
     print(f"separation: convex n_eps={convex_n} nonconvex n_eps={nonconvex_n} "
@@ -400,7 +408,8 @@ def cmd_risk(cfg: dict):
     alg = _make_alg(cfg, inst, seed)
     est = mc_excess_risk(alg, inst, cfg["n"], cfg["trials"], seed,
                          workers=cfg["workers"])
-    record = risk_record(alg, inst, cfg["n"], est, seed)
+    record = {"alg": alg.label(), "d": inst.d, "r": inst.r, "sigma": inst.sigma,
+              "trials": est.trials, "seed": seed.master_seed, **_point_record(cfg["n"], est)}
     _report_nonfinite("risk", [est])
     print(f"risk: {record['alg']} n={cfg['n']} mean={est.mean:.6g} "
           f"stderr={est.stderr:.3g}")
@@ -416,7 +425,7 @@ def cmd_nsearch(cfg: dict):
     result = {
         "epsilon": cfg["epsilon"],
         "n_eps": found,
-        "points": [point_record(n, e) for n, e in points],
+        "points": [_point_record(n, e) for n, e in points],
     }
     _report_nonfinite("nsearch", [e for _, e in points])
     print(f"nsearch: n_eps={found}")
@@ -459,7 +468,8 @@ def main(argv=None) -> int:
                  for ext, body in files.items()}
         for path, text in texts.items():
             _write(path, text)
-        write_json(cfg["out"] + ".manifest.json", {
+        manifest = cfg["out"] + ".manifest.json"
+        _write(manifest, _render(manifest, {
             **echo,
             "command": args.command,
             "version": __version__,
@@ -469,7 +479,7 @@ def main(argv=None) -> int:
                             "threads": {k: v for k, v in sorted(os.environ.items())
                                         if k.endswith("_NUM_THREADS")}},
             **extra,
-        })
+        }))
         return code
     except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenDecomposition, NumericalError, sym_eigen
+from .linalg import NumericalError, sym_eigen
 from .tasks import Dataset, emp_covariance
 
 _RANGE_RTOL = 1e-8
@@ -122,10 +122,9 @@ def learner_factors(spec, s: np.ndarray):
     return _step_factors(s, spec.eta, spec.t0)
 
 
-def _spectral_solve(eig: EigenDecomposition, b: np.ndarray, w0: np.ndarray,
+def _spectral_solve(v: np.ndarray, b: np.ndarray, w0: np.ndarray,
                     decay: np.ndarray, gain: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """V (decay V^T w0 + gain V^T b), after checking that b is in range(M)."""
-    v = eig.eigenvectors
+    """v (decay v^T w0 + gain v^T b) for M's eigenvectors v, after checking b in range(M)."""
     beta = v.T @ b
     resid = float(np.linalg.norm(beta[null]))
     scale = float(np.linalg.norm(b))
@@ -142,14 +141,13 @@ def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
     M must be symmetric PSD and b must lie in range(M) to within
     relative tolerance 1e-8.
     """
-    eig = sym_eigen(m)
-    return _spectral_solve(eig, b, w0, *_flow_factors(eig.eigenvalues, t))
+    s, v = sym_eigen(m)
+    return _spectral_solve(v, b, w0, *_flow_factors(s, t))
 
 
 def _learner_solve(spec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
-    eig = sym_eigen(emp_covariance(ds))
-    return _spectral_solve(eig, ds.x.T @ ds.y / ds.n, w0,
-                           *learner_factors(spec, eig.eigenvalues))
+    s, v = sym_eigen(emp_covariance(ds))
+    return _spectral_solve(v, ds.x.T @ ds.y / ds.n, w0, *learner_factors(spec, s))
 
 
 def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:

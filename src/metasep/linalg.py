@@ -32,14 +32,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order; eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _checked_square(m: np.ndarray) -> np.ndarray:
     a = np.array(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,11 +42,12 @@ def _checked_square(m: np.ndarray) -> np.ndarray:
     return symmetrize(a)
 
 
-def sym_eigen(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK (numpy eigh),
-    eigenvalues in descending order."""
+def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (s, v) of a symmetric matrix by LAPACK (numpy
+    eigh): the eigenvalues s in descending order and the eigenvectors as
+    the columns of v, so that m = v diag(s) v^T."""
     s, v = np.linalg.eigh(_checked_square(m))
-    return EigenDecomposition(s[::-1], v[:, ::-1])
+    return s[::-1], v[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,9 @@ class SpikedIdentity:
             # config values arrive checked finite, so a non-finite one was computed
             raise NumericalError(f"spike and bulk must be finite, got {self.spike} and {self.bulk}")
 
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
     def to_dense(self) -> np.ndarray:
         w = self.direction
-        return (self.spike - self.bulk) * np.outer(w, w) + self.bulk * np.eye(self.dim)
+        return (self.spike - self.bulk) * np.outer(w, w) + self.bulk * np.eye(w.shape[0])
 
 
 def as_dense(a) -> np.ndarray:

@@ -16,7 +16,7 @@ tests/test_meta_learners.py::test_reptile_steps_equal_flow_limit_exactly
 pins the copy to flow_limit bit for bit. reptile_spike runs the loop once
 and keeps only a_T; run_reptile steps it one sign at a time and stores
 the trajectory as two float64 arrays. The meta-output is the first layer
-only.
+only, which a_T determines.
 
 RepLearn: joint gradient flow on the summed multi-task objective with
 one shared first layer and per-task second layers. Its limit has the
@@ -101,13 +101,12 @@ def reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> floa
     return _reptile_steps(spec.kappa, 0.0, _signs(spec, seed), spec.tau, inst.r)[0]
 
 
-def run_reptile(spec: ReptileSpec, inst: MetaInstance,
-                seed: SeedSpec) -> tuple[SpikedIdentity, ScalarTrajectory]:
-    """Run the scalar Reptile recursion from (kappa, 0) over T drawn signs.
-
-    Returns the learned first layer (a_T - kappa) w_hat w_hat^T +
-    kappa I and the full trajectory; the final second layer is
-    discarded, matching the meta-algorithm's output contract.
+def run_reptile(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> ScalarTrajectory:
+    """Run the scalar Reptile recursion from (kappa, 0) over T drawn signs
+    and return the trajectory. The learned first layer is
+    (a_T - kappa) w_hat w_hat^T + kappa I for its last a; the final
+    second layer is discarded. A step that overflows is stored as inf or
+    NaN, not raised.
     """
     r, tau = inst.r, spec.tau
     signs = _signs(spec, seed)
@@ -117,8 +116,8 @@ def run_reptile(spec: ReptileSpec, inst: MetaInstance,
         a, b = _reptile_steps(a, b, (s,), tau, r)
         a_list.append(a)
         b_list.append(b)
-    return SpikedIdentity(inst.w_star / r, a, spec.kappa), ScalarTrajectory(
-        np.array(a_list, dtype=np.float64), np.array(b_list, dtype=np.float64), signs)
+    return ScalarTrajectory(np.array(a_list, dtype=np.float64),
+                            np.array(b_list, dtype=np.float64), signs)
 
 
 def reptile_tau_schedule(t_tasks: int, delta: float) -> float:

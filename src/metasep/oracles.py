@@ -44,7 +44,7 @@ from .meta_learners import ScalarTrajectory, replearn_alpha
 from .risk import AlgSpec, _convex_risk, _estimate, _twolayer_risk
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
-from .twolayer import ScalarPair, flow_limit, gd2_reg, gd_pop_fixed_point, gd_pop_flow
+from .twolayer import flow_limit, gd2_reg, gd_pop_flow
 
 
 def linear_flow_rk4(m: np.ndarray, b: np.ndarray, w0: np.ndarray,
@@ -140,9 +140,9 @@ def run_reptile_matrix(tau: float, kappa: float, inst: MetaInstance, signs):
     for s in signs:
         a_coord = float(w_hat @ a_mat @ w_hat)
         b_coord = float(w_hat @ w_vec)
-        fp = gd_pop_fixed_point(ScalarPair(a_coord, b_coord), kappa, r, int(s))
-        a_bar_mat = a_mat + (fp.a - a_coord) * outer
-        w_bar_vec = w_vec + (fp.b - b_coord) * w_hat
+        a_bar, b_bar = flow_limit(a_coord * a_coord - b_coord * b_coord, r, int(s))
+        a_bar_mat = a_mat + (a_bar - a_coord) * outer
+        w_bar_vec = w_vec + (b_bar - b_coord) * w_hat
         a_mat = (1.0 - tau) * a_mat + tau * a_bar_mat
         w_vec = (1.0 - tau) * w_vec + tau * w_bar_vec
         a_coord = float(w_hat @ a_mat @ w_hat)

@@ -33,6 +33,7 @@ seed.child(t, 1, 0) and the label noise seed.child(t, 1, 1).
 mc_excess_risk_many scores every algorithm of a sweep on the same
 spectra and designs (paired sampling), and sample_complexity_search
 runs it once per grid point for every algorithm still searching.
+This module only computes; cli writes the estimates to file records.
 """
 
 from __future__ import annotations
@@ -117,9 +118,8 @@ def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
 def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarray,
                    n: int, sigma2: float) -> float:
     """E[excess | X] of second-layer ridge on the frozen first layer a."""
-    eig = _ridge_eigen(lam, a, cov)
-    v = eig.eigenvectors
-    q = (a.T @ v / eig.eigenvalues) @ (v.T @ a)
+    s, v = _ridge_eigen(lam, a, cov)
+    q = (a.T @ v / s) @ (v.T @ a)
     qs = q @ cov
     err = qs @ w_star - w_star
     return float(err @ err) + sigma2 / n * float(np.sum(qs * q))
@@ -247,29 +247,3 @@ def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
             break
     return found
 
-
-def _finite_or_none(x: float):
-    """x, or None (JSON null) when it is inf or NaN: strict JSON has no
-    non-finite numbers."""
-    return x if math.isfinite(x) else None
-
-
-def point_record(n: int, est: RiskEstimate) -> dict:
-    """JSON-ready record of one search point."""
-    return {"n": n, "mean": _finite_or_none(est.mean), "stderr": _finite_or_none(est.stderr)}
-
-
-def risk_record(alg: AlgSpec, inst: MetaInstance, n: int,
-                est: RiskEstimate, seed: SeedSpec) -> dict:
-    """JSON-ready record of one risk query."""
-    return {
-        "alg": alg.label(),
-        "d": inst.d,
-        "n": n,
-        "r": inst.r,
-        "sigma": inst.sigma,
-        "mean": _finite_or_none(est.mean),
-        "stderr": _finite_or_none(est.stderr),
-        "trials": est.trials,
-        "seed": seed.master_seed,
-    }

@@ -152,16 +152,17 @@ def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
 
 
 def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
-    """Eigendecomposition of the second-layer ridge matrix A0 S A0^T + lam I,
-    checked positive definite."""
+    """Eigendecomposition (s, v) of the second-layer ridge matrix
+    A0 S A0^T + lam I, as sym_eigen returns it, checked positive definite."""
     if lam <= 0.0:
         raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
-    eig = sym_eigen(a_dense @ cov @ a_dense.T + lam * np.eye(cov.shape[0]))
-    low = float(eig.eigenvalues[-1])
-    if low <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigen rejects inf and NaN
+        m = a_dense @ cov @ a_dense.T + lam * np.eye(cov.shape[0])
+    s, v = sym_eigen(m)
+    if s[-1] <= 0.0:
         raise NotPsdError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
-                          f"smallest eigenvalue {low:.3e}")
-    return eig
+                          f"smallest eigenvalue {s[-1]:.3e}")
+    return s, v
 
 
 def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
@@ -175,7 +176,6 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     (symmetrized) ridge matrix without a positive smallest eigenvalue.
     """
     a_dense = as_dense(a0)
-    eig = _ridge_eigen(lam, a_dense, emp_covariance(ds))
+    s, v = _ridge_eigen(lam, a_dense, emp_covariance(ds))
     b = a_dense @ (ds.x.T @ ds.y / ds.n)
-    v = eig.eigenvectors
-    return TwoLayerParams(a0, v @ ((1.0 / eig.eigenvalues) * (v.T @ b)))
+    return TwoLayerParams(a0, v @ ((1.0 / s) * (v.T @ b)))

@@ -139,7 +139,7 @@ def test_criterion_03_reptile_scalar_matrix_consistency():
     to 1e-10 in every (a_i, b_i)."""
     inst = MetaInstance.from_config(6, 1.0, 0.0)
     spec = ReptileSpec(0.3, 0.1, 20)
-    _, traj = run_reptile(spec, inst, SeedSpec(300))
+    traj = run_reptile(spec, inst, SeedSpec(300))
     mtraj, structure_resid = oracles.run_reptile_matrix(0.3, 0.1, inst, traj.signs)
     gap_a = float(np.max(np.abs(mtraj.a_values - traj.a_values)))
     gap_b = float(np.max(np.abs(mtraj.b_values - traj.b_values)))
@@ -157,7 +157,7 @@ def test_criterion_04_figure_configuration():
     envelope = reptile_fluctuation_bound(1000, 0.3, 0.05, 1.0)
     env_hits = 0
     for k in range(100):
-        _, traj = run_reptile(spec, inst, SeedSpec(400).child(k))
+        traj = run_reptile(spec, inst, SeedSpec(400).child(k))
         a, b = traj.a_values, traj.b_values
         assert np.all(np.diff(a) >= 0.0), f"a decreased in run {k}"
         assert np.max(np.abs(a * b)) <= 1.0 + 1e-10, f"|ab| > r in run {k}"

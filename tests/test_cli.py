@@ -92,6 +92,8 @@ _GOLDEN = {
                          "--epsilon", "0.3", "--n-grid", "4,8,16,32", "--trials", "40",
                          "--seed", "0"],
                         {".json": "242e99d6a6702956f1d262751a037dce24b3629421e52a43f53e57042517ccdb"}),
+    "risk": (["risk", "--d", "6", "--n", "8", "--lam", "0.5", "--trials", "60", "--seed", "0"],
+             {".json": "b56c0ed94ec0b588b9afd55e9ef511f26a748d449e84b59cdbecf10860396d28"}),
     "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
@@ -129,9 +131,8 @@ def test_divergent_risk_writes_strict_json(tmp_path, capsys):
 
 
 def test_write_json_rejects_nan(tmp_path):
-    with pytest.raises(NumericalError):
-        cli.write_json(str(tmp_path / "nan.json"), {"x": float("nan")})
-    assert not (tmp_path / "nan.json").exists()
+    with pytest.raises(NumericalError, match="cannot write .*nan.json"):
+        cli._render(str(tmp_path / "nan.json"), {"x": float("nan")})
 
 
 def test_separation_progress_and_stages(tmp_path, capsys):
@@ -384,7 +385,7 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, args, key):
 @pytest.mark.parametrize("args,message", [
     (["growth", "--t-list", "10,20", "--seeds", "2", "--kappa", "1e200"],
      "a_final is nan at T=10, seed index 0"),
-    (["dynamics", "--kappa", "1e200"], "spike and bulk must be finite, got nan and 1e+200"),
+    (["dynamics", "--kappa", "1e200"], "meta-step 1 is not finite: a = inf, b = nan"),
 ], ids=["growth", "dynamics"])
 def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, message):
     # at kappa = 1e200 the Reptile meta-step's a^2 overflows; the run stops
@@ -410,9 +411,10 @@ def test_overflowing_r_is_config_error(tmp_path, capsys, args):
 
 def test_overflowing_matrix_is_numerical_failure(tmp_path, capsys):
     # alpha = 1e200 is a finite config value, but the ridge matrix A S A^T
-    # built from it overflows: a numerical failure, not a config error
+    # built from it overflows: a numerical failure, not a config error, and
+    # the one stderr line is the error, not a numpy overflow warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert _run(["risk", "--family", "gd2_reg", "--alpha", "1e200", "--lam", "1",
                      "--d", "3", "--trials", "4", "--out", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err == ("error: numerical failure: "

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from metasep.linalg import SpikedIdentity
 from metasep.meta_learners import (ReptileSpec, ScalarTrajectory, _reptile_steps,
                                    bad_minimizer, replearn_alpha, replearn_loss,
                                    replearn_tasks_for_alpha,
@@ -59,14 +58,13 @@ def test_run_reptile_equals_reference_exactly(tau):
         for k in range(3):
             seed = SeedSpec(17).child(t_tasks, k)
             spec = ReptileSpec(tau, 0.1, t_tasks)
-            learned, traj = run_reptile(spec, inst, seed)
+            traj = run_reptile(spec, inst, seed)
             signs = [int(s) for s in rademacher_signs(seed, t_tasks)]
             assert traj.signs == signs
             a_ref, b_ref = _reference_trajectory(tau, 0.1, inst.r, signs)
             assert traj.a_values.dtype == np.float64
             assert np.array_equal(traj.a_values, a_ref)
             assert np.array_equal(traj.b_values, b_ref)
-            assert learned.spike == a_ref[-1]
             assert reptile_spike(spec, inst, seed) == a_ref[-1]
 
 
@@ -90,12 +88,12 @@ def test_scalar_step_tau_limits():
     inst = MetaInstance.from_config(2, 1.0, 0.0)
     for k in range(4):
         seed = SeedSpec(5).child(k)
-        _, near_one = run_reptile(ReptileSpec(1.0 - 1e-12, 0.4, 1), inst, seed)
+        near_one = run_reptile(ReptileSpec(1.0 - 1e-12, 0.4, 1), inst, seed)
         fp = gd_pop_fixed_point(ScalarPair(0.4, 0.0), 0.0, 1.0, near_one.signs[0])
         a_ref, b_ref = _reference_trajectory(1.0 - 1e-12, 0.4, 1.0, near_one.signs)
         assert near_one.a_values[1] == a_ref[1] and near_one.b_values[1] == b_ref[1]
         assert np.isclose(near_one.a_values[1], fp.a) and np.isclose(near_one.b_values[1], fp.b)
-        _, near_zero = run_reptile(ReptileSpec(1e-12, 0.4, 1), inst, seed)
+        near_zero = run_reptile(ReptileSpec(1e-12, 0.4, 1), inst, seed)
         a_ref, b_ref = _reference_trajectory(1e-12, 0.4, 1.0, near_zero.signs)
         assert near_zero.a_values[1] == a_ref[1] and near_zero.b_values[1] == b_ref[1]
         assert np.isclose(near_zero.a_values[1], 0.4) and np.isclose(near_zero.b_values[1], 0.0)
@@ -103,7 +101,7 @@ def test_scalar_step_tau_limits():
 
 def test_scalar_step_figure_values():
     inst = MetaInstance.from_config(2, 1.0, 0.0)
-    _, traj = run_reptile(ReptileSpec(0.3, 0.1, 1), inst, SeedSpec(3))
+    traj = run_reptile(ReptileSpec(0.3, 0.1, 1), inst, SeedSpec(3))
     s = traj.signs[0]
     a_ref, b_ref = _reference_trajectory(0.3, 0.1, 1.0, [s])
     assert traj.a_values[1] == a_ref[1] and traj.b_values[1] == b_ref[1]
@@ -114,15 +112,15 @@ def test_scalar_step_figure_values():
 
 def test_run_reptile_t_zero():
     inst = MetaInstance.from_config(3, 1.0, 0.0)
-    learned, traj = run_reptile(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1))
+    traj = run_reptile(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1))
     assert len(traj.a_values) == len(traj.b_values) == 1 and traj.signs == []
-    assert np.allclose(learned.to_dense(), 0.1 * np.eye(3))
+    assert traj.a_values[0] == 0.1 and traj.b_values[0] == 0.0
     assert reptile_spike(ReptileSpec(0.3, 0.1, 0), inst, SeedSpec(1)) == 0.1
 
 
 def test_run_reptile_monotone_and_bounded_product():
     inst = MetaInstance.from_config(2, 1.0, 0.0)
-    _, traj = run_reptile(ReptileSpec(0.3, 0.1, 1000), inst, SeedSpec(7))
+    traj = run_reptile(ReptileSpec(0.3, 0.1, 1000), inst, SeedSpec(7))
     a, b = traj.a_values, traj.b_values
     assert np.all(np.diff(a) >= 0.0)
     assert np.max(np.abs(a * b)) <= 1.0 + 1e-10
@@ -130,17 +128,14 @@ def test_run_reptile_monotone_and_bounded_product():
 
 def test_run_reptile_output_shape():
     inst = MetaInstance.from_config(5, 2.0, 0.0)
-    learned, traj = run_reptile(ReptileSpec(0.2, 0.1, 50), inst, SeedSpec(3))
-    assert isinstance(learned, SpikedIdentity)
-    assert learned.spike == traj.a_values[-1]
-    assert learned.bulk == 0.1
+    traj = run_reptile(ReptileSpec(0.2, 0.1, 50), inst, SeedSpec(3))
     assert len(traj.a_values) == len(traj.b_values) == 51 and len(traj.signs) == 50
 
 
 def test_matrix_form_agrees_with_scalar():
     inst = MetaInstance.from_config(6, 1.0, 0.0)
     spec = ReptileSpec(0.3, 0.1, 20)
-    _, traj = run_reptile(spec, inst, SeedSpec(11))
+    traj = run_reptile(spec, inst, SeedSpec(11))
     mtraj, resid = oracles.run_reptile_matrix(0.3, 0.1, inst, traj.signs)
     assert resid < 1e-12
     assert np.max(np.abs(mtraj.a_values - traj.a_values)) < 1e-10
@@ -165,7 +160,7 @@ def test_fluctuation_envelope_mostly_holds():
     envelope = reptile_fluctuation_bound(t_tasks, tau, delta, 1.0)
     hits = 0
     for k in range(100):
-        _, traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst,
+        traj = run_reptile(ReptileSpec(tau, 0.1, t_tasks), inst,
                               SeedSpec(42).child(k))
         hits += int(np.max(np.abs(traj.b_values)) <= envelope)
     assert hits >= 95

@@ -8,8 +8,7 @@ from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.risk import (AlgSpec, RiskEstimate, convex_lower_bound_exact,
-                          mc_excess_risk, mc_excess_risk_many, risk_record,
-                          sample_complexity_search)
+                          mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
 from metasep.tasks import MetaInstance
 
 
@@ -55,6 +54,32 @@ def test_bound_dominated_by_estimates():
     for n in (3, 6, 12):
         est = mc_excess_risk(_reg_alg(1.0, 6), inst, n, 500, SeedSpec(2))
         assert est.mean + 3.0 * est.stderr >= convex_lower_bound_exact(6, n, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_estimator_edge_cases(d, n, sigma):
+    # n < d, n = d and n > d at the smallest sizes, with and without noise:
+    # every estimate is finite, nonnegative and the same on a thread pool,
+    # and no convex one falls confidently below the exact convex bound
+    inst = MetaInstance.from_config(d, 1.0, sigma)
+    w_hat = inst.w_star / inst.r
+    algs = [_reg_alg(0.0, d), _reg_alg(0.5, d),
+            AlgSpec("gd_step", GdStepSpec(0.05, 10), inst.w_star.copy()),
+            AlgSpec("gd2_reg", GdRegSpec(3.0 ** 1.5), SpikedIdentity(w_hat, 3.0, 0.1)),
+            AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(w_hat, 1.0, 1.0))]
+    seed = SeedSpec(8).child(d, n, int(sigma))
+    serial = mc_excess_risk_many(algs, inst, n, 8, seed)
+    assert mc_excess_risk_many(algs, inst, n, 8, seed, workers=3) == serial
+    # at sigma = 0 and n < d, gd_reg(lam=0) from 0 attains the bound in every
+    # trial, (d - n) / d r^2, which the two sides round apart by an ulp
+    bound = convex_lower_bound_exact(d, n, inst.r, sigma) * (1.0 - 1e-12)
+    for alg, est in zip(algs, serial):
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr), alg.label()
+        assert est.mean >= 0.0 and est.nonfinite == 0, alg.label()
+        if alg.family != "gd2_reg":
+            assert est.mean + 4.0 * est.stderr >= bound, alg.label()
 
 
 def test_paired_many_matches_single():
@@ -133,8 +158,6 @@ def test_divergent_step_gives_inf(w0_scale):
         est = mc_excess_risk(alg, inst, 12, 10, SeedSpec(24))
     assert est.mean == math.inf
     assert est.nonfinite == 10
-    rec = risk_record(alg, inst, 12, est, SeedSpec(24))
-    assert rec["mean"] is None and rec["stderr"] is None
 
 
 def test_search_trivial_epsilon_takes_first_point():
@@ -236,11 +259,3 @@ def test_nonsymmetric_first_layer_risk_matches_predictor():
     assert est.mean == pytest.approx(np.mean(values), rel=1e-10)
     assert est.stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(trials), rel=1e-8)
 
-
-def test_risk_record_fields():
-    inst = MetaInstance.from_config(3, 1.0, 0.5)
-    est = RiskEstimate(0.2, 0.01, 100)
-    rec = risk_record(_reg_alg(0.5, 3), inst, 7, est, SeedSpec(99))
-    assert rec == {"alg": "gd_reg(lam=0.5)", "d": 3, "n": 7, "r": 1.0,
-                   "sigma": 0.5, "mean": 0.2, "stderr": 0.01, "trials": 100,
-                   "seed": 99}
