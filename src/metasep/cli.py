@@ -17,13 +17,13 @@ nsearch also take --workers. main writes each runner's data files and a
 sha256 of each data file. Data files contain no timestamps and are
 byte-identical for a fixed seed regardless of --workers.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 config error,
-3 numerical failure (linalg.NumericalError: a computed matrix is not
-finite, a matrix that must be positive definite is not, a vector that
-must lie in a matrix's range does not, a computed spike, a dynamics
-meta-step or a growth a_T is not finite, or a value bound for a CSV or
-JSON file is inf or NaN; risk points are the exception, written with
-null mean and stderr). A run that fails writes no data file.
+Exit codes: 0 success, 1 verification-suite failure, 2 config error (a
+ValueError, in every command also an r above about 6.7e153, whose 4 r^2
+overflows, or a sigma whose sigma^2 does), 3 numerical failure (an
+ArithmeticError: an overflow, or linalg.NumericalError when a computed
+matrix, spike, Reptile step or growth a_T is not finite, a ridge matrix
+is not positive definite, a vector is not in a matrix's range, or a file
+value is inf or NaN; risk points write null). Failures write no file.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .twolayer import flow_limit
 from .risk import AlgSpec, convex_lower_bound_exact, mc_excess_risk, sample_complexity_search
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -244,10 +244,9 @@ def cmd_dynamics(cfg: dict):
         # the step-i geometry: the iterate moves along the segment toward
         # the point (a_bar, b_bar) on the curves xy = s*r and y^2 - x^2 = c
         geometry.append({"i": i + 1, "s": s, "c": c, "a_bar": a_bar, "b_bar": b_bar})
-    a_vals = traj.a_values
     summary = {
-        "final_a": float(a_vals[-1]),
-        "a_monotone": bool(np.all(np.diff(a_vals) >= 0.0)),
+        "final_a": a_list[-1],
+        "a_monotone": bool(np.all(np.diff(traj.a_values) >= 0.0)),
         "max_abs_b": float(np.max(np.abs(traj.b_values))),
         "geometry": geometry,
     }
@@ -376,8 +375,6 @@ def _make_w0(cfg: dict, inst: MetaInstance, seed: SeedSpec) -> np.ndarray:
 
 def _gd2_lam(lam: float, alpha: float) -> float:
     """gd2_reg's ridge penalty: lam, or alpha^1.5 when lam is 0."""
-    if lam < 0.0:
-        raise ConfigError(f"lam must be >= 0 (0 means alpha^1.5), got {lam!r}")
     if lam == 0.0:
         try:  # complex below 0, 0 at 0 or on underflow, OverflowError above
             lam = alpha ** 1.5 if alpha > 0.0 else 0.0
@@ -481,10 +478,10 @@ def main(argv=None) -> int:
             **extra,
         }))
         return code
-    except NumericalError as exc:
+    except ArithmeticError as exc:  # NumericalError, or an overflow that no check foresaw
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, or a value outside its domain (MetaInstance, specs)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

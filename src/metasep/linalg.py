@@ -20,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NumericalError(ValueError):
+class NumericalError(ArithmeticError):
     """A computation failed numerically, not because of its configuration."""
-
-
-class NotPsdError(NumericalError):
-    """Matrix that must be positive definite is not."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -77,11 +77,9 @@ def _reptile_steps(a: float, b: float, signs, tau: float, r: float) -> tuple[flo
 
     The flow limit of twolayer.flow_limit is written out here, in its
     arithmetic order (the seed contract), with 1 - tau, 4 r^2 and sqrt
-    hoisted out of the loop. Raises ValueError if 4 r^2 overflows.
+    hoisted out of the loop. r is a MetaInstance's, which keeps 4 r^2 finite.
     """
     keep, four_r2, sqrt = 1.0 - tau, 4.0 * r * r, math.sqrt
-    if four_r2 == math.inf:
-        raise ValueError(f"r is too large for the meta-step: 4 r^2 overflows, got {r!r}")
     for s in signs:
         c = a * a - b * b
         root = sqrt(four_r2 + c * c)

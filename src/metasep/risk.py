@@ -110,9 +110,10 @@ def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
     """E[excess | spectrum] of a gd_step or gd_reg learner for each row
     of the spectra s (trials, d)."""
     decay, gain, _ = learner_factors(alg.params, s)
-    return (_weighted(float(alg.init @ alg.init) / d, decay * decay)
-            + _weighted(r2 / d, (1.0 - gain * s) ** 2)
-            + _weighted(sigma2 / n, gain * gain * s))
+    with np.errstate(over="ignore"):  # a divergent gd_step squares to inf, counted as nonfinite
+        return (_weighted(float(alg.init @ alg.init) / d, decay * decay)
+                + _weighted(r2 / d, (1.0 - gain * s) ** 2)
+                + _weighted(sigma2 / n, gain * gain * s))
 
 
 def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarray,
@@ -179,7 +180,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                        for lo, hi in spans]
             blocks = [f.result() for f in futures]
         values = np.concatenate(blocks, axis=0)
-    return [_estimate(values[:, j]) for j in range(len(algs))]
+    with np.errstate(invalid="ignore"):  # inf - inf in np.std; the nonfinite count reports it
+        return [_estimate(values[:, j]) for j in range(len(algs))]
 
 
 def mc_excess_risk(alg: AlgSpec, inst: MetaInstance, n: int, trials: int,
@@ -223,8 +225,6 @@ def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
     mapping the index of every algorithm scored there to its
     RiskEstimate.
     """
-    if not algs:
-        raise ValueError("need at least one algorithm")
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError("n_grid must be non-empty")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotPsdError, as_dense, sym_eigen
+from .linalg import NumericalError, as_dense, sym_eigen
 from .tasks import Dataset, Task, emp_covariance
 
 
@@ -160,8 +160,8 @@ def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
         m = a_dense @ cov @ a_dense.T + lam * np.eye(cov.shape[0])
     s, v = sym_eigen(m)
     if s[-1] <= 0.0:
-        raise NotPsdError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
-                          f"smallest eigenvalue {s[-1]:.3e}")
+        raise NumericalError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
+                             f"smallest eigenvalue {s[-1]:.3e}")
     return s, v
 
 
@@ -172,7 +172,7 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     loss of x -> w^T A0 x plus the penalty; the optimum is
     w = (A0 S A0^T + lam I)^{-1} A0 X^T y / n with S the empirical
     covariance, and the effective predictor is A0^T w. Requires lam > 0
-    so the optimum is unique. Raises NotPsdError if rounding leaves the
+    so the optimum is unique. Raises NumericalError if rounding leaves the
     (symmetrized) ridge matrix without a positive smallest eigenvalue.
     """
     a_dense = as_dense(a0)

@@ -10,7 +10,7 @@ import pytest
 from metasep import cli, oracles
 from metasep.cli import main
 from metasep.convex import linear_flow_solve
-from metasep.linalg import NotPsdError, NumericalError
+from metasep.linalg import NumericalError
 from metasep.rng import SeedSpec
 
 
@@ -114,9 +114,12 @@ def test_golden_bytes(tmp_path, name):
 
 def test_divergent_risk_writes_strict_json(tmp_path, capsys):
     out = str(tmp_path / "risk")
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         assert _run(["risk", "--family", "gd_step", "--eta", "5", "--t0", "2000",
                      "--d", "6", "--n", "12", "--trials", "10", "--out", out]) == 0
+    # the package's own stability warning is the only one; numpy's inf - inf
+    # in the stderr is not leaked
+    assert all("stability limit" in str(w.message) for w in record)
 
     def reject(name):
         raise ValueError(f"non-JSON constant {name}")
@@ -204,9 +207,10 @@ def test_divergent_nsearch_counts_nonfinite_per_stage(tmp_path):
     # the divergent gd_step of test_divergent_risk_writes_strict_json never
     # reaches epsilon, so every grid point is scored and counted
     out = str(tmp_path / "ns")
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
         assert _run(["nsearch", "--family", "gd_step", "--eta", "5", "--t0", "2000",
                      "--d", "6", "--n-grid", "12,24", "--trials", "10", "--out", out]) == 0
+    assert all("stability limit" in str(w.message) for w in record)
     assert json.loads(_read(out + ".json"))["n_eps"] is None
     stages = json.loads(_read(out + ".manifest.json"))["stages"]
     assert {n: stage["nonfinite"] for n, stage in stages.items()} == {"12": 10, "24": 10}
@@ -402,10 +406,35 @@ def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, mess
     ["dynamics", "--r", "1e155"],
 ], ids=["growth", "dynamics", "dynamics-r-1e155"])
 def test_overflowing_r_is_config_error(tmp_path, capsys, args):
-    # the meta-step's 4 r^2 overflows above about 1.3e154: such an r can never
+    # the meta-step's 4 r^2 overflows above about 6.7e153: such an r can never
     # run, so it is a config error that names r, not a NaN found later
     assert _run([*args, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error: r is too large for the meta-step: ")
+    assert capsys.readouterr().err.startswith("error: r must be positive with 4 r^2 finite, ")
+    assert os.listdir(tmp_path) == []
+
+
+_SMALL_SEPARATION = ["--d", "3", "--trials", "4", "--convex-grid", "2,4",
+                     "--nonconvex-grid", "2,4"]
+
+
+@pytest.mark.parametrize("args,key", [
+    (["risk", "--sigma", "1e200", "--d", "3", "--trials", "4"], "sigma"),
+    (["risk", "--r", "1e200", "--d", "3", "--trials", "4"], "r"),
+    (["nsearch", "--family", "gd2_reg", "--r", "1e200", "--d", "3", "--trials", "4",
+      "--n-grid", "2,4"], "r"),
+    (["separation", "--sigma", "1e200", *_SMALL_SEPARATION], "sigma"),
+    (["separation", "--r", "1e200", *_SMALL_SEPARATION], "r"),
+], ids=["risk-sigma", "risk-r", "nsearch-gd2_reg-r", "separation-sigma", "separation-r"])
+def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
+    # an r whose 4 r^2 or a sigma whose sigma^2 overflows is rejected where
+    # the instance is built, before either half of a run: one stderr line
+    # naming the key, no traceback, progress line, numpy warning or file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run([*args, "--out", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -491,7 +520,7 @@ def test_nonpositive_r_is_config_error(tmp_path, capsys, args):
         warnings.simplefilter("always")
         assert _run([*args, "--out", str(tmp_path / "x")]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert capsys.readouterr().err.startswith("error: need finite r > 0, got ")
+    assert capsys.readouterr().err.startswith("error: r must be positive with 4 r^2 finite, got ")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -523,13 +552,24 @@ def test_oracles_stay_apart_from_production():
     assert suites == []
 
 
-def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("exc,code", [
+    (NumericalError("ridge matrix not positive definite"), 3),
+    (OverflowError("(34, 'Numerical result out of range')"), 3),
+    (ZeroDivisionError("float division by zero"), 3),
+    (ValueError("need n >= 1, got 0"), 2),
+    (cli.ConfigError("seeds must be >= 1, got 0"), 2),
+], ids=["NumericalError", "OverflowError", "ZeroDivisionError", "ValueError", "ConfigError"])
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, exc, code):
+    # the exception's class alone picks the exit code: an ArithmeticError is
+    # a numerical failure, any other ValueError a config error
     def fail(cfg):
-        raise NotPsdError("ridge matrix not positive definite")
+        raise exc
 
     monkeypatch.setitem(cli._RUNNERS, "risk", fail)
-    assert _run(["risk", "--out", str(tmp_path / "x")]) == 3
-    assert capsys.readouterr().err.startswith("error: numerical failure:")
+    assert _run(["risk", "--out", str(tmp_path / "x")]) == code
+    prefix = "error: numerical failure: " if code == 3 else "error: "
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_rounded_ridge_matrix_exit_code(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metasep.convex import _EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
-from metasep.linalg import sym_eigen
+from metasep.linalg import NumericalError, sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import MetaInstance, emp_covariance, sample_dataset, sample_task
 from metasep import oracles
@@ -80,7 +80,7 @@ def test_rk4_step_matrix_equals_literal_rk4():
 
 def test_flow_range_check():
     m = np.diag([1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         linear_flow_solve(m, np.array([0.0, 1.0]), np.zeros(2), 1.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metasep.linalg import SpikedIdentity, sym_eigen
+from metasep.linalg import NumericalError, SpikedIdentity, sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix
 
 
@@ -40,7 +40,7 @@ def test_reconstruction_batch():
 def test_eigen_rejects_nonsquare_and_nonfinite():
     with pytest.raises(ValueError):
         sym_eigen(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -61,5 +61,5 @@ def test_spiked_requires_unit_direction():
 
 def test_spiked_requires_finite_spike_and_bulk():
     for spike, bulk in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, -np.inf)):
-        with pytest.raises(ValueError, match="spike and bulk must be finite"):
+        with pytest.raises(NumericalError, match="spike and bulk must be finite"):
             SpikedIdentity(np.array([1.0, 0.0]), spike, bulk)

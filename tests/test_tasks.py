@@ -12,20 +12,22 @@ def test_from_config_e1():
 
 
 def test_r_is_exact_without_overflow():
-    # r is the norm of r e1 bit for bit, also where r^2 overflows or underflows
-    for r in (1.0, 0.3, 2.0 ** 0.5, 1e154, 1e155, 1e300, 1e-160, 5e-324):
+    # r is the norm of r e1 bit for bit, up to the largest accepted r and
+    # also where r^2 underflows
+    for r in (1.0, 0.3, 2.0 ** 0.5, 6.7e153, 1e-160, 5e-324):
         assert MetaInstance.from_config(5, r, 0.0).r == r
 
 
 def test_from_config_validation():
-    for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+    for sigma in (-1.0, float("nan"), float("inf"), 1e200):
+        with pytest.raises(ValueError, match=r"sigma must be nonnegative with sigma\^2 finite"):
             MetaInstance.from_config(2, 1.0, sigma)
     for d in (0, -1):
         with pytest.raises(ValueError, match="need d >= 1"):
             MetaInstance.from_config(d, 1.0, 0.5)
-    for r in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="need finite r > 0"):
+    # 4 r^2, the meta-step's expression, overflows above about 6.7e153
+    for r in (0.0, -1.0, float("nan"), float("inf"), 6.71e153, 1e154, 1e155, 1e300):
+        with pytest.raises(ValueError, match=r"r must be positive with 4 r\^2 finite"):
             MetaInstance.from_config(2, r, 0.5)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metasep.convex import GdRegSpec, gd_reg
-from metasep.linalg import NotPsdError, SpikedIdentity
+from metasep.linalg import NumericalError, SpikedIdentity
 from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
@@ -161,7 +161,7 @@ def test_gd2_reg_rounded_ridge_matrix_not_positive_definite():
     # reports instead of returning a solve of it
     inst = MetaInstance.from_config(6, 1.0, 1.0)
     ds = sample_dataset(sample_task(inst, SeedSpec(0).child(0)), 2, SeedSpec(0).child(1))
-    with pytest.raises(NotPsdError, match="not positive definite"):
+    with pytest.raises(NumericalError, match="not positive definite"):
         gd2_reg(1e-12, ds, SpikedIdentity(inst.w_star, 1e8, 1e8))
 
 
