@@ -88,18 +88,24 @@ def _flow_factors(s: np.ndarray, t: float):
     return _spectral_factors(s, lambda null, s_range: np.exp(-t * s_range))
 
 
-def _step_factors(s: np.ndarray, eta: float, t: int):
-    """Per-eigenvalue (decay, gain, null) of t steps w <- w - eta (M w - b),
-    as _flow_factors. Warns if eta >= 2 / lambda_max, where the iteration
-    diverges; divergent steps overflow to inf rather than raise, so
-    callers sweeping unstable (eta, t) grids get inf risk. GdStepSpec
-    has checked 0 < eta < inf and t >= 0."""
-    top = float(np.max(s[..., 0]))
+def past_step_limit(eta: float, top: float) -> bool:
+    """Whether eta >= 2 / top, the stability limit of gradient steps on a
+    spectrum whose largest eigenvalue is top; warns once if so. Past it
+    the iteration diverges, and _step_factors overflows to inf rather
+    than raise, so callers sweeping unstable (eta, t) grids get inf risk."""
     if top > 0 and eta >= 2.0 / top:
         warnings.warn(
             f"step size eta = {eta} is at or beyond the stability limit "
             f"2 / lambda_max = {2.0 / top:.3e}; the iteration diverges",
             RuntimeWarning, stacklevel=3)
+        return True
+    return False
+
+
+def _step_factors(s: np.ndarray, eta: float, t: int):
+    """Per-eigenvalue (decay, gain, null) of t steps w <- w - eta (M w - b),
+    as _flow_factors; past_step_limit is the caller's stability check.
+    GdStepSpec has checked 0 < eta < inf and t >= 0."""
 
     def decay_of(null, s_range):
         with np.errstate(over="ignore"):
@@ -147,11 +153,14 @@ def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
 
 def _learner_solve(spec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
     s, v = sym_eigen(emp_covariance(ds))
+    if isinstance(spec, GdStepSpec):
+        past_step_limit(spec.eta, float(s[0]))
     return _spectral_solve(v, ds.x.T @ ds.y / ds.n, w0, *learner_factors(spec, s))
 
 
 def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
-    """Closed form for t0 gradient steps on the empirical loss from w0."""
+    """Closed form for t0 gradient steps on the empirical loss from w0;
+    past_step_limit warns when eta >= 2 / lambda_max of S."""
     return _learner_solve(spec, ds, w0)
 
 

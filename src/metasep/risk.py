@@ -33,7 +33,9 @@ seed.child(t, 1, 0) and the label noise seed.child(t, 1, 1).
 mc_excess_risk_many scores every algorithm of a sweep on the same
 spectra and designs (paired sampling), and sample_complexity_search
 runs it once per grid point for every algorithm still searching.
-This module only computes; cli writes the estimates to file records.
+Non-finite trial risks are counted only for a gd_step past its
+stability limit; any other overflow raises NumericalError. This module
+only computes; cli writes the estimates to file records.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import GdRegSpec, GdStepSpec, learner_factors
-from .linalg import as_dense, symmetrize
+from .convex import GdRegSpec, GdStepSpec, learner_factors, past_step_limit
+from .linalg import NumericalError, as_dense, symmetrize
 from .rng import SeedSpec, gaussian_matrix, wishart_spectra
 from .tasks import MetaInstance
 from .twolayer import _ridge_eigen
@@ -59,7 +61,7 @@ _CHUNK = 32
 @dataclass(frozen=True)
 class RiskEstimate:
     """Monte-Carlo mean, standard error, trial count, and the number of
-    trials whose excess risk is not finite (a divergent learner)."""
+    trials whose excess risk is not finite (a divergent gd_step)."""
 
     mean: float
     stderr: float
@@ -128,7 +130,8 @@ def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarra
 
 def _trial_block(algs, inst, n, seed, lo, hi):
     """Conditional excess risks for trials [lo, hi) as an (hi-lo, n_algs)
-    array. The convex learners are scored on the spectra of
+    array, and the largest eigenvalue of the block's spectra (0.0 with no
+    convex algorithm). The convex learners are scored on the spectra of
     rng.wishart_spectra, drawn _CHUNK trials at a time; gd2_reg reads
     trial t's design from seed.child(t, 1, 0), drawn only when a gd2_reg
     algorithm is present."""
@@ -137,9 +140,11 @@ def _trial_block(algs, inst, n, seed, lo, hi):
     firsts = {j: as_dense(a.init) for j, a in enumerate(algs) if a.family == "gd2_reg"}
     convex = [j for j in range(len(algs)) if j not in firsts]
     out = np.empty((hi - lo, len(algs)))
+    top = 0.0
     if convex:
         spectra = np.concatenate([wishart_spectra(seed, n, d, a, min(a + _CHUNK, hi))
                                   for a in range(lo, hi, _CHUNK)])
+        top = float(spectra[:, 0].max())
         for j in convex:
             out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
     if firsts:
@@ -148,7 +153,7 @@ def _trial_block(algs, inst, n, seed, lo, hi):
             cov = symmetrize(x.T @ x / n)
             for j, a in firsts.items():
                 out[t - lo, j] = _twolayer_risk(algs[j].params.lam, a, cov, w_star, n, sigma2)
-    return out
+    return out, top
 
 
 def _estimate(values: np.ndarray) -> RiskEstimate:
@@ -162,7 +167,14 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
     """Paired Monte-Carlo excess risks: one RiskEstimate per algorithm,
     the convex ones all scored on the same per-trial spectra and the
-    gd2_reg ones on the same per-trial designs."""
+    gd2_reg ones on the same per-trial designs.
+
+    Each gd_step algorithm is checked once against the largest eigenvalue
+    of all trials' spectra (convex.past_step_limit warns once), so what
+    the call warns of does not depend on workers. Only a gd_step past
+    that limit may count non-finite trials in its estimate; any other
+    non-finite trial risk, or a mean or stderr that overflows from finite
+    trial risks, raises NumericalError."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 2:
@@ -171,7 +183,7 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         raise ValueError("need at least one algorithm")
     workers = max(1, int(workers))
     if workers == 1 or trials < 2 * workers:
-        values = _trial_block(algs, inst, n, seed, 0, trials)
+        values, top = _trial_block(algs, inst, n, seed, 0, trials)
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -179,9 +191,22 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
             futures = [pool.submit(_trial_block, algs, inst, n, seed, lo, hi)
                        for lo, hi in spans]
             blocks = [f.result() for f in futures]
-        values = np.concatenate(blocks, axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf in np.std; the nonfinite count reports it
-        return [_estimate(values[:, j]) for j in range(len(algs))]
+        values = np.concatenate([b for b, _ in blocks], axis=0)
+        top = max(t for _, t in blocks)
+    divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
+        estimates = [_estimate(values[:, j]) for j in range(len(algs))]
+    for alg, est, counted in zip(algs, estimates, divergent):
+        if math.isfinite(est.mean) and math.isfinite(est.stderr):
+            continue
+        if not est.nonfinite:
+            raise NumericalError(f"{alg.label()} at n={n}: the mean or stderr of "
+                                 f"{trials} finite trial excess risks overflows")
+        if not counted:
+            raise NumericalError(f"{alg.label()} at n={n}: {est.nonfinite} of {trials} "
+                                 f"trial excess risks are not finite, which only a gd_step "
+                                 f"past its stability limit may give")
+    return estimates
 
 
 def mc_excess_risk(alg: AlgSpec, inst: MetaInstance, n: int, trials: int,

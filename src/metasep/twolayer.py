@@ -13,7 +13,10 @@ Two within-task procedures:
   a_bar = sqrt((c + sqrt(4 r^2 + c^2)) / 2), b_bar = s * sqrt((-c +
   sqrt(4 r^2 + c^2)) / 2). gd_pop_flow integrates the batched matrix
   flow of tasks sharing a first layer with rk4, the package's one
-  fixed-step RK4 integrator, as the numeric cross-check.
+  fixed-step RK4 integrator, as the numeric cross-check. Its step is
+  capped at 5e-3: the limit does not depend on the step, and at that
+  cap the drift of the conserved gap stays 67x inside the 1e-8 that
+  the acceptance check allows (see gd_pop_flow).
 * gd2_reg: ridge regression on the second layer only, first layer
   frozen.
 
@@ -116,10 +119,22 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
 
     a is (..., d, d), w (..., d, T) and v, the signed targets s_i w_star
     as columns, (..., d, T); T = 1 for one task. Every step takes
-    h = min(1e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A, a
+    h = min(5e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A, a
     function of the state alone, so a flow stopped at t and restarted
     takes the same steps. Returns (a, w, converged), converged as rk4
     decides it for the whole batch.
+
+    The cap is set by the one error the step size can cause. A state
+    with rhs = 0 is a fixed point of the RK4 map, so the limit the flow
+    reaches does not depend on h. The step error moves only the
+    conserved gap c = a^2 - b^2, which picks the point on a * b = s * r
+    where the flow lands; the check that bounds it is the 1e-8 gap drift
+    of tests/test_acceptance.py criterion 2, not the verify residuals.
+    From that criterion's starts the drift is 1.5e-10 at a 5e-3 cap (a
+    67x margin), 2.4e-9 at 1e-2 (4x) and 2.1e-8 at 2e-2, which fails.
+    The 0.05 / (1 + ||A||_F^2) term keeps h inside RK4's stability
+    region once the first layer grows, where the rhs Jacobian scales
+    with ||A||^2.
     """
     v = np.asarray(v, dtype=np.float64)
     *batch, d, k = v.shape
@@ -135,7 +150,7 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
                                (a @ g).reshape(*batch, d * k)], axis=-1)
 
     def step(y):
-        return min(1e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
+        return min(5e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
 
     y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
     y, converged = rk4(rhs, y0, t_max, step, tol)

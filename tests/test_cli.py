@@ -99,7 +99,7 @@ _GOLDEN = {
                     "--lam-sweep", "0.5", "--seed", "0"],
                    {".json": "253e72bc0d5af29d801776801b6e690902b2471afa38393f108be4a0b007560b"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "51a90008e12c265dd89067cc4943a62fa9945ff46a66899c941c952e4ef04e66"}),
+               {".json": "3294d07d9548e094853bbfa4fb287ade4fc7cb053e3f145ad4af6a3c3274d426"}),
 }
 
 
@@ -449,6 +449,41 @@ def test_overflowing_matrix_is_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: numerical failure: "
                                        "matrix has non-finite entries\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args,message", [
+    ([], "gd_reg(lam=0) at n=3: 8 of 8 trial excess risks are not finite"),
+    (["--family", "gd2_reg", "--alpha", "3"],
+     "gd2_reg(lam=5.19615) at n=3: the mean or stderr of 8 finite trial excess risks overflows"),
+], ids=["gd_reg-risk", "gd2_reg-stderr"])
+def test_stable_learner_overflow_is_numerical_failure(tmp_path, capsys, args, message):
+    # sigma^2 = 1.69e308 is finite, but the noise term of a stable learner's
+    # risk, or the square in its stderr, overflows: only a gd_step past its
+    # stability limit may write null, so this fails with no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["risk", *args, "--sigma", "1.3e154", "--d", "3", "--n", "3",
+                     "--trials", "8", "--out", str(tmp_path / "x")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: numerical failure: {message}") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_step_limit_warning_is_independent_of_workers(tmp_path):
+    # the stability check runs once per estimate on the largest eigenvalue
+    # of all trials, so every worker count warns once, with the same text
+    messages, records = set(), set()
+    for workers in (1, 2, 4):
+        out = str(tmp_path / f"w{workers}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(["risk", "--family", "gd_step", "--eta", "100", "--d", "3",
+                         "--trials", "8", "--workers", str(workers), "--out", out]) == 0
+        assert len(caught) == 1 and "stability limit" in str(caught[0].message)
+        messages.add(str(caught[0].message))
+        records.add(_read(out + ".json"))
+    assert len(messages) == 1 and len(records) == 1
 
 
 @pytest.mark.parametrize("seed", [133, 305])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from metasep import oracles
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
-from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
+from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector, wishart_spectra
 from metasep.risk import (AlgSpec, RiskEstimate, convex_lower_bound_exact,
                           mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
 from metasep.tasks import MetaInstance
@@ -158,6 +159,24 @@ def test_divergent_step_gives_inf(w0_scale):
         est = mc_excess_risk(alg, inst, 12, 10, SeedSpec(24))
     assert est.mean == math.inf
     assert est.nonfinite == 10
+
+
+def test_step_limit_warns_at_equality_on_all_trials():
+    # eta = 2 / lambda_max over all trials is at the limit (>=) and warns
+    # once for any worker count, even where one block's own lambda_max is
+    # smaller; the next float below it does not warn
+    d, n, trials = 3, 20, 8
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    seed = SeedSpec(25)
+    limit = 2.0 / float(wishart_spectra(seed, n, d, 0, trials)[:, 0].max())
+    for eta, warned in ((limit, 1), (float(np.nextafter(limit, 0.0)), 0)):
+        alg = AlgSpec("gd_step", GdStepSpec(eta, 10), np.zeros(d))
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                est = mc_excess_risk(alg, inst, n, trials, seed, workers=workers)
+            assert len(caught) == warned
+            assert est.nonfinite == 0
 
 
 def test_search_trivial_epsilon_takes_first_point():

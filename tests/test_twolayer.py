@@ -11,8 +11,8 @@ from metasep.linalg import NumericalError, SpikedIdentity
 from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
-from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg,
-                              gd_pop_fixed_point, gd_pop_flow_numeric, rk4)
+from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg, gd_pop_fixed_point,
+                              gd_pop_flow, gd_pop_flow_numeric, rk4)
 from metasep import oracles
 
 finite_coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -114,11 +114,40 @@ def test_flow_output_bytes_pinned():
     assert not converged
     assert out.first_dense().shape == (3, 3) and out.second.shape == (3,)
     digest = hashlib.sha256(out.first_dense().tobytes() + out.second.tobytes()).hexdigest()
-    assert digest == "9665943e301da78121c323f4dc467b84b06a72f0c22213d77aae247320eb2610"
+    assert digest == "405b09cd0c3062e41c31b54c1bcf35a629de647817c746c8d3ff36e64b8b624c"
     a, w, converged = oracles.replearn_joint_flow(inst, [1, -1, 1], 0.1, t_max=3.0, tol=1e-9)
     assert not converged and a.shape == (3, 3) and w.shape == (3, 3)
     digest = hashlib.sha256(a.tobytes() + w.tobytes()).hexdigest()
-    assert digest == "d5d45a34bfc8760770bd4530762de18cd90dc626de8c4396e7b294df8f531d8e"
+    assert digest == "ba5fe83d935bab7f2207cfe0903eb2b051c9e87fb36f9605cd49b79137dfc340"
+
+
+def test_flow_step_rule():
+    # h = min(5e-3, 0.05 / (1 + ||A||_F^2)): a flow run for exactly one
+    # step's time equals one literal RK4 step of that size, bit for bit
+    def rhs(a, w, v):
+        g = v - a.T @ w
+        return w @ g.T, a @ g
+
+    def literal_step(a, w, v, h):
+        k1 = rhs(a, w, v)
+        k2 = rhs(a + 0.5 * h * k1[0], w + 0.5 * h * k1[1], v)
+        k3 = rhs(a + 0.5 * h * k2[0], w + 0.5 * h * k2[1], v)
+        k4 = rhs(a + h * k3[0], w + h * k3[1], v)
+        return tuple(y + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                     for y, p1, p2, p3, p4 in zip((a, w), k1, k2, k3, k4))
+
+    u = gaussian_vector(SeedSpec(40), 3)
+    u /= np.linalg.norm(u)
+    w, v = 0.1 * u[:, None], 1.2 * u[:, None]
+    # ||A||_F^2 = 0.27, so the 5e-3 cap binds
+    small = SpikedIdentity(u, 0.5, 0.1).to_dense()
+    # ||A||_F^2 = 81 + 9 + 9 = 99 exactly, so h = 0.05 / 100 = 5e-4
+    large = np.diag([9.0, 3.0, 3.0])
+    for a, h in ((small, 5e-3), (large, 5e-4)):
+        a_out, w_out, converged = gd_pop_flow(a, w, v, t_max=h, tol=0.0)
+        a_ref, w_ref = literal_step(a, w, v, h)
+        assert not converged
+        assert np.array_equal(a_out, a_ref) and np.array_equal(w_out, w_ref)
 
 
 def test_rk4_is_fourth_order():
