@@ -3,14 +3,13 @@
 Matrices are plain float64 numpy arrays stored fully symmetric; the
 dimensions of interest stay below a few hundred. sym_eigen, a wrapper
 around LAPACK's symmetric eigensolver, is the one factorization the
-closed forms use: every closed form and every production solve is a
-spectral function of its result. (The risk estimator's sampled spectra
-come from rng.wishart_spectra.)
+closed forms use; the risk estimator uses none, as it scores sampled
+spectra (rng.wishart_spectra).
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
 direction w, the two-eigenvalue form of every first layer that the
-meta-dynamics produce. It only records that form: Reptile runs on the
-scalars (a, b), and the risk estimator and gd2_reg use as_dense.
+meta-dynamics produce. Reptile runs on the scalars (a, b), gd2_reg uses
+as_dense, and the risk estimator reads the spike and bulk.
 """
 
 from __future__ import annotations

@@ -174,11 +174,11 @@ def run_replearn(t_tasks: int, kappa: float, inst: MetaInstance) -> SpikedIdenti
     return SpikedIdentity(w_hat, a_bar, kappa)
 
 
-def bad_minimizer(inst: MetaInstance, signs) -> tuple[np.ndarray, list]:
-    """Degenerate minimizer of the multi-task objective: A = I,
-    w_i = s_i * w_star. Zeroes the objective yet leaves the first
-    layer uninformative about the shared direction."""
-    return np.eye(inst.d), [s * inst.w_star for s in signs]
+def bad_minimizer(inst: MetaInstance, signs) -> tuple[SpikedIdentity, list]:
+    """Degenerate minimizer of the multi-task objective: A = I (spike =
+    bulk = 1), w_i = s_i * w_star. Zeroes the objective yet leaves the
+    first layer uninformative about the shared direction."""
+    return SpikedIdentity(inst.w_star / inst.r, 1.0, 1.0), [s * inst.w_star for s in signs]
 
 
 def replearn_loss(a, w_list, inst: MetaInstance, signs) -> float:

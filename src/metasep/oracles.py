@@ -21,11 +21,10 @@ random instances integrate in one vectorized sweep.
 
 mc_excess_risk_raw is the oracle of the risk estimator: it draws the
 sign, the design and the label noise that risk.mc_excess_risk_many
-averages out in closed form or samples as a spectrum, and scores each
-trial by the squared error of a predictor built as explicit matrices
-(predictor_matrices). dense_wishart_spectra is the reference of the
-spectrum sampler rng.wishart_spectra: it draws the designs and
-eigensolves them.
+averages out in closed form or samples as spectra, and scores each
+trial with explicit predictor matrices (predictor_matrices).
+dense_wishart_spectra, which eigensolves drawn designs, is the
+reference of rng.wishart_spectra.
 
 The last section holds the suites that `metasep verify` runs through
 run_suites; they call the closed forms and pair them with references.
@@ -39,9 +38,9 @@ import time
 import numpy as np
 
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
-from .linalg import SpikedIdentity, as_dense, symmetrize
+from .linalg import SpikedIdentity, as_dense
 from .meta_learners import ScalarTrajectory, replearn_alpha
-from .risk import AlgSpec, _convex_risk, _estimate, _twolayer_risk
+from .risk import AlgSpec, _convex_risk, _estimate, _spiked_risk
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import flow_limit, gd2_reg, gd_pop_flow
@@ -193,11 +192,10 @@ def predictor_matrices(alg: AlgSpec, x: np.ndarray):
 def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: SeedSpec) -> list:
     """Raw Monte-Carlo excess risks, one RiskEstimate per algorithm.
 
-    Trial t draws a sign (seed.child(t, 0)), a design (seed.child(t, 1, 0),
-    the design risk.mc_excess_risk_many scores gd2_reg on; its convex
-    learners score a spectrum from seed.child(t, 2, j)) and label noise
-    (seed.child(t, 1, 1)), and scores ||P y + D w0 - s w_star||^2 with
-    the matrices of predictor_matrices.
+    Trial t draws a sign (seed.child(t, 0)), a design (seed.child(t, 1, 0))
+    and label noise (seed.child(t, 1, 1)), and scores ||P y + D w0 - s
+    w_star||^2 with the matrices of predictor_matrices.
+    risk.mc_excess_risk_many reads none of these streams.
     """
     values = np.empty((trials, len(algs)))
     for t in range(trials):
@@ -328,7 +326,7 @@ def _suite_risk_estimator(seed: SeedSpec):
     spectrum of X^T X / n against (||w0||^2/d) ||D||_F^2 +
     (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 (the exact average over
     Haar eigenvectors, since a trace is the sum over basis directions),
-    and risk._twolayer_risk given X against ||(P X - I) w*||^2 +
+    and risk._spiked_risk on X's (mu, z) against ||(P X - I) w*||^2 +
     sigma^2 ||P||_F^2. The spectrum is the squared singular values of X
     over n, padded with zeros: an eigensolve of X^T X squares X's
     condition number, which gd_reg's variance at lam = 0 on the square
@@ -338,24 +336,23 @@ def _suite_risk_estimator(seed: SeedSpec):
     w_star, sigma2 = inst.w_star, inst.sigma ** 2
     r2 = float(w_star @ w_star)
     w0 = gaussian_vector(seed.child(100), d)
-    g = gaussian_matrix(seed.child(101), d, d)
     algs = [AlgSpec("gd_reg", GdRegSpec(0.0), w0), AlgSpec("gd_reg", GdRegSpec(0.3), w0),
             AlgSpec("gd_step", GdStepSpec(0.05, 20), w0),
             AlgSpec("gd2_reg", GdRegSpec(5.0 ** 1.5), SpikedIdentity(w_star, 5.0, 0.1)),
-            AlgSpec("gd2_reg", GdRegSpec(0.3), g @ g.T / d + 0.5 * np.eye(d))]
+            AlgSpec("gd2_reg", GdRegSpec(0.3), SpikedIdentity(w_star, 1.0, 1.0))]
     pairs = []
     for k, n in enumerate((3, 6, 12)):
         for t in range(trials):
             x = gaussian_matrix(seed.child(k).child(t, 1, 0), n, d)
-            cov = symmetrize(x.T @ x / n)
+            mu, u = np.linalg.eigh(x[:, 1:] @ x[:, 1:].T)  # W's spectrum; w_star is along e1
+            z = u.T @ x[:, 0]
             spectrum = np.zeros(d)
             spectrum[:min(n, d)] = np.linalg.svd(x, compute_uv=False) ** 2 / n
             for alg in algs:
                 p, dm = predictor_matrices(alg, x)
                 e = p @ x - np.eye(d)
                 if alg.family == "gd2_reg":
-                    closed = _twolayer_risk(alg.params.lam, as_dense(alg.init), cov, w_star,
-                                            n, sigma2)
+                    closed = float(_spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0])
                     bias = float(np.sum((e @ w_star) ** 2))
                 else:
                     closed = float(_convex_risk(alg, spectrum[None], d, n, r2, sigma2)[0])

@@ -15,27 +15,30 @@ s_i and average out too:
                          + (r^2 / d) sum (1 - g_i s_i)^2 + (sigma^2 / n) sum g_i^2 s_i
 
 So a convex trial needs only the spectrum, which rng.wishart_spectra
-samples from the Dumitriu-Edelman bidiagonal model (Dumitriu & Edelman
-2002) with Marsaglia-Tsang chi variates (ACM TOMS 26:363, 2000),
-reading seed.child(t, 2, j) on attempt j; no convex trial draws a
-design. At d = 50 that costs about 0.15 ms a trial, against 0.4 ms
-(n = 100) to 2.3 ms (n = 900) to draw X and eigensolve it.
+samples (attempt j of trial t reads seed.child(t, 2, j)).
 
-The spiked two-layer family (gd2_reg) is not rotation invariant and is
-scored given X, drawn from seed.child(t, 1, 0), with Q = A^T M^{-1} A
-and M = A S A^T + lam I (the effective predictor is A^T w = Q X^T y / n):
+gd2_reg is scored only on a SpikedIdentity first layer along +-w_hat =
++-w_star / r. Then X enters the risk only through the spectrum mu of W,
+the n x n Gram matrix of X's other d - 1 coordinates, and z = U^T X w_hat
+(U: W's eigenvectors), N(0, I_n) and independent of mu. Sherman-Morrison
+on the spike (README derives it) gives, with D = kappa^2 mu / n + lam,
+e = mu (kappa^2/(n D))^2, u = sum z^2/D, p = sum z^2/D^2, q = sum e z^2
+and beta = 1 / (n/alpha/alpha + u), which never form alpha^2 or kappa^4:
 
-    E[excess | X] = ||(Q S - I) w_star||^2 + (sigma^2 / n) tr(Q S Q^T)
+    E[excess | mu, z] = r^2 (1 - beta u)^2 (1 + q)
+                        + sigma^2 (beta^2 p (1 + q) + sum e - 2 beta sum e z^2/D)
 
-Trial t's other streams keep their meaning for the raw sampler
-oracles.mc_excess_risk_raw: the sign reads seed.child(t, 0), the design
-seed.child(t, 1, 0) and the label noise seed.child(t, 1, 1).
-mc_excess_risk_many scores every algorithm of a sweep on the same
-spectra and designs (paired sampling), and sample_complexity_search
-runs it once per grid point for every algorithm still searching.
-Non-finite trial risks are counted only for a gd_step past its
-stability limit; any other overflow raises NumericalError. This module
-only computes; cli writes the estimates to file records.
+mu is d - 1 times rng.wishart_spectra(seed.child(3), d - 1, n, ...) (0
+at d = 1; attempt j of trial t reads seed.child(3, t, 2, j)) and z reads
+seed.child(t, 3). No trial draws a design: seed.child(t, 1, 0), like the
+sign and noise streams, is the raw sampler's (oracles.mc_excess_risk_raw).
+
+mc_excess_risk_many scores every algorithm of a sweep on the same draws
+(paired sampling), and sample_complexity_search runs it once per grid
+point for every algorithm still searching. Non-finite trial risks are
+counted only for a gd_step past its stability limit; any other overflow
+raises NumericalError. This module only computes; cli writes the
+estimates to file records.
 """
 
 from __future__ import annotations
@@ -47,10 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import GdRegSpec, GdStepSpec, learner_factors, past_step_limit
-from .linalg import NumericalError, as_dense, symmetrize
-from .rng import SeedSpec, gaussian_matrix, wishart_spectra
+from .linalg import NumericalError, SpikedIdentity
+from .rng import SeedSpec, gaussian_rows, wishart_spectra
 from .tasks import MetaInstance
-from .twolayer import _ridge_eigen
 
 # Trials per wishart_spectra call: bounds the stacked (trials, k, k)
 # bidiagonals and their SVD workspace (an unchunked 200-trial block at
@@ -118,27 +120,28 @@ def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
                 + _weighted(sigma2 / n, gain * gain * s))
 
 
-def _twolayer_risk(lam: float, a: np.ndarray, cov: np.ndarray, w_star: np.ndarray,
-                   n: int, sigma2: float) -> float:
-    """E[excess | X] of second-layer ridge on the frozen first layer a."""
-    s, v = _ridge_eigen(lam, a, cov)
-    q = (a.T @ v / s) @ (v.T @ a)
-    qs = q @ cov
-    err = qs @ w_star - w_star
-    return float(err @ err) + sigma2 / n * float(np.sum(qs * q))
+def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
+                 r2: float, sigma2: float) -> np.ndarray:
+    """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z (trials, n)."""
+    alpha, k2n = alg.init.spike, alg.init.bulk * alg.init.bulk / n
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf kappa^2 is counted as nonfinite
+        dd = k2n * mu + alg.params.lam
+        kd = k2n / dd
+        z2, e = z * z, (kd * mu) * kd  # kd * mu <= 1, so a huge kd meets mu = 0, not inf
+        u, p, q = np.sum(z2 / dd, axis=-1), np.sum(z2 / dd ** 2, axis=-1), np.sum(e * z2, axis=-1)
+        beta = 1.0 / (n / alpha / alpha + u) if alpha else 0.0 * u
+        return (r2 * (1.0 - beta * u) ** 2 * (1.0 + q)
+                + sigma2 * (beta * beta * p * (1.0 + q) + np.sum(e, axis=-1)
+                            - 2.0 * beta * np.sum(e * z2 / dd, axis=-1)))
 
 
 def _trial_block(algs, inst, n, seed, lo, hi):
     """Conditional excess risks for trials [lo, hi) as an (hi-lo, n_algs)
     array, and the largest eigenvalue of the block's spectra (0.0 with no
-    convex algorithm). The convex learners are scored on the spectra of
-    rng.wishart_spectra, drawn _CHUNK trials at a time; gd2_reg reads
-    trial t's design from seed.child(t, 1, 0), drawn only when a gd2_reg
-    algorithm is present."""
-    d, w_star = inst.d, inst.w_star
-    r2, sigma2 = float(w_star @ w_star), inst.sigma ** 2
-    firsts = {j: as_dense(a.init) for j, a in enumerate(algs) if a.family == "gd2_reg"}
-    convex = [j for j in range(len(algs)) if j not in firsts]
+    convex algorithm). Each family's draws are made _CHUNK trials at a time."""
+    d, r2, sigma2 = inst.d, float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    spiked = [j for j, a in enumerate(algs) if a.family == "gd2_reg"]
+    convex = [j for j in range(len(algs)) if j not in spiked]
     out = np.empty((hi - lo, len(algs)))
     top = 0.0
     if convex:
@@ -147,12 +150,14 @@ def _trial_block(algs, inst, n, seed, lo, hi):
         top = float(spectra[:, 0].max())
         for j in convex:
             out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
-    if firsts:
-        for t in range(lo, hi):
-            x = gaussian_matrix(seed.child(t, 1, 0), n, d)
-            cov = symmetrize(x.T @ x / n)
-            for j, a in firsts.items():
-                out[t - lo, j] = _twolayer_risk(algs[j].params.lam, a, cov, w_star, n, sigma2)
+    if spiked:
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            mu = ((d - 1) * wishart_spectra(seed.child(3), d - 1, n, a, b) if d > 1
+                  else np.zeros((b - a, n)))
+            z = gaussian_rows(seed, a, b, n, 3)
+            for j in spiked:
+                out[a - lo:b - lo, j] = _spiked_risk(algs[j], mu, z, n, r2, sigma2)
     return out, top
 
 
@@ -165,9 +170,9 @@ def _estimate(values: np.ndarray) -> RiskEstimate:
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
-    """Paired Monte-Carlo excess risks: one RiskEstimate per algorithm,
-    the convex ones all scored on the same per-trial spectra and the
-    gd2_reg ones on the same per-trial designs.
+    """Paired Monte-Carlo excess risks, one RiskEstimate per algorithm:
+    the convex ones share the per-trial spectra, the gd2_reg ones (in the
+    one form _spiked_risk scores, else ValueError) the per-trial (mu, z).
 
     Each gd_step algorithm is checked once against the largest eigenvalue
     of all trials' spectra (convex.past_step_limit warns once), so what
@@ -181,6 +186,12 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         raise ValueError(f"need trials >= 2, got {trials}")
     if not algs:
         raise ValueError("need at least one algorithm")
+    w_hat = inst.w_star / inst.r
+    for alg in (x for x in algs if x.family == "gd2_reg"):
+        a = alg.init
+        if not (alg.params.lam > 0.0 and isinstance(a, SpikedIdentity)
+                and np.linalg.norm(a.direction - (a.direction @ w_hat) * w_hat) <= 1e-12):
+            raise ValueError(f"{alg.label()} needs lam > 0 and a SpikedIdentity along +-w_star / r")
     workers = max(1, int(workers))
     if workers == 1 or trials < 2 * workers:
         values, top = _trial_block(algs, inst, n, seed, 0, trials)
@@ -236,19 +247,15 @@ def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
                              n_grid, trials: int, seed: SeedSpec,
                              workers: int = 1, collect=None) -> list:
     """Paired sample-complexity search over algs, a non-empty list of
-    AlgSpecs.
+    AlgSpecs: one entry per algorithm, the smallest grid n whose estimate
+    is confidently at most epsilon (mean + 2 stderr <= epsilon), or None.
 
-    Returns one entry per algorithm: the smallest grid n whose estimated
-    excess risk is confidently at most epsilon (mean + 2 stderr <=
-    epsilon), or None if no grid point qualifies. At grid index idx,
-    every algorithm still searching is scored by one
-    mc_excess_risk_many call on seed.child(idx), so they share the
-    spectra and designs of that point, and each one's estimate equals its own
-    mc_excess_risk on seed.child(idx). An algorithm stops at its first
-    qualifying n; the search stops once none is left. collect, if given,
-    is called as collect(n, scored) after each grid point, with scored
-    mapping the index of every algorithm scored there to its
-    RiskEstimate.
+    At grid index idx, every algorithm still searching is scored by one
+    mc_excess_risk_many call on seed.child(idx), so they share that
+    point's draws and each estimate equals its own mc_excess_risk there.
+    An algorithm stops at its first qualifying n, the search once none is
+    left. After each grid point, collect(n, scored), if given, gets scored
+    mapping the index of every algorithm scored there to its RiskEstimate.
     """
     grid = [int(n) for n in n_grid]
     if not grid:

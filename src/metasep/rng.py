@@ -161,6 +161,11 @@ def gaussian_vector(seed: SeedSpec, d: int, std: float = 1.0) -> np.ndarray:
     return std * _box_muller(uniforms(seed, 2 * ((d + 1) // 2)), d)
 
 
+def gaussian_rows(seed: SeedSpec, lo: int, hi: int, d: int, *rest: int) -> np.ndarray:
+    """Rows t in [lo, hi) of gaussian_vector(seed.child(t, *rest), d), in one pass."""
+    return _box_muller(_key_uniforms(child_keys(seed, np.arange(lo, hi), *rest), d + d % 2), d)
+
+
 def gaussian_matrix(seed: SeedSpec, rows: int, cols: int) -> np.ndarray:
     """rows x cols i.i.d. standard normal matrix (row-major fill of a single stream)."""
     return gaussian_vector(seed, rows * cols).reshape(rows, cols)

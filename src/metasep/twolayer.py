@@ -166,20 +166,6 @@ def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,
     return TwoLayerParams(a, w[:, 0]), converged
 
 
-def _ridge_eigen(lam: float, a_dense: np.ndarray, cov: np.ndarray):
-    """Eigendecomposition (s, v) of the second-layer ridge matrix
-    A0 S A0^T + lam I, as sym_eigen returns it, checked positive definite."""
-    if lam <= 0.0:
-        raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
-    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigen rejects inf and NaN
-        m = a_dense @ cov @ a_dense.T + lam * np.eye(cov.shape[0])
-    s, v = sym_eigen(m)
-    if s[-1] <= 0.0:
-        raise NumericalError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
-                             f"smallest eigenvalue {s[-1]:.3e}")
-    return s, v
-
-
 def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     """Ridge regression on the second layer with the first layer frozen.
 
@@ -190,7 +176,14 @@ def gd2_reg(lam: float, ds: Dataset, a0) -> TwoLayerParams:
     so the optimum is unique. Raises NumericalError if rounding leaves the
     (symmetrized) ridge matrix without a positive smallest eigenvalue.
     """
+    if lam <= 0.0:
+        raise ValueError(f"gd2_reg requires lam > 0, got {lam}")
     a_dense = as_dense(a0)
-    s, v = _ridge_eigen(lam, a_dense, emp_covariance(ds))
+    with np.errstate(over="ignore", invalid="ignore"):  # sym_eigen rejects inf and NaN
+        m = a_dense @ emp_covariance(ds) @ a_dense.T + lam * np.eye(ds.d)
+    s, v = sym_eigen(m)
+    if s[-1] <= 0.0:
+        raise NumericalError(f"ridge matrix A0 S A0^T + lam I not positive definite: "
+                             f"smallest eigenvalue {s[-1]:.3e}")
     b = a_dense @ (ds.x.T @ ds.y / ds.n)
     return TwoLayerParams(a0, v @ ((1.0 / s) * (v.T @ b)))

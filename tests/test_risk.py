@@ -8,7 +8,7 @@ from metasep import oracles
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector, wishart_spectra
-from metasep.risk import (AlgSpec, RiskEstimate, convex_lower_bound_exact,
+from metasep.risk import (AlgSpec, RiskEstimate, _spiked_risk, convex_lower_bound_exact,
                           mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
 from metasep.tasks import MetaInstance
 
@@ -123,8 +123,8 @@ def test_gd2_reg_family_runs():
 
 @pytest.mark.parametrize("n", [4, 16])
 def test_estimator_matches_raw_sampler(n):
-    # the raw sampler draws the sign and the noise that the estimator
-    # averages out, on the same designs; the means must agree
+    # the raw sampler draws the sign, the design and the noise that the
+    # estimator averages out or samples as spectra; the means must agree
     d = 8
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     g = gaussian_vector(SeedSpec(20), d)
@@ -132,9 +132,8 @@ def test_estimator_matches_raw_sampler(n):
     for w0 in (np.zeros(d), inst.w_star.copy(), 3.0 * g / np.linalg.norm(g)):
         algs += [_reg_alg(lam, d, w0) for lam in (0.0, 0.1, 1.0)]
         algs.append(AlgSpec("gd_step", GdStepSpec(0.1, 30), w0))
-    dense = gaussian_matrix(SeedSpec(21), d, d)
     algs.append(AlgSpec("gd2_reg", GdRegSpec(30.0 ** 1.5), SpikedIdentity(inst.w_star, 30.0, 0.1)))
-    algs.append(AlgSpec("gd2_reg", GdRegSpec(0.5), dense @ dense.T / d + 0.5 * np.eye(d)))
+    algs.append(AlgSpec("gd2_reg", GdRegSpec(0.5), SpikedIdentity(inst.w_star, 1.0, 1.0)))
     exact = mc_excess_risk_many(algs, inst, n, 400, SeedSpec(22))
     raw = oracles.mc_excess_risk_raw(algs, inst, n, 400, SeedSpec(22))
     for alg, e, r in zip(algs, exact, raw):
@@ -259,22 +258,48 @@ def test_search_resolved_algorithm_stops_collecting():
     assert [n for n, _ in points] == [8, 16, 32]
 
 
-def test_nonsymmetric_first_layer_risk_matches_predictor():
-    # E[excess | X] with Q = A^T M^-1 A, M = A S A^T + lam I, against
-    # ||(P X - I) w*||^2 + sigma^2 ||P||_F^2 from the oracle's explicit
-    # predictor matrix, on the same designs, for a non-symmetric A
-    d, n, trials = 5, 7, 3
-    inst = MetaInstance.from_config(d, 1.0, 0.5)
+def test_estimator_rejects_unspiked_first_layer():
+    # gd2_reg is scored only on a SpikedIdentity along +-w_star / r with
+    # lam > 0: a dense layer (even the same matrix), a spike along e2 and
+    # lam = 0 are ValueErrors; the spike along -w_hat is the same layer
+    d = 5
+    inst = MetaInstance.from_config(d, 2.0, 0.5)
+    w_hat = inst.w_star / inst.r
     a0 = np.eye(d) + 0.3 * gaussian_matrix(SeedSpec(16), d, d)
-    alg = AlgSpec("gd2_reg", GdRegSpec(0.3), a0)
-    seed = SeedSpec(17)
-    values = []
-    for t in range(trials):
-        x = gaussian_matrix(seed.child(t, 1, 0), n, d)
-        p, _ = oracles.predictor_matrices(alg, x)
-        err = (p @ x - np.eye(d)) @ inst.w_star
-        values.append(err @ err + inst.sigma ** 2 * np.sum(p * p))
-    est = mc_excess_risk(alg, inst, n, trials, seed)
-    assert est.mean == pytest.approx(np.mean(values), rel=1e-10)
-    assert est.stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(trials), rel=1e-8)
+    for first in (a0, SpikedIdentity(w_hat, 3.0, 0.1).to_dense(),
+                  SpikedIdentity(np.eye(d)[1], 3.0, 0.1)):
+        with pytest.raises(ValueError, match="SpikedIdentity along"):
+            mc_excess_risk(AlgSpec("gd2_reg", GdRegSpec(0.3), first), inst, 7, 3, SeedSpec(17))
+    with pytest.raises(ValueError, match="needs lam > 0"):
+        mc_excess_risk(AlgSpec("gd2_reg", GdRegSpec(0.0), SpikedIdentity(w_hat, 3.0, 0.1)),
+                       inst, 7, 3, SeedSpec(17))
+    plus, minus = (mc_excess_risk(AlgSpec("gd2_reg", GdRegSpec(0.3), SpikedIdentity(v, 3.0, 0.1)),
+                                  inst, 7, 3, SeedSpec(17)) for v in (w_hat, -w_hat))
+    assert plus == minus
 
+
+@pytest.mark.parametrize("d", [1, 2, 7, 50])
+def test_spiked_risk_matches_predictor_matrices(d):
+    # each trial's E[excess | mu, z] from the rank-one form equals
+    # ||(P X - I) w*||^2 + sigma^2 ||P||_F^2 with the oracle's explicit
+    # predictor matrix on the same design, whose (mu, z) come from eigh;
+    # the grid covers n < d - 1, n = d - 1, n = d, n > d, d = 1 and alpha = kappa
+    inst = MetaInstance.from_config(d, 1.3, 0.7)
+    r2, sigma2 = inst.r ** 2, inst.sigma ** 2
+    w_hat = inst.w_star / inst.r
+    worst = 0.0
+    for n in sorted({1, 5, max(d - 1, 1), d, d + 1, 300}):
+        for alpha, kappa in ((1e4, 0.1), (30.0, 0.1), (3.0, 0.5), (1.0, 1.0)):
+            for lam in (alpha ** 1.5, 0.3):
+                alg = AlgSpec("gd2_reg", GdRegSpec(lam), SpikedIdentity(w_hat, alpha, kappa))
+                for t in range(2):
+                    x = gaussian_matrix(SeedSpec(18).child(d, n, t), n, d)
+                    p, _ = oracles.predictor_matrices(alg, x)
+                    err = (p @ x - np.eye(d)) @ inst.w_star
+                    reference = err @ err + sigma2 * np.sum(p * p)
+                    # W = X_r X_r^T from the columns off w_hat = e1, and z = U^T x1
+                    mu, u = np.linalg.eigh(x[:, 1:] @ x[:, 1:].T)
+                    z = u.T @ x[:, 0]
+                    closed = _spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0]
+                    worst = max(worst, abs(closed - reference) / reference)
+    assert worst <= 1e-12

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metasep import oracles
-from metasep.rng import (SeedSpec, _key_uniforms, child_keys, gaussian_matrix, gaussian_vector,
-                         hash_mix, rademacher_signs, uniforms, wishart_spectra)
+from metasep.rng import (SeedSpec, _key_uniforms, child_keys, gaussian_matrix, gaussian_rows,
+                         gaussian_vector, hash_mix, rademacher_signs, uniforms, wishart_spectra)
 
 
 def test_determinism_gaussian():
@@ -26,6 +26,16 @@ def test_std_zero_is_constant():
 def test_negative_std_rejected():
     with pytest.raises(ValueError):
         gaussian_vector(SeedSpec(1), 4, std=-1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+@pytest.mark.parametrize("rest", [(), (3,), (1, 0)])
+def test_gaussian_rows_equal_per_trial_vectors(d, rest):
+    # the one-pass draw is row for row the loop over per-trial streams
+    seed = SeedSpec(31, 5)
+    rows = gaussian_rows(seed, 3, 40, d, *rest)
+    loop = np.stack([gaussian_vector(seed.child(t, *rest), d) for t in range(3, 40)])
+    assert np.array_equal(rows, loop)
 
 
 def test_gaussian_moments():
