@@ -19,7 +19,7 @@ byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error (a
 ValueError, in every command also an r above about 6.7e153, whose 4 r^2
-overflows, or a sigma whose sigma^2 does), 3 numerical failure (an
+overflows, or a sigma or kappa whose square does), 3 numerical failure (an
 ArithmeticError: an overflow, or linalg.NumericalError when a computed
 matrix, spike, Reptile step or growth a_T is not finite, a vector is not
 in a matrix's range, a risk estimate overflows other than by a gd_step
@@ -150,6 +150,9 @@ def _resolve_config(args) -> dict:
             cfg[key] = _typed(key, value, defaults[key], True)
     if cfg["out"] is None:
         cfg["out"] = args.command
+    kappa = cfg.get("kappa", 0.0)  # squared by every command that reads it, as are r and sigma
+    if not kappa * kappa < math.inf:
+        raise ConfigError(f"kappa must have kappa^2 finite, got {kappa!r}")
     if "workers" in cfg:
         if cfg["workers"] < 0:
             raise ConfigError(f"workers must be >= 0 (0 means the CPU count), got {cfg['workers']}")

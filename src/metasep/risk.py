@@ -56,7 +56,9 @@ from .tasks import MetaInstance
 
 # Trials per wishart_spectra call: bounds the stacked (trials, k, k)
 # bidiagonals and their SVD workspace (an unchunked 200-trial block at
-# d = 50 added about 10 MB of RSS per thread).
+# d = 50 added about 10 MB of RSS per thread). Also the thread pool's
+# smallest block: below two whole chunks a call runs inline, where a
+# thread costs more than it saves (README, --workers).
 _CHUNK = 32
 
 
@@ -179,7 +181,12 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     the call warns of does not depend on workers. Only a gd_step past
     that limit may count non-finite trials in its estimate; any other
     non-finite trial risk, or a mean or stderr that overflows from finite
-    trial risks, raises NumericalError."""
+    trial risks, raises NumericalError.
+
+    The trials run on a thread pool of min(workers, trials // _CHUNK)
+    threads, each on one contiguous block of at least _CHUNK trials, and
+    inline when that is at most 1. Every trial reads only its own streams,
+    so the estimates are bit-identical for any workers."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 2:
@@ -192,12 +199,12 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         if not (alg.params.lam > 0.0 and isinstance(a, SpikedIdentity)
                 and np.linalg.norm(a.direction - (a.direction @ w_hat) * w_hat) <= 1e-12):
             raise ValueError(f"{alg.label()} needs lam > 0 and a SpikedIdentity along +-w_star / r")
-    workers = max(1, int(workers))
-    if workers == 1 or trials < 2 * workers:
+    workers = min(int(workers), trials // _CHUNK)
+    if workers <= 1:
         values, top = _trial_block(algs, inst, n, seed, 0, trials)
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_trial_block, algs, inst, n, seed, lo, hi)
                        for lo, hi in spans]

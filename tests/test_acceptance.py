@@ -291,14 +291,15 @@ def test_criterion_09_bad_minimizer():
 def test_criterion_10_worker_count_byte_identity(tmp_path):
     """Every command that takes --workers, run twice with different
     --workers, writes byte-identical data outputs. The other commands run
-    serially and take no --workers."""
+    serially and take no --workers. 64 trials is the fewest that --workers 4
+    splits over threads."""
     runs = {
         "risk": ["risk", "--d", "6", "--n", "8", "--lam", "0.5",
-                 "--trials", "60"],
+                 "--trials", "64"],
         "nsearch": ["nsearch", "--d", "4", "--lam", "1.0", "--epsilon", "2.5",
-                    "--n-grid", "2,4", "--trials", "40"],
+                    "--n-grid", "2,4", "--trials", "64"],
         "separation": ["separation", "--d", "6", "--epsilon", "0.5",
-                       "--trials", "40", "--convex-grid", "4,8",
+                       "--trials", "64", "--convex-grid", "4,8",
                        "--nonconvex-grid", "4,8", "--alpha-target", "50",
                        "--lam-sweep", "0.5"],
     }

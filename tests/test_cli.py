@@ -177,11 +177,12 @@ def test_risk_json_record(tmp_path):
 
 
 def test_risk_worker_independence(tmp_path):
+    # 64 trials, the fewest that --workers 4 splits (into two blocks)
     out1 = str(tmp_path / "w1")
     out4 = str(tmp_path / "w4")
-    _run(["risk", "--d", "5", "--n", "8", "--trials", "40",
+    _run(["risk", "--d", "5", "--n", "8", "--trials", "64",
           "--workers", "1", "--out", out1])
-    _run(["risk", "--d", "5", "--n", "8", "--trials", "40",
+    _run(["risk", "--d", "5", "--n", "8", "--trials", "64",
           "--workers", "4", "--out", out4])
     assert _read(out1 + ".json") == _read(out4 + ".json")
 
@@ -390,16 +391,37 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, args, key):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["growth", "--t-list", "10,20", "--seeds", "2", "--kappa", "1e200"],
+    (["growth", "--t-list", "10,20", "--seeds", "2", "--kappa", "1e154"],
      "a_final is nan at T=10, seed index 0"),
-    (["dynamics", "--kappa", "1e200"], "meta-step 1 is not finite: a = inf, b = nan"),
+    (["dynamics", "--kappa", "1e154"], "meta-step 1 is not finite: a = inf, b = inf"),
 ], ids=["growth", "dynamics"])
 def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, message):
-    # at kappa = 1e200 the Reptile meta-step's a^2 overflows; the run stops
-    # at the first non-finite a, before it prints a result or writes a file
+    # at kappa = 1e154, kappa^2 is finite but the Reptile meta-step's
+    # c^2 = (a^2 - b^2)^2 overflows; the run stops at the first non-finite a,
+    # before it prints a result or writes a file
     assert _run([*args, "--out", str(tmp_path / "x")]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: numerical failure: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["risk", "--family", "gd2_reg", "--lam", "1", "--d", "3", "--trials", "4"],
+    ["nsearch", "--family", "gd2_reg", "--d", "3", "--trials", "4", "--n-grid", "2,4"],
+    ["separation", "--d", "3", "--trials", "4", "--convex-grid", "2,4",
+     "--nonconvex-grid", "2,4"],
+    ["growth", "--t-list", "10", "--seeds", "2"],
+    ["dynamics"],
+], ids=["risk", "nsearch", "separation", "growth", "dynamics"])
+def test_overflowing_kappa_is_config_error(tmp_path, capsys, args):
+    # kappa^2 overflows above about 1.3e154: every command that takes kappa
+    # rejects it before any computation (separation's convex half included),
+    # with one stderr line naming kappa and no numpy warning or file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run([*args, "--kappa", "1e155", "--out", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: kappa must have kappa^2 finite, got 1e+155\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -444,8 +466,10 @@ def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
 def test_huge_first_layer_risk_is_finite(tmp_path, capsys):
     # alpha^4 overflows at 1e100, alpha^2 at 1e200 and kappa^4 at 1e150,
     # but the rank-one form never forms any of them: every run exits 0
-    # with a finite risk, and no numpy warning is raised
-    for key, value in (("alpha", "1e100"), ("alpha", "1e200"), ("kappa", "1e150")):
+    # with a finite risk, and no numpy warning is raised; 1e154 is about
+    # the largest kappa whose kappa^2 is finite, which cli requires
+    for key, value in (("alpha", "1e100"), ("alpha", "1e200"), ("kappa", "1e150"),
+                       ("kappa", "1e154")):
         out = str(tmp_path / f"{key}{value}")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -478,13 +502,14 @@ def test_stable_learner_overflow_is_numerical_failure(tmp_path, capsys, args, me
 def test_step_limit_warning_is_independent_of_workers(tmp_path):
     # the stability check runs once per estimate on the largest eigenvalue
     # of all trials, so every worker count warns once, with the same text
+    # (64 trials, so --workers 2 and 4 run two blocks)
     messages, records = set(), set()
     for workers in (1, 2, 4):
         out = str(tmp_path / f"w{workers}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert _run(["risk", "--family", "gd_step", "--eta", "100", "--d", "3",
-                         "--trials", "8", "--workers", str(workers), "--out", out]) == 0
+                         "--trials", "64", "--workers", str(workers), "--out", out]) == 0
         assert len(caught) == 1 and "stability limit" in str(caught[0].message)
         messages.add(str(caught[0].message))
         records.add(_read(out + ".json"))

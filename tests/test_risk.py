@@ -1,10 +1,11 @@
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from metasep import oracles
+from metasep import oracles, risk
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector, wishart_spectra
@@ -62,8 +63,9 @@ def test_bound_dominated_by_estimates():
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
 def test_estimator_edge_cases(d, n, sigma):
     # n < d, n = d and n > d at the smallest sizes, with and without noise:
-    # every estimate is finite, nonnegative and the same on a thread pool,
-    # and no convex one falls confidently below the exact convex bound
+    # every estimate is finite, nonnegative and the same on a thread pool
+    # (64 trials, the fewest the pool splits), and no convex one falls
+    # confidently below the exact convex bound
     inst = MetaInstance.from_config(d, 1.0, sigma)
     w_hat = inst.w_star / inst.r
     algs = [_reg_alg(0.0, d), _reg_alg(0.5, d),
@@ -72,7 +74,8 @@ def test_estimator_edge_cases(d, n, sigma):
             AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(w_hat, 1.0, 1.0))]
     seed = SeedSpec(8).child(d, n, int(sigma))
     serial = mc_excess_risk_many(algs, inst, n, 8, seed)
-    assert mc_excess_risk_many(algs, inst, n, 8, seed, workers=3) == serial
+    assert (mc_excess_risk_many(algs, inst, n, 64, seed, workers=3)
+            == mc_excess_risk_many(algs, inst, n, 64, seed))
     # at sigma = 0 and n < d, gd_reg(lam=0) from 0 attains the bound in every
     # trial, (d - n) / d r^2, which the two sides round apart by an ulp
     bound = convex_lower_bound_exact(d, n, inst.r, sigma) * (1.0 - 1e-12)
@@ -164,10 +167,13 @@ def test_step_limit_warns_at_equality_on_all_trials():
     # eta = 2 / lambda_max over all trials is at the limit (>=) and warns
     # once for any worker count, even where one block's own lambda_max is
     # smaller; the next float below it does not warn
-    d, n, trials = 3, 20, 8
+    d, n, trials = 3, 20, 64
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     seed = SeedSpec(25)
-    limit = 2.0 / float(wishart_spectra(seed, n, d, 0, trials)[:, 0].max())
+    top = wishart_spectra(seed, n, d, 0, trials)[:, 0]
+    # workers=2 splits the trials into two halves, one of them below the top
+    assert min(top[:trials // 2].max(), top[trials // 2:].max()) < top.max()
+    limit = 2.0 / float(top.max())
     for eta, warned in ((limit, 1), (float(np.nextafter(limit, 0.0)), 0)):
         alg = AlgSpec("gd_step", GdStepSpec(eta, 10), np.zeros(d))
         for workers in (1, 2):
@@ -176,6 +182,42 @@ def test_step_limit_warns_at_equality_on_all_trials():
                 est = mc_excess_risk(alg, inst, n, trials, seed, workers=workers)
             assert len(caught) == warned
             assert est.nonfinite == 0
+
+
+def test_pool_split_rule(monkeypatch):
+    # no thread gets fewer than _CHUNK trials: below 2 * _CHUNK a call runs
+    # inline at any worker count, and from there on min(workers, trials //
+    # _CHUNK) blocks; the estimates are those of workers=1, bit for bit
+    blocks = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            blocks.append(args[-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(risk, "ThreadPoolExecutor", Pool)
+    inst = MetaInstance.from_config(3, 1.0, 1.0)
+    alg = _reg_alg(0.5, 3)
+    for workers in (1, 2, 3, 4, 8):
+        mc_excess_risk(alg, inst, 5, 2 * risk._CHUNK - 1, SeedSpec(26), workers=workers)
+    assert blocks == []
+    for workers in (2, 3, 4):
+        mc_excess_risk(alg, inst, 5, 2 * risk._CHUNK, SeedSpec(26), workers=workers)
+        assert len(blocks) == 2
+        blocks.clear()
+    for d in (1, 3):
+        inst = MetaInstance.from_config(d, 1.0, 1.0)
+        algs = [_reg_alg(0.5, d), AlgSpec("gd_step", GdStepSpec(0.05, 10), np.zeros(d)),
+                AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))]
+        for n in (1, 7):
+            for trials in (64, 65, 100):
+                seed = SeedSpec(27).child(d, n, trials)
+                serial = mc_excess_risk_many(algs, inst, n, trials, seed)
+                for workers in (2, 3, 4):
+                    assert mc_excess_risk_many(algs, inst, n, trials, seed, workers) == serial
+                    assert len(blocks) == min(workers, trials // risk._CHUNK)
+                    assert all(hi - lo >= risk._CHUNK for lo, hi in blocks)
+                    blocks.clear()
 
 
 def test_search_trivial_epsilon_takes_first_point():
