@@ -331,6 +331,12 @@ def cmd_separation(cfg: dict):
         raise ConfigError(f"alpha_target is too large: its RepLearn task count "
                           f"overflows, got {cfg['alpha_target']!r}") from None
 
+    # the learned layer first: a spike that overflows fails the run before
+    # any risk work
+    learned = run_replearn(t_tasks, cfg["kappa"], inst)
+    alpha = learned.spike
+    lam2 = alpha ** 1.5
+
     # grid point idx of the convex half reads master.child(0, idx), shared
     # by every lambda; of the nonconvex half, master.child(1, idx)
     convex_found, convex_points = _search(
@@ -341,9 +347,6 @@ def cmd_separation(cfg: dict):
              for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
     convex_n = min((found for found in convex_found if found is not None), default=None)
 
-    learned = run_replearn(t_tasks, cfg["kappa"], inst)
-    alpha = learned.spike
-    lam2 = alpha ** 1.5
     (nonconvex_n,), (points,) = _search(
         "separation", "nonconvex", [AlgSpec("gd2_reg", GdRegSpec(lam2), learned)],
         inst, cfg, cfg["nonconvex_grid"], master.child(1), stages)

@@ -93,24 +93,43 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
 def rk4(rhs, y, t_max: float, step, tol: float):
     """Classical RK4, without error control, on a flat state y (..., n).
 
-    Each step takes one size h = step(y), shared across the batch.
-    Integration stops with converged True as soon as the largest row
-    norm of rhs(y) is below tol; if t_max is reached first, converged
-    is that same test at the final state. Returns (y, converged).
+    rhs(y, out) writes the derivative at y into out, an array of y's
+    shape, and returns nothing. Each step takes one size h = step(y),
+    shared across the batch. Integration stops with converged True as
+    soon as the largest row norm of the derivative is below tol; if
+    t_max is reached first, converged is that same test at the final
+    state. Returns (y, converged).
+
+    The state, the stage input and k1..k4 are buffers allocated once per
+    call, and every step runs in place on them with numpy's out=, in
+    the arithmetic order of the textbook form: stage inputs
+    y + (0.5 h) k, the update y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
+    rhs and step see only these buffers, never the caller's y, which is
+    copied and not written.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    stage = np.empty_like(y)
+    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
+    norms = np.empty(y.shape[:-1])
     t = 0.0
     while True:
-        k1 = rhs(y)
-        if (k1 * k1).sum(axis=-1).max() < tol * tol:
+        rhs(y, k1)
+        np.sum(np.multiply(k1, k1, out=stage), axis=-1, out=norms)
+        if norms.max() < tol * tol:
             return y, True
         if t >= t_max:
             return y, False
         h = step(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
+        rhs(stage, k2)
+        np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
+        rhs(stage, k3)
+        np.add(y, np.multiply(k3, h, out=stage), out=stage)
+        rhs(stage, k4)
+        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+        np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
+        np.add(k2, k4, out=k2)
+        np.add(y, np.multiply(k2, h / 6.0, out=k2), out=y)
         t += h
 
 
@@ -122,7 +141,14 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     h = min(5e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A, a
     function of the state alone, so a flow stopped at t and restarted
     takes the same steps. Returns (a, w, converged), converged as rk4
-    decides it for the whole batch.
+    decides it for the whole batch; a and w are views of one new array,
+    and a, w and v are never written.
+
+    The state is the row [vec A, vec W] per batch entry. The (A, W)
+    views of each rk4 buffer are built on the buffer's first use and
+    reused for the rest of the flow, and A^T W, G and the step rule's
+    squares and norms live in arrays allocated once per flow, so a step
+    allocates, reshapes and concatenates nothing.
 
     The cap is set by the one error the step size can cause. A state
     with rhs = 0 is a fixed point of the RK4 map, so the limit the flow
@@ -139,22 +165,37 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     v = np.asarray(v, dtype=np.float64)
     *batch, d, k = v.shape
     n = d * d
+    # id(buffer) -> (vec A, A, A^T, W) views; each view holds its buffer,
+    # so no id is reused while the flow runs
+    views = {}
 
-    def unpack(y):
-        return y[..., :n].reshape(*batch, d, d), y[..., n:].reshape(v.shape)
+    def split(y):
+        parts = views.get(id(y))
+        if parts is None:
+            a = y[..., :n].reshape(*batch, d, d)
+            parts = views[id(y)] = (y[..., :n], a, a.swapaxes(-1, -2),
+                                    y[..., n:].reshape(v.shape))
+        return parts
 
-    def rhs(y):
-        a, w = unpack(y)
-        g = v - a.swapaxes(-1, -2) @ w
-        return np.concatenate([(w @ g.swapaxes(-1, -2)).reshape(*batch, n),
-                               (a @ g).reshape(*batch, d * k)], axis=-1)
+    atw, g = np.empty(v.shape), np.empty(v.shape)
+    g_t = g.swapaxes(-1, -2)
+    squares, norms = np.empty((*batch, n)), np.empty(batch)
+
+    def rhs(y, out):
+        _, a, a_t, w = split(y)
+        _, da, _, dw = split(out)
+        np.subtract(v, np.matmul(a_t, w, out=atw), out=g)
+        np.matmul(w, g_t, out=da)
+        np.matmul(a, g, out=dw)
 
     def step(y):
-        return min(5e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
+        np.sum(np.square(split(y)[0], out=squares), axis=-1, out=norms)
+        return min(5e-3, 0.05 / (1.0 + float(norms.max())))
 
     y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
     y, converged = rk4(rhs, y0, t_max, step, tol)
-    return (*unpack(y), converged)
+    _, a, _, w = split(y)
+    return a, w, converged
 
 
 def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,

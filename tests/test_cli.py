@@ -463,6 +463,20 @@ def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
     assert os.listdir(tmp_path) == []
 
 
+def test_separation_overflowing_spike_fails_before_the_convex_half(tmp_path, capsys):
+    # at kappa = 1e154, kappa^2 is finite but the RepLearn spike overflows:
+    # separation builds the learned layer first, so it exits 3 before any
+    # convex grid point runs or prints, and writes no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["separation", *_SMALL_SEPARATION, "--kappa", "1e154",
+                     "--out", str(tmp_path / "x")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "convex n=" not in err
+    assert err == "error: numerical failure: spike and bulk must be finite, got inf and 1e+154\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_huge_first_layer_risk_is_finite(tmp_path, capsys):
     # alpha^4 overflows at 1e100, alpha^2 at 1e200 and kappa^4 at 1e150,
     # but the rank-one form never forms any of them: every run exits 0

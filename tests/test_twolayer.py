@@ -150,12 +150,105 @@ def test_flow_step_rule():
         assert np.array_equal(a_out, a_ref) and np.array_equal(w_out, w_ref)
 
 
+def _literal_flow(a, w, v, t_max, tol):
+    """The flow on an allocating RK4, written out in the textbook order:
+    the arithmetic gd_pop_flow and rk4 must keep bit for bit. Returns
+    (a, w, converged, steps)."""
+    *batch, d, k = v.shape
+    n = d * d
+
+    def unpack(y):
+        return y[..., :n].reshape(*batch, d, d), y[..., n:].reshape(v.shape)
+
+    def rhs(y):
+        a, w = unpack(y)
+        g = v - a.swapaxes(-1, -2) @ w
+        return np.concatenate([(w @ g.swapaxes(-1, -2)).reshape(*batch, n),
+                               (a @ g).reshape(*batch, d * k)], axis=-1)
+
+    y = np.concatenate([a.reshape(*batch, n), w.reshape(*batch, d * k)], axis=-1)
+    t, steps = 0.0, 0
+    while True:
+        k1 = rhs(y)
+        if (k1 * k1).sum(axis=-1).max() < tol * tol:
+            return (*unpack(y), True, steps)
+        if t >= t_max:
+            return (*unpack(y), False, steps)
+        h = min(5e-3, 0.05 / (1.0 + float(np.square(y[..., :n]).sum(axis=-1).max())))
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        steps += 1
+
+
+def _flow_start(batch, d, k, seed):
+    size = int(np.prod(batch, dtype=int))
+    g = gaussian_matrix(SeedSpec(seed), size, d * d + 2 * d * k)
+    a = np.eye(d) + 0.3 * g[:, :d * d].reshape(*batch, d, d)
+    w = 0.2 * g[:, d * d:d * d + d * k].reshape(*batch, d, k)
+    v = g[:, d * d + d * k:].reshape(*batch, d, k)
+    return a, w, v
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 3])
+def test_flow_equals_literal_rk4_over_many_steps(batch, d, k):
+    # h <= 5e-3, so t_max = 0.2 at tol = 0 runs at least 40 steps
+    a, w, v = _flow_start(batch, d, k, 100 + 10 * d + k)
+    a_ref, w_ref, conv_ref, steps = _literal_flow(a, w, v, 0.2, 0.0)
+    a_out, w_out, converged = gd_pop_flow(a, w, v, 0.2, 0.0)
+    assert steps >= 40 and not conv_ref and not converged
+    assert a_out.shape == a.shape and w_out.shape == w.shape
+    assert np.array_equal(a_out, a_ref) and np.array_equal(w_out, w_ref)
+
+
+def test_flow_equals_literal_rk4_when_it_stops_on_tol():
+    # two tasks near their flow limits; the flow stops on tol well inside t_max
+    inst = MetaInstance.from_config(3, 1.0, 0.0)
+    u = inst.w_star
+    fps = [gd_pop_fixed_point(ScalarPair(0.8, 0.2), 0.1, 1.0, s) for s in (1, -1)]
+    g = 0.05 * gaussian_matrix(SeedSpec(41), 2, 12)
+    a = (np.stack([SpikedIdentity(u, fp.a, 0.1).to_dense() for fp in fps])
+         + g[:, :9].reshape(2, 3, 3))
+    w = np.stack([fp.b * u for fp in fps])[..., None] + g[:, 9:].reshape(2, 3, 1)
+    v = np.stack([u, -u])[..., None]
+    a_ref, w_ref, conv_ref, steps = _literal_flow(a, w, v, 100.0, 1e-3)
+    a_out, w_out, converged = gd_pop_flow(a, w, v, 100.0, 1e-3)
+    assert conv_ref and converged and steps > 40
+    assert np.array_equal(a_out, a_ref) and np.array_equal(w_out, w_ref)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e6])
+def test_flow_never_writes_its_inputs(tol):
+    # tol = 1e6 converges before the first step, where the output is the
+    # state as copied in; tol = 0 runs every step to t_max. Read-only
+    # inputs make any write raise
+    a, w, v = _flow_start((2,), 3, 3, 7)
+    y0 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    inputs = (a, w, v, y0)
+    copies = [x.copy() for x in inputs]
+    for x in inputs:
+        x.flags.writeable = False
+    a_out, w_out, converged = gd_pop_flow(a, w, v, 0.05, tol)
+    assert converged == (tol > 0.0)
+    y, converged = rk4(lambda y, out: np.negative(y, out=out), y0, 0.5,
+                       lambda y: 0.125, tol)
+    assert converged == (tol > 0.0)
+    for x, copy in zip(inputs, copies):
+        assert np.array_equal(x, copy)
+        assert not any(np.shares_memory(x, out) for out in (a_out, w_out, y))
+
+
 def test_rk4_is_fourth_order():
     # binary-exact steps, so t lands on 1 exactly: with h = 0.1, ten
     # t += h sum to just under 1 and an eleventh step is taken
     errors = []
     for h in (0.125, 0.0625):
-        y, converged = rk4(lambda y: -y, np.ones(1), 1.0, lambda y: h, tol=0.0)
+        y, converged = rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0,
+                           lambda y: h, tol=0.0)
         assert not converged
         errors.append(abs(float(y[0]) - math.exp(-1.0)))
     assert 14.0 <= errors[0] / errors[1] <= 18.0
@@ -165,12 +258,12 @@ def test_rk4_converged_flag():
     # rows decay from 1 and from 100; the RHS norm of a row is its value, so
     # convergence stops at the first state below 0.5, one step of about
     # exp(-1/64) after the last one at or above it
-    y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 100.0,
+    y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 100.0,
                        lambda y: 1.0 / 64.0, tol=0.5)
     assert converged
     assert 0.5 * math.exp(-1.0 / 64.0) < float(np.max(np.abs(y))) < 0.5
     # the t_max budget runs out first
-    y, converged = rk4(lambda y: -y, np.array([[1.0], [100.0]]), 1.0,
+    y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 1.0,
                        lambda y: 1.0 / 64.0, tol=0.5)
     assert not converged
     assert float(np.max(np.abs(y))) > 0.5
