@@ -204,6 +204,14 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
+def _efficiency(stderr: float, wall: float):
+    """1 / (stderr^2 wall_s), the precision an estimate bought per second
+    of its stage, or None (JSON null) when stderr is 0 or the value is
+    not finite."""
+    denom = stderr * stderr * wall
+    return _finite_or_none(1.0 / denom) if 0.0 < denom < math.inf else None
+
+
 def _point_record(n: int, est) -> dict:
     """JSON-ready record of one search point and its RiskEstimate."""
     return {"n": n, "mean": _finite_or_none(est.mean), "stderr": _finite_or_none(est.stderr)}
@@ -294,8 +302,9 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
             seed: SeedSpec, stages: dict):
     """One paired search over algs at cfg's epsilon, trials and workers.
     Prints a progress line per grid point and records its stage under
-    "<half>/<n>" ("<n>" when half is empty); returns the n_eps list and
-    each algorithm's (n, RiskEstimate) points."""
+    "<half>/<n>" ("<n>" when half is empty), with the statistical
+    efficiency of each algorithm scored there (_efficiency); returns the
+    n_eps list and each algorithm's (n, RiskEstimate) points."""
     labels = [a.label() for a in algs]
     points = [[] for _ in algs]
     last = time.monotonic()
@@ -309,7 +318,8 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
         scored_labels = [labels[j] for j in scored]
         stages[f"{half}/{n}" if half else str(n)] = {
             "algorithms": scored_labels, "trials": cfg["trials"],
-            "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall}
+            "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall,
+            "efficiency": [_efficiency(est.stderr, wall) for est in scored.values()]}
         where = f"{half} n={n}" if half else f"n={n}"
         print(f"{command}: {where} open={','.join(scored_labels)} {wall:.2f} s",
               file=sys.stderr)

@@ -24,7 +24,8 @@ sign, the design and the label noise that risk.mc_excess_risk_many
 averages out in closed form or samples as spectra, and scores each
 trial with explicit predictor matrices (predictor_matrices).
 dense_wishart_spectra, which eigensolves drawn designs, is the
-reference of rng.wishart_spectra.
+reference of rng.wishart_spectra. householder_bidiagonal reduces a
+drawn design to the bidiagonal form that rng.wishart_chi samples.
 
 The last section holds the suites that `metasep verify` runs through
 run_suites; they call the closed forms and pair them with references.
@@ -40,7 +41,7 @@ import numpy as np
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
 from .linalg import SpikedIdentity, as_dense
 from .meta_learners import ScalarTrajectory, replearn_alpha
-from .risk import AlgSpec, _convex_risk, _estimate, _spiked_risk
+from .risk import AlgSpec, _convex_risk, _estimate, _ridge_risks, _spiked_risk
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import flow_limit, gd2_reg, gd_pop_flow
@@ -222,6 +223,28 @@ def dense_wishart_spectra(seed: SeedSpec, n: int, d: int, trials: int) -> np.nda
     return out
 
 
+def householder_bidiagonal(x: np.ndarray):
+    """(diagonal, superdiagonal) of an upper bidiagonal B with x's singular
+    values, by Golub-Kahan Householder reflections of x's tall side (x^T
+    when x is wide): B^T B has the nonzero eigenvalues of x^T x."""
+    a = np.array(x.T if x.shape[0] < x.shape[1] else x, dtype=np.float64)
+    k = a.shape[1]
+
+    def reflect(block):
+        # map block's first column onto a multiple of e1, applied to every column
+        v = block[:, 0].copy()
+        v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+        vv = float(v @ v)
+        if vv > 0.0:
+            block -= np.outer(v, (2.0 / vv) * (v @ block))
+
+    for j in range(k):
+        reflect(a[j:, j:])  # zero column j below the diagonal
+        if j < k - 1:
+            reflect(a[j:, j + 1:].T)  # zero row j right of the superdiagonal
+    return np.diag(a).copy(), np.diag(a, 1).copy()
+
+
 # ---------------------------------------------------------------------------
 # verification suites: each returns (pairs, oracle converged). A pair is
 # (closed form, reference, scale), its residual ||closed - reference|| /
@@ -322,15 +345,17 @@ def _suite_replearn(seed: SeedSpec):
 
 def _suite_risk_estimator(seed: SeedSpec):
     """Each trial's conditional excess risk against the explicit predictor
-    matrices (P, D) on the same design X: risk._convex_risk on the
-    spectrum of X^T X / n against (||w0||^2/d) ||D||_F^2 +
+    matrices (P, D) on the same design X: risk._ridge_risks on X's
+    Householder bidiagonal (gd_reg) and risk._convex_risk on the spectrum
+    of X^T X / n (gd_step) against (||w0||^2/d) ||D||_F^2 +
     (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 (the exact average over
     Haar eigenvectors, since a trace is the sum over basis directions),
     and risk._spiked_risk on X's (mu, z) against ||(P X - I) w*||^2 +
     sigma^2 ||P||_F^2. The spectrum is the squared singular values of X
-    over n, padded with zeros: an eigensolve of X^T X squares X's
-    condition number, which gd_reg's variance at lam = 0 on the square
-    design amplifies past the tolerance."""
+    over n, padded with zeros, and the bidiagonal is reduced from X
+    itself: an eigensolve of X^T X squares X's condition number, which
+    gd_reg's variance at lam = 0 on the square design amplifies past the
+    tolerance."""
     d, trials = 6, 3
     inst = MetaInstance.from_config(d, 1.0, 0.5)
     w_star, sigma2 = inst.w_star, inst.sigma ** 2
@@ -348,6 +373,7 @@ def _suite_risk_estimator(seed: SeedSpec):
             z = u.T @ x[:, 0]
             spectrum = np.zeros(d)
             spectrum[:min(n, d)] = np.linalg.svd(x, compute_uv=False) ** 2 / n
+            diag, sup = householder_bidiagonal(x)
             for alg in algs:
                 p, dm = predictor_matrices(alg, x)
                 e = p @ x - np.eye(d)
@@ -355,7 +381,9 @@ def _suite_risk_estimator(seed: SeedSpec):
                     closed = float(_spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0])
                     bias = float(np.sum((e @ w_star) ** 2))
                 else:
-                    closed = float(_convex_risk(alg, spectrum[None], d, n, r2, sigma2)[0])
+                    closed = float(_ridge_risks([alg], diag[None], sup[None], d, n, r2, sigma2)[0, 0]
+                                   if alg.family == "gd_reg" else
+                                   _convex_risk(alg, spectrum[None], d, n, r2, sigma2)[0])
                     bias = (w0 @ w0 * np.sum(dm * dm) + r2 * np.sum(e * e)) / d
                 reference = bias + sigma2 * float(np.sum(p * p))
                 pairs.append((closed, reference, max(1.0, abs(reference))))

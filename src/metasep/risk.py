@@ -14,8 +14,35 @@ s_i and average out too:
     E[excess | spec S] = (||w0||^2 / d) sum delta_i^2
                          + (r^2 / d) sum (1 - g_i s_i)^2 + (sigma^2 / n) sum g_i^2 s_i
 
-So a convex trial needs only the spectrum, which rng.wishart_spectra
-samples (attempt j of trial t reads seed.child(t, 2, j)).
+So a convex trial needs only S's law, which rng.wishart_chi samples as
+the chi variates of a k x k bidiagonal B, k = min(n, d), with S's
+nonzero eigenvalues those of T / n, T = B^T B (attempt j of trial t
+reads seed.child(t, 2, j)). gd_step is scored on the spectrum
+(rng.bidiagonal_spectra, a dense SVD per trial). gd_reg needs no
+spectrum: its factors are delta = 0, g = 1 / (s + lam) for lam > 0 and
+delta = [s = 0], g = [s > 0] / s at lam = 0, so with R = (T / n + lam)^-1
+and the d - k zero eigenvalues of S taken apart
+
+    E[excess | B] = (r^2 / d) (lam^2 tr R^2 + d - k) + (sigma^2 / n) (tr R - lam tr R^2)
+                    + [lam = 0] (||w0||^2 / d) (d - k)
+
+(the ridge limit forgets w0 on every direction when lam > 0). The
+traces come from the LDL^T pivots p_i of T / n + lam and their first two
+lam-derivatives, since tr R = d/dlam log det(T / n + lam) and
+tr R^2 = -d^2/dlam^2 log det: with a_i = alpha_i^2 / n, c_i = beta_i^2 / n
+(alpha, beta B's diagonal and superdiagonal) and f_i = a_i c_i / p_i^2,
+
+    p_i = a_i + t_i,  t_1 = lam,  t_{i+1} = lam + c_i t_i / p_i
+    p'_1 = 1,  p'_{i+1} = 1 + f_i p'_i
+    p''_1 = 0,  p''_{i+1} = f_i (p''_i - 2 p'_i^2 / p_i)
+    tr R = sum p'_i / p_i,  tr R^2 = sum ((p'_i / p_i)^2 - p''_i / p_i)
+
+The pivot recurrence p_{i+1} = a_{i+1} + c_i + lam - a_i c_i / p_i is written
+in the differential form for t_i = p_i - a_i, whose terms are all
+nonnegative, and every term of both sums is nonnegative too (p'' <= 0),
+so nothing cancels, even at lam = 0 on a square design. That is one loop
+over k, vectorized over trials and lams: O(k) per trial, where the SVD
+is O(k^3).
 
 gd2_reg is scored only on a SpikedIdentity first layer along +-w_hat =
 +-w_star / r. Then X enters the risk only through the spectrum mu of W,
@@ -51,14 +78,15 @@ import numpy as np
 
 from .convex import GdRegSpec, GdStepSpec, learner_factors, past_step_limit
 from .linalg import NumericalError, SpikedIdentity
-from .rng import SeedSpec, gaussian_rows, wishart_spectra
+from .rng import SeedSpec, bidiagonal_spectra, gaussian_rows, wishart_chi, wishart_spectra
 from .tasks import MetaInstance
 
-# Trials per wishart_spectra call: bounds the stacked (trials, k, k)
-# bidiagonals and their SVD workspace (an unchunked 200-trial block at
-# d = 50 added about 10 MB of RSS per thread). Also the thread pool's
-# smallest block: below two whole chunks a call runs inline, where a
-# thread costs more than it saves (README, --workers).
+# Trials per chi draw: bounds the draw's uniforms and, for gd_step and
+# gd2_reg, the stacked (trials, k, k) bidiagonals and their SVD workspace
+# (an unchunked 200-trial block at d = 50 added about 10 MB of RSS per
+# thread). Also the thread pool's smallest block: below two whole chunks
+# a call runs inline, where a thread costs more than it saves (README,
+# --workers).
 _CHUNK = 32
 
 
@@ -114,12 +142,84 @@ def _weighted(c: float, v: np.ndarray) -> np.ndarray:
 def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
                  r2: float, sigma2: float) -> np.ndarray:
     """E[excess | spectrum] of a gd_step or gd_reg learner for each row
-    of the spectra s (trials, d)."""
+    of the spectra s (trials, d). The estimator scores gd_reg by
+    _ridge_risks; this spectral form is its reference."""
     decay, gain, _ = learner_factors(alg.params, s)
     with np.errstate(over="ignore"):  # a divergent gd_step squares to inf, counted as nonfinite
         return (_weighted(float(alg.init @ alg.init) / d, decay * decay)
                 + _weighted(r2 / d, (1.0 - gain * s) ** 2)
                 + _weighted(sigma2 / n, gain * gain * s))
+
+
+def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
+    """(lam^2 tr R^2, tr R - lam tr R^2) with R = (B^T B / n + lam)^-1,
+    for the upper bidiagonal B of each row of diag (rows, k) and sup
+    (rows, k - 1) and each lam of lams: two (rows, len(lams)) arrays, by
+    the pivot recurrence of the module docstring.
+
+    Each lam's matrix is scaled by rho, the least power of two above lam
+    and at least 1. That is exact, so the sums are those of the unscaled
+    recurrence wherever it neither overflows nor underflows, and the
+    recurrence of a huge lam does neither. Each trial and lam is one
+    column of elementwise arithmetic, so a row's sums do not depend on
+    the others."""
+    rows = diag.shape[0]
+    lam = np.asarray(lams, dtype=np.float64)
+    rho = np.maximum(1.0, np.ldexp(1.0, np.frexp(lam)[1]))
+    # column (row, lam) of the (k, rows * len(lams)) coefficient rows, over rho
+    cols = np.tile(rho, rows)
+    a = np.repeat((diag * diag / n).T, lam.size, axis=1) / cols
+    c = np.repeat((sup * sup / n).T, lam.size, axis=1) / cols
+    tau = np.tile(lam / rho, rows)
+    t, p1, p2 = tau.copy(), np.ones_like(tau), np.zeros_like(tau)
+    g = 1.0 / (a[0] + t)  # 1 / p_i
+    q = g.copy()  # p'_i / p_i
+    tr1, tr2, f, w = q.copy(), q * q, np.empty_like(tau), np.empty_like(tau)
+    for ai, ai1, ci in zip(a[:-1], a[1:], c):
+        np.multiply(g, g, out=f)
+        f *= ai
+        f *= ci  # f_i = a_i c_i / p_i^2
+        t *= g
+        t *= ci
+        t += tau  # t_{i+1}
+        np.multiply(p1, q, out=w)
+        w *= 2.0
+        p2 -= w
+        p2 *= f  # p''_{i+1}
+        p1 *= f
+        p1 += 1.0  # p'_{i+1}
+        np.add(ai1, t, out=g)
+        np.divide(1.0, g, out=g)
+        np.multiply(p1, g, out=q)
+        tr1 += q
+        np.multiply(q, q, out=w)
+        tr2 += w
+        np.multiply(p2, g, out=w)
+        tr2 -= w
+    tr1, tr2, scaled = tr1.reshape(rows, lam.size), tr2.reshape(rows, lam.size), lam / rho
+    return scaled * scaled * tr2, (tr1 - scaled * tr2) / rho
+
+
+def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
+                 r2: float, sigma2: float) -> np.ndarray:
+    """E[excess | B] (module docstring) of the gd_reg learners algs, an
+    (rows, len(algs)) array, for the bidiagonals B of _ridge_sums. One
+    pass of the recurrence serves every distinct lam.
+
+    For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
+    counts S's zero eigenvalues as null and keeps w0 there, where this
+    form takes the ridge limit, which forgets w0."""
+    k = diag.shape[1]
+    lams = sorted({a.params.lam for a in algs})
+    out = np.empty((diag.shape[0], len(algs)))
+    with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
+        bias, var = _ridge_sums(diag, sup, n, lams)
+        for j, alg in enumerate(algs):
+            i = lams.index(alg.params.lam)
+            out[:, j] = (r2 / d) * (bias[:, i] + (d - k)) + (sigma2 / n) * var[:, i]
+            if alg.params.lam == 0.0 and d > k:
+                out[:, j] += float(alg.init @ alg.init) / d * (d - k)
+    return out
 
 
 def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
@@ -140,18 +240,26 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
 def _trial_block(algs, inst, n, seed, lo, hi):
     """Conditional excess risks for trials [lo, hi) as an (hi-lo, n_algs)
     array, and the largest eigenvalue of the block's spectra (0.0 with no
-    convex algorithm). Each family's draws are made _CHUNK trials at a time."""
+    gd_step). Each family's draws are made _CHUNK trials at a time; the
+    convex families share one chi draw, which is SVDed only for a gd_step."""
     d, r2, sigma2 = inst.d, float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
+    steps = [j for j, a in enumerate(algs) if a.family == "gd_step"]
     spiked = [j for j, a in enumerate(algs) if a.family == "gd2_reg"]
-    convex = [j for j in range(len(algs)) if j not in spiked]
     out = np.empty((hi - lo, len(algs)))
     top = 0.0
-    if convex:
-        spectra = np.concatenate([wishart_spectra(seed, n, d, a, min(a + _CHUNK, hi))
-                                  for a in range(lo, hi, _CHUNK)])
-        top = float(spectra[:, 0].max())
-        for j in convex:
-            out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
+    if ridge or steps:
+        k = min(n, d)
+        chunks = [wishart_chi(seed, n, d, a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)]
+        if steps:
+            spectra = np.concatenate([bidiagonal_spectra(chi, n, d) for chi in chunks])
+            top = float(spectra[:, 0].max())
+            for j in steps:
+                out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
+        if ridge:
+            chi = np.concatenate(chunks)
+            out[:, ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
+                                         d, n, r2, sigma2)
     if spiked:
         for a in range(lo, hi, _CHUNK):
             b = min(a + _CHUNK, hi)
@@ -173,7 +281,7 @@ def _estimate(values: np.ndarray) -> RiskEstimate:
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
     """Paired Monte-Carlo excess risks, one RiskEstimate per algorithm:
-    the convex ones share the per-trial spectra, the gd2_reg ones (in the
+    the convex ones share the per-trial chi draws, the gd2_reg ones (in the
     one form _spiked_risk scores, else ValueError) the per-trial (mu, z).
 
     Each gd_step algorithm is checked once against the largest eigenvalue

@@ -15,21 +15,25 @@ of many children seed.child(t, ...) in one vectorized pass, so a block
 of trials draws from all of its streams at once.
 
 wishart_spectra samples the eigenvalues of S = X^T X / n for a Gaussian
-n x d design without drawing X. With k = min(n, d) and m = max(n, d),
-the nonzero eigenvalues of n S are the squared singular values of the
-k x k upper bidiagonal B with diagonal chi_m, ..., chi_{m-k+1} and
-superdiagonal chi_{k-1}, ..., chi_1 (the beta = 1 Laguerre model of
-Dumitriu & Edelman 2002, "Matrix models for beta ensembles", J. Math.
-Phys. 43:5830); the other d - k eigenvalues are exactly 0. That is
-2k - 1 variates instead of n d normals: at d = 50 a trial costs
-0.13-0.17 ms in a 32-trial block, against 0.4-0.5 ms (n = 100) and
-2.3 ms (n = 900) to draw X and eigensolve X^T X / n (one BLAS thread on
-a 2-CPU x86-64 VM). Each chi_a is sqrt(2 Gamma(a/2)), with Gamma drawn
+n x d design without drawing X, in two steps. With k = min(n, d) and
+m = max(n, d), the nonzero eigenvalues of n S are the squared singular
+values of the k x k upper bidiagonal B with diagonal chi_m, ...,
+chi_{m-k+1} and superdiagonal chi_{k-1}, ..., chi_1 (the beta = 1
+Laguerre model of Dumitriu & Edelman 2002, "Matrix models for beta
+ensembles", J. Math. Phys. 43:5830); the other d - k eigenvalues are
+exactly 0. wishart_chi draws those 2k - 1 chi variates instead of n d
+normals, and bidiagonal_spectra takes the dense SVD of each B, which
+costs O(k^3) per trial. A caller that needs only functions of B^T B,
+such as gd_reg's resolvent traces (risk module docstring), uses the chi
+draw alone. At d = 50 a 32-trial block costs 0.03 ms a trial to
+draw and 0.11-0.13 ms to SVD, against 0.4-0.5 ms (n = 100) and 2.3 ms
+(n = 900) to draw X and eigensolve X^T X / n (one BLAS thread on a
+2-CPU x86-64 VM). Each chi_a is sqrt(2 Gamma(a/2)), with Gamma drawn
 by Marsaglia & Tsang (ACM TOMS 26:363, 2000); a shape below 1 is drawn
 at shape + 1 and multiplied by U^(1/shape). Attempt j of trial t reads
 the sub-stream seed.child(t, 2, j), and attempts go on until every
 variate of the trial is accepted (over 4000 trials at d = 50 none took
-more than 4), so a spectrum depends only on (seed, t): not on the block,
+more than 4), so a draw depends only on (seed, t): not on the block,
 the worker count or the other trials.
 """
 
@@ -179,19 +183,19 @@ def rademacher_signs(seed: SeedSpec, t: int) -> np.ndarray:
     return 2 * bit - 1
 
 
-def wishart_spectra(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenvalues of S = X^T X / n, X an n x d standard normal design,
-    for trials [lo, hi): a (hi - lo, d) array, each row descending, with
-    exactly max(d - n, 0) zeros at the end of each row.
+def wishart_chi(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """The chi variates of the bidiagonal B (module docstring) of an n x d
+    standard normal design, for trials [lo, hi): a (hi - lo, 2k - 1)
+    array, k = min(n, d), each row B's diagonal chi_m, ..., chi_{m-k+1}
+    and then its superdiagonal chi_{k-1}, ..., chi_1.
 
-    Variate i of trial t is the squared chi with dof[i] degrees of
-    freedom: the diagonal of B, then its superdiagonal (module
-    docstring). Attempt j of trial t reads
-    _key_uniforms(child_keys(seed, [t], 2, j), 2 ceil(V/2) + 2 V), V the
-    variate count: the first 2 ceil(V/2) give the V Marsaglia-Tsang
-    normals x (_box_muller), the next V the acceptance uniforms, the last
-    V the uniforms of the shape-below-1 boost. A variate takes the value
-    of its first accepted attempt.
+    Variate i of trial t is the chi with dof[i] degrees of freedom.
+    Attempt j of trial t reads _key_uniforms(child_keys(seed, [t], 2, j),
+    2 ceil(V/2) + 2 V), V = 2k - 1 the variate count: the first
+    2 ceil(V/2) give the V Marsaglia-Tsang normals x (_box_muller), the
+    next V the acceptance uniforms, the last V the uniforms of the
+    shape-below-1 boost. A variate takes the value of its first accepted
+    attempt.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -218,11 +222,27 @@ def wishart_spectra(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndar
         gamma[rows[r], i] = dd[i] * cube[r, i] * u[r, 2 * pairs + v + i] ** boost[i]
         pending[rows[r], i] = False
         attempt += 1
-    chi = np.sqrt(2.0 * gamma)
-    b = np.zeros((hi - lo, k, k))
+    return np.sqrt(2.0 * gamma)
+
+
+def bidiagonal_spectra(chi: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The eigenvalues of S = X^T X / n from wishart_chi's rows chi: the
+    squared singular values of each row's k x k bidiagonal over n, by a
+    dense SVD, then max(d - n, 0) zeros. A (rows, d) array, each row
+    descending."""
+    k = min(n, d)
+    b = np.zeros((chi.shape[0], k, k))
     diag = np.arange(k)
     b[:, diag, diag] = chi[:, :k]
     b[:, diag[:-1], diag[1:]] = chi[:, k:]
-    out = np.zeros((hi - lo, d))
+    out = np.zeros((chi.shape[0], d))
     out[:, :k] = np.linalg.svd(b, compute_uv=False) ** 2 / n
     return out
+
+
+def wishart_spectra(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues of S = X^T X / n, X an n x d standard normal design,
+    for trials [lo, hi): a (hi - lo, d) array, each row descending, with
+    exactly max(d - n, 0) zeros at the end of each row. The spectra of
+    wishart_chi's bidiagonals (bidiagonal_spectra)."""
+    return bidiagonal_spectra(wishart_chi(seed, n, d, lo, hi), n, d)

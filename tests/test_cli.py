@@ -77,8 +77,8 @@ def test_growth_small(tmp_path):
 # change to the seed streams or to the arithmetic order of the Reptile
 # meta-step or of the risk estimator changes them. nsearch runs the
 # single-algorithm search on the streams the search has always used;
-# separation scores every lambda on the spectra of master.child(0, idx),
-# and gd2_reg (nsearch-gd2_reg, the nonconvex half) on the spectrum of W
+# separation scores every lambda on the chi draws of master.child(0, idx)
+# by gd_reg's trace recurrence (risk module docstring), and gd2_reg (nsearch-gd2_reg, the nonconvex half) on the spectrum of W
 # and the normals z of the rank-one form (risk module docstring), not on
 # designs
 _GOLDEN = {
@@ -90,19 +90,19 @@ _GOLDEN = {
                   ".json": "8e488d9321bbfc58b993d2d61e2239d942e89302c8701e2457fb13b68d02aad7"}),
     "nsearch": (["nsearch", "--d", "6", "--lam", "0.5", "--epsilon", "0.6",
                  "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
-                {".json": "88fe2c38a38c32d69ab98d1355a9aff02aa0e731b9128ad636c73437fc4786ef"}),
+                {".json": "6b4076b76298b5f69f8788006ccbe82fd6f7b8e58929ede4f4585566c848d950"}),
     "nsearch-gd2_reg": (["nsearch", "--family", "gd2_reg", "--alpha", "10", "--d", "8",
                          "--epsilon", "0.3", "--n-grid", "4,8,16,32", "--trials", "40",
                          "--seed", "0"],
                         {".json": "def444b8fa6513c89028d7ae9f14fda1d872c08a53e80899e3b40e73766f2d84"}),
     "risk": (["risk", "--d", "6", "--n", "8", "--lam", "0.5", "--trials", "60", "--seed", "0"],
-             {".json": "b56c0ed94ec0b588b9afd55e9ef511f26a748d449e84b59cdbecf10860396d28"}),
+             {".json": "bd9778eae8520797e04d323ed9a1f28a4f768e092735a8a70a2d69db7ab8ce6f"}),
     "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
-                   {".json": "ed7f5c347c59bf90f199d2e699891fcecb9d408c652a002408326f882740eff1"}),
+                   {".json": "46a8a088c350122fd0831e4badaa45aecc076a3d5527aa15f8f2454ac664df4d"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "469e4d2d1ff882909e15e643c73bdc09307aa5f690fcc009eb08c70c4a07b020"}),
+               {".json": "8543a274f798e7157afa9ff3c48a0323beb35aaa74944b23b5b7627b03997439"}),
 }
 
 
@@ -161,6 +161,17 @@ def test_separation_progress_and_stages(tmp_path, capsys):
         assert stages[key]["trials"] == 40 and stages[key]["wall_s"] >= 0.0
         assert stages[key]["nonfinite"] == 0
         assert line.split("open=")[1].split(" ")[0] == ",".join(stages[key]["algorithms"])
+    # each scored algorithm's statistical efficiency, 1 / (stderr^2 wall_s),
+    # from the stderr in the data file
+    stderrs = {f"convex/{p['n']}": [] for p in table["convex"]["sweep"][0]["points"]}
+    for sweep in table["convex"]["sweep"]:
+        for p in sweep["points"]:
+            stderrs[f"convex/{p['n']}"].append(p["stderr"])
+    for p in table["nonconvex"]["points"]:
+        stderrs[f"nonconvex/{p['n']}"] = [p["stderr"]]
+    for key, stage in stages.items():
+        assert stage["efficiency"] == pytest.approx(
+            [1.0 / (se * se * stage["wall_s"]) for se in stderrs[key]], rel=1e-12), key
     assert stages["convex/4"]["algorithms"] == ["gd_reg(lam=0)", "gd_reg(lam=0.5)"]
     assert [s["lam"] for s in table["convex"]["sweep"]] == [0.0, 0.5]
     assert "wall_s" not in _read(out + ".json")
@@ -218,6 +229,16 @@ def test_divergent_nsearch_counts_nonfinite_per_stage(tmp_path):
     assert json.loads(_read(out + ".json"))["n_eps"] is None
     stages = json.loads(_read(out + ".manifest.json"))["stages"]
     assert {n: stage["nonfinite"] for n, stage in stages.items()} == {"12": 10, "24": 10}
+    assert all(stage["efficiency"] == [None] for stage in stages.values())
+
+
+def test_efficiency_is_null_unless_finite():
+    # strict JSON has no inf or NaN: a zero, non-finite or underflowing
+    # stderr^2 wall_s, and a quotient that overflows, give null
+    assert cli._efficiency(0.5, 2.0) == 2.0
+    for stderr, wall in ((0.0, 1.0), (0.5, 0.0), (math.inf, 1.0), (math.nan, 1.0),
+                         (1e-200, 1.0), (1e-154, 0.01)):
+        assert cli._efficiency(stderr, wall) is None, (stderr, wall)
 
 
 def test_growth_without_seeds_is_config_error(tmp_path, capsys):

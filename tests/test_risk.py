@@ -8,7 +8,8 @@ import pytest
 from metasep import oracles, risk
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
-from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector, wishart_spectra
+from metasep.rng import (SeedSpec, bidiagonal_spectra, gaussian_matrix, gaussian_vector,
+                         wishart_chi, wishart_spectra)
 from metasep.risk import (AlgSpec, RiskEstimate, _spiked_risk, convex_lower_bound_exact,
                           mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
 from metasep.tasks import MetaInstance
@@ -142,6 +143,73 @@ def test_estimator_matches_raw_sampler(n):
     for alg, e, r in zip(algs, exact, raw):
         assert abs(e.mean - r.mean) <= 4.0 * math.hypot(e.stderr, r.stderr), alg.label()
         assert e.stderr <= r.stderr, alg.label()
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (5, 1), (3, 7), (49, 50), (50, 50),
+                                 (51, 50), (900, 50), (300, 200)])
+def test_ridge_risks_match_spectral_form(n, d):
+    # gd_reg's trace recurrence against the spectral form on the SVD
+    # spectrum of the same chi draws, from w0 = 0 and w0 = 3 g, relative
+    # per trial. For lam > 0 (1e200 puts the power-of-two scaling to work)
+    # the bound is 1e-12. lam = 0 has its own reason for a bound: S is
+    # singular for n < d and ill-conditioned near n = d, where a pivot
+    # recurrence that cancels loses digits (the plain one lost 5e-11 at
+    # n = d = 50). The differential form cancels nothing, so its bound at
+    # lam = 0 is 1e-12 as well (worst seen 2.2e-15 over five seeds)
+    inst = MetaInstance.from_config(d, 1.3, 0.7)
+    r2, sigma2, k = inst.r ** 2, inst.sigma ** 2, min(n, d)
+    chi = wishart_chi(SeedSpec(34).child(n, d), n, d, 0, 64)
+    spectra = bidiagonal_spectra(chi, n, d)
+    g = gaussian_vector(SeedSpec(35), d)
+    for w0 in (np.zeros(d), 3.0 * g):
+        lams = (0.0, 0.1, 1.0, 1e3, 1e200)
+        algs = [_reg_alg(lam, d, w0) for lam in lams]
+        traced = risk._ridge_risks(algs, chi[:, :k], chi[:, k:], d, n, r2, sigma2)
+        for j, (lam, alg) in enumerate(zip(lams, algs)):
+            spectral = risk._convex_risk(alg, spectra, d, n, r2, sigma2)
+            worst = float(np.max(np.abs(traced[:, j] - spectral) / spectral))
+            assert worst <= 1e-12, (lam, worst)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (4, 1), (3, 6), (6, 6), (12, 6)])
+def test_householder_bidiagonal_keeps_singular_values(n, d):
+    # the risk-estimator suite's reduction of a design to wishart_chi's form
+    x = gaussian_matrix(SeedSpec(36).child(n, d), n, d)
+    diag, sup = oracles.householder_bidiagonal(x)
+    assert diag.shape == (min(n, d),) and sup.shape == (min(n, d) - 1,)
+    b = np.diag(diag) + np.diag(sup, 1)
+    assert np.allclose(np.linalg.svd(b, compute_uv=False), np.linalg.svd(x, compute_uv=False),
+                       rtol=1e-13, atol=1e-13)
+
+
+def test_trial_rows_do_not_depend_on_the_block():
+    # scoring trials [lo, mid) and [mid, hi) gives the rows of one [lo, hi)
+    # call bit for bit: across a _CHUNK boundary, with one-trial blocks,
+    # for n < d and n > d, with every lam in one pass of the recurrence
+    for n, d in ((4, 7), (9, 3)):
+        inst = MetaInstance.from_config(d, 1.0, 1.0)
+        w0 = gaussian_vector(SeedSpec(37), d)
+        algs = [_reg_alg(0.0, d, w0), _reg_alg(0.3, d), _reg_alg(2.0, d, w0),
+                AlgSpec("gd_step", GdStepSpec(0.05, 10), w0),
+                AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))]
+        for lo, mid, hi in ((5, 37, 80), (0, 1, 40), (31, 32, 33)):
+            whole, top = risk._trial_block(algs, inst, n, SeedSpec(38), lo, hi)
+            parts = [risk._trial_block(algs, inst, n, SeedSpec(38), a, b) for a, b in
+                     ((lo, mid), (mid, hi))]
+            assert np.array_equal(np.concatenate([p for p, _ in parts]), whole)
+            assert max(t for _, t in parts) == top
+
+
+def test_ridge_risk_at_d_1000():
+    # d = 1000, n = 20000, where a dense SVD per trial costs about 0.7 s:
+    # at lam = 0 the mean is sigma^2 d / (n - d - 1) exactly, and at
+    # lam = d / n it stays above the exact convex bound
+    d, n = 1000, 20000
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    ols, ridge = mc_excess_risk_many([_reg_alg(0.0, d), _reg_alg(d / n, d)], inst, n, 64,
+                                     SeedSpec(39))
+    assert abs(ols.mean - d / (n - d - 1)) <= 4.0 * ols.stderr
+    assert ridge.mean + 3.0 * ridge.stderr >= convex_lower_bound_exact(d, n, 1.0, 1.0)
 
 
 def test_ols_risk_matches_exact_value():
