@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from metasep.convex import _EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
+from metasep.convex import (_EIG_RTOL, GdRegSpec, GdStepSpec, gd_reg, gd_step, learner_factors,
+                            linear_flow_solve)
 from metasep.linalg import NumericalError, sym_eigen
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import MetaInstance, emp_covariance, sample_dataset, sample_task
@@ -206,3 +207,69 @@ def test_null_cutoff_near_square_designs(offset):
         w = gd_reg(GdRegSpec(0.0), ds, w0)  # range check must pass
         if n <= d:  # the min-norm fit interpolates the data
             assert np.linalg.norm(ds.x @ w - ds.y) <= 1e-6 * np.linalg.norm(ds.y)
+
+
+# Descending spectra with exact zeros, near-zeros of +-5e-16 relative, values
+# either side of the null cutoff, an all-zero row and one whose top is negative.
+_PINNED_SPECTRA = np.array([
+    [2.0, 1.0, 0.3, 1e-15, 0.0, -1e-15],
+    [1.0, 0.5, 2e-13, 5e-16, 0.0, -5e-16],
+    [4.0, 4e-13, 3.9e-13, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [-5e-16, -1e-15, -1.0, -1.0, -2.0, -3.0],
+])
+
+
+def _pinned_factors(s, decay_of):
+    """The null mask, decay and gain of the convex learners, written out
+    apart from convex: null below 1e-13 of the row's top (at least 0), the
+    decay from the spectrum with its null entries zeroed, and the gain
+    (1 - decay) / s on range directions, 0 on null ones."""
+    null = s <= 1e-13 * np.maximum(s[..., :1], 0.0)
+    decay = decay_of(null, np.where(null, 0.0, s))
+    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
+    return decay, gain, null
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True), (g, w)
+
+
+@pytest.mark.parametrize("eta,t0", [(0.5, 7), (0.5, 0), (1e3, 200)])
+def test_gd_step_factors_are_pinned(eta, t0):
+    def decay_of(null, s_range):
+        with np.errstate(over="ignore"):
+            return (1.0 - eta * s_range) ** t0
+
+    for s in (_PINNED_SPECTRA, _PINNED_SPECTRA[1]):
+        want = _pinned_factors(s, decay_of)
+        _assert_same(learner_factors(GdStepSpec(eta, t0), s), want)
+    if eta == 1e3:  # divergent: the decay overflows to inf on the range
+        assert np.isinf(want[0]).any() and np.isinf(want[1]).any()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-15, 0.3])
+def test_gd_reg_factors_are_pinned(lam):
+    for s in (_PINNED_SPECTRA, _PINNED_SPECTRA[1]):
+        want = _pinned_factors(s + lam, lambda null, s_range: np.where(null, 1.0, 0.0))
+        _assert_same(learner_factors(GdRegSpec(lam), s), want)
+
+
+@pytest.mark.parametrize("t", [0.0, 2.0, math.inf])
+def test_linear_flow_is_pinned(t):
+    # M = Q diag(spec) Q^T with exact and near-zero eigenvalues; the reference
+    # applies the written-out flow factors in M's computed eigenbasis
+    q, _ = np.linalg.qr(gaussian_matrix(SeedSpec(70), 6, 6))
+    for spec in (_PINNED_SPECTRA[0], _PINNED_SPECTRA[1], 3.0 * _PINNED_SPECTRA[2]):
+        m = (q * spec) @ q.T
+        b, w0 = m @ gaussian_vector(SeedSpec(71), 6), gaussian_vector(SeedSpec(72), 6)
+        s, v = sym_eigen(m)
+        if math.isinf(t):
+            decay_of = lambda null, s_range: np.where(null, 1.0, 0.0)  # noqa: E731
+        else:
+            decay_of = lambda null, s_range: np.exp(-t * s_range)  # noqa: E731
+        decay, gain, _ = _pinned_factors(s, decay_of)
+        want = v @ (decay * (v.T @ w0) + gain * (v.T @ b))
+        _assert_same([linear_flow_solve(m, b, w0, t)], [want])
