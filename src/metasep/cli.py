@@ -47,7 +47,8 @@ from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_spike, re
 from .rng import SeedSpec, gaussian_vector
 from .tasks import MetaInstance
 from .twolayer import flow_limit
-from .risk import AlgSpec, convex_lower_bound_exact, mc_excess_risk, sample_complexity_search
+from .risk import (AlgSpec, checked_grid, convex_lower_bound_exact, mc_excess_risk,
+                   sample_complexity_search)
 
 
 class ConfigError(ValueError):
@@ -270,6 +271,9 @@ def cmd_dynamics(cfg: dict):
 def cmd_growth(cfg: dict):
     if cfg["seeds"] < 1:
         raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
+    # each T keys its own fraction and manifest stage
+    if not cfg["t_list"] or len(set(cfg["t_list"])) < len(cfg["t_list"]):
+        raise ConfigError(f"t_list must be non-empty with distinct values, got {cfg['t_list']}")
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
     master = SeedSpec(cfg["seed"])
     rows = []
@@ -330,6 +334,10 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
 
 
 def cmd_separation(cfg: dict):
+    if not cfg["lam_sweep"]:
+        raise ConfigError("lam_sweep must be non-empty")
+    for key in ("convex_grid", "nonconvex_grid"):
+        checked_grid(key, cfg[key])
     d, r, sigma = cfg["d"], cfg["r"], cfg["sigma"]
     inst = MetaInstance.from_config(d, r, sigma)
     master = SeedSpec(cfg["seed"])
@@ -345,7 +353,7 @@ def cmd_separation(cfg: dict):
     # any risk work
     learned = run_replearn(t_tasks, cfg["kappa"], inst)
     alpha = learned.spike
-    lam2 = alpha ** 1.5
+    lam2 = _gd2_lam(0.0, alpha)
 
     # grid point idx of the convex half reads master.child(0, idx), shared
     # by every lambda; of the nonconvex half, master.child(1, idx)

@@ -63,36 +63,12 @@ class GdRegSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
 
-def _spectral_factors(s: np.ndarray, decay_of):
-    """Per-eigenvalue (decay, gain, null) for the eigenvalues s (..., d),
-    each row in descending order. An eigenvalue is null when it is at
-    most _EIG_RTOL times the largest of its row. decay_of(null, s_range)
-    gives the decay from the null mask and s with its null entries
-    zeroed; the gain is (1 - decay) / s on range directions and 0 on
-    null ones."""
-    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
-    decay = decay_of(null, np.where(null, 0.0, s))
-    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
-    return decay, gain, null
-
-
-def _flow_factors(s: np.ndarray, t: float):
-    """Per-eigenvalue (decay, gain, null) of the flow w' = -(M w - b) at
-    time t (t = inf allowed), for the eigenvalues s (..., d) of M, each
-    row in descending order: w(t) = V (decay V^T w0 + gain V^T b). Null
-    directions keep w0."""
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    if math.isinf(t):
-        return _spectral_factors(s, lambda null, s_range: np.where(null, 1.0, 0.0))
-    return _spectral_factors(s, lambda null, s_range: np.exp(-t * s_range))
-
-
 def past_step_limit(eta: float, top: float) -> bool:
     """Whether eta >= 2 / top, the stability limit of gradient steps on a
     spectrum whose largest eigenvalue is top; warns once if so. Past it
-    the iteration diverges, and _step_factors overflows to inf rather
-    than raise, so callers sweeping unstable (eta, t) grids get inf risk."""
+    the iteration diverges, and learner_factors' decay overflows to inf
+    rather than raise, so callers sweeping unstable (eta, t0) grids get
+    inf risk."""
     if top > 0 and eta >= 2.0 / top:
         warnings.warn(
             f"step size eta = {eta} is at or beyond the stability limit "
@@ -102,35 +78,39 @@ def past_step_limit(eta: float, top: float) -> bool:
     return False
 
 
-def _step_factors(s: np.ndarray, eta: float, t: int):
-    """Per-eigenvalue (decay, gain, null) of t steps w <- w - eta (M w - b),
-    as _flow_factors; past_step_limit is the caller's stability check.
-    GdStepSpec has checked 0 < eta < inf and t >= 0."""
-
-    def decay_of(null, s_range):
-        with np.errstate(over="ignore"):
-            return (1.0 - eta * s_range) ** t
-
-    return _spectral_factors(s, decay_of)
-
-
-def learner_factors(spec, s: np.ndarray):
-    """Per-eigenvalue (decay, gain, null) of a convex learner, for the
-    eigenvalues s (..., d) of empirical covariances S, rows descending.
-
-    The learner maps (w0, X^T y / n) to V (decay V^T w0 + gain V^T X^T y / n),
-    V the eigenvectors of S. gd_reg is the t = inf flow on S + lam I, so
-    its null cutoff applies to the shifted spectrum; gd_step is t0 steps
-    on S. This is the one home of both families' spectral factors.
+def learner_factors(spec, s: np.ndarray, t: float = math.inf):
+    """Per-eigenvalue (decay, gain, null) of a convex learner for the
+    eigenvalues s (..., d) of empirical covariances S, rows descending:
+    it maps (w0, b = X^T y / n) to V (decay V^T w0 + gain V^T b), V the
+    eigenvectors of S. gd_step is t0 steps w <- w - eta (S w - b), whose
+    stability the caller checks (past_step_limit); gd_reg is the flow
+    w' = -((S + lam I) w - b) at time t, inf for the learner and finite
+    (lam = 0) for linear_flow_solve. An eigenvalue is null when it is at
+    most _EIG_RTOL times its row's largest, for gd_reg on S + lam I. Null
+    directions keep w0 (decay 1, gain 0); range ones get (1 - decay) / s.
     """
     if isinstance(spec, GdRegSpec):
-        return _flow_factors(s + spec.lam, math.inf)
-    return _step_factors(s, spec.eta, spec.t0)
+        s = s + spec.lam
+    null = s <= _EIG_RTOL * np.maximum(s[..., :1], 0.0)
+    s_range = np.where(null, 0.0, s)
+    if isinstance(spec, GdStepSpec):
+        with np.errstate(over="ignore"):
+            decay = (1.0 - spec.eta * s_range) ** spec.t0
+    elif math.isinf(t):
+        decay = np.where(null, 1.0, 0.0)
+    else:
+        decay = np.exp(-t * s_range)
+    gain = np.where(null, 0.0, (1.0 - decay) / np.where(null, 1.0, s))
+    return decay, gain, null
 
 
-def _spectral_solve(v: np.ndarray, b: np.ndarray, w0: np.ndarray,
-                    decay: np.ndarray, gain: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """v (decay v^T w0 + gain v^T b) for M's eigenvectors v, after checking b in range(M)."""
+def _spectral_solve(spec, m, b: np.ndarray, w0: np.ndarray, t: float = math.inf) -> np.ndarray:
+    """v (decay v^T w0 + gain v^T b) for M's eigenvectors v and spec's
+    learner_factors on M's spectrum, after checking b in range(M)."""
+    s, v = sym_eigen(m)
+    if isinstance(spec, GdStepSpec):
+        past_step_limit(spec.eta, float(s[0]))
+    decay, gain, null = learner_factors(spec, s, t)
     beta = v.T @ b
     resid = float(np.linalg.norm(beta[null]))
     scale = float(np.linalg.norm(b))
@@ -147,21 +127,15 @@ def linear_flow_solve(m, b: np.ndarray, w0: np.ndarray, t: float) -> np.ndarray:
     M must be symmetric PSD and b must lie in range(M) to within
     relative tolerance 1e-8.
     """
-    s, v = sym_eigen(m)
-    return _spectral_solve(v, b, w0, *_flow_factors(s, t))
-
-
-def _learner_solve(spec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
-    s, v = sym_eigen(emp_covariance(ds))
-    if isinstance(spec, GdStepSpec):
-        past_step_limit(spec.eta, float(s[0]))
-    return _spectral_solve(v, ds.x.T @ ds.y / ds.n, w0, *learner_factors(spec, s))
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
+    return _spectral_solve(GdRegSpec(0.0), m, b, w0, t)
 
 
 def gd_step(spec: GdStepSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
     """Closed form for t0 gradient steps on the empirical loss from w0;
     past_step_limit warns when eta >= 2 / lambda_max of S."""
-    return _learner_solve(spec, ds, w0)
+    return _spectral_solve(spec, emp_covariance(ds), ds.x.T @ ds.y / ds.n, w0)
 
 
 def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
@@ -173,4 +147,4 @@ def gd_reg(spec: GdRegSpec, ds: Dataset, w0: np.ndarray) -> np.ndarray:
     1 / (s + lam) applied to X^T y / n; null directions (none for
     lam > 0) keep w0.
     """
-    return _learner_solve(spec, ds, w0)
+    return _spectral_solve(spec, emp_covariance(ds), ds.x.T @ ds.y / ds.n, w0)

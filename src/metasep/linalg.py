@@ -4,7 +4,7 @@ Matrices are plain float64 numpy arrays stored fully symmetric; the
 dimensions of interest stay below a few hundred. sym_eigen, a wrapper
 around LAPACK's symmetric eigensolver, is the one factorization the
 closed forms use; the risk estimator uses none, as it scores sampled
-bidiagonals and spectra (rng.wishart_chi, rng.wishart_spectra).
+bidiagonals and spectra (rng.wishart_chi, rng.bidiagonal_spectra).
 
 SpikedIdentity represents (alpha - kappa) w w^T + kappa I for a unit
 direction w, the two-eigenvalue form of every first layer that the

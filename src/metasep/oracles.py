@@ -23,9 +23,9 @@ mc_excess_risk_raw is the oracle of the risk estimator: it draws the
 sign, the design and the label noise that risk.mc_excess_risk_many
 averages out in closed form or samples as spectra, and scores each
 trial with explicit predictor matrices (predictor_matrices).
-dense_wishart_spectra, which eigensolves drawn designs, is the
-reference of rng.wishart_spectra. householder_bidiagonal reduces a
-drawn design to the bidiagonal form that rng.wishart_chi samples.
+dense_wishart_spectra, which eigensolves drawn designs, is the spectrum
+sampler's reference; householder_bidiagonal reduces a drawn design to
+the bidiagonal form that rng.wishart_chi samples.
 
 The last section holds the suites that `metasep verify` runs through
 run_suites; they call the closed forms and pair them with references.
@@ -212,10 +212,10 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
 
 
 def dense_wishart_spectra(seed: SeedSpec, n: int, d: int, trials: int) -> np.ndarray:
-    """Reference for rng.wishart_spectra: a (trials, d) array whose row t
-    holds the eigenvalues of X^T X / n in descending order, with trial
-    t's n x d design X drawn from seed.child(t, 1, 0) and eigensolved by
-    numpy.linalg.eigvalsh."""
+    """Reference for the spectrum sampler, rng.bidiagonal_spectra of
+    rng.wishart_chi: a (trials, d) array whose row t holds the eigenvalues
+    of X^T X / n in descending order, with trial t's n x d design X drawn
+    from seed.child(t, 1, 0) and eigensolved by numpy.linalg.eigvalsh."""
     out = np.empty((trials, d))
     for t in range(trials):
         x = gaussian_matrix(seed.child(t, 1, 0), n, d)

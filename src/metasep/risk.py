@@ -55,10 +55,11 @@ and beta = 1 / (n/alpha/alpha + u), which never form alpha^2 or kappa^4:
     E[excess | mu, z] = r^2 (1 - beta u)^2 (1 + q)
                         + sigma^2 (beta^2 p (1 + q) + sum e - 2 beta sum e z^2/D)
 
-mu is d - 1 times rng.wishart_spectra(seed.child(3), d - 1, n, ...) (0
-at d = 1; attempt j of trial t reads seed.child(3, t, 2, j)) and z reads
-seed.child(t, 3). No trial draws a design: seed.child(t, 1, 0), like the
-sign and noise streams, is the raw sampler's (oracles.mc_excess_risk_raw).
+mu is d - 1 times rng.bidiagonal_spectra(wishart_chi(seed.child(3), d - 1,
+n, ...), d - 1, n) (0 at d = 1; attempt j of trial t reads
+seed.child(3, t, 2, j)) and z reads seed.child(t, 3). No trial draws a
+design: seed.child(t, 1, 0), like the sign and noise streams, is the raw
+sampler's (oracles.mc_excess_risk_raw).
 
 mc_excess_risk_many scores every algorithm of a sweep on the same draws
 (paired sampling), and sample_complexity_search runs it once per grid
@@ -78,7 +79,7 @@ import numpy as np
 
 from .convex import GdRegSpec, GdStepSpec, learner_factors, past_step_limit
 from .linalg import NumericalError, SpikedIdentity
-from .rng import SeedSpec, bidiagonal_spectra, gaussian_rows, wishart_chi, wishart_spectra
+from .rng import SeedSpec, bidiagonal_spectra, gaussian_rows, wishart_chi
 from .tasks import MetaInstance
 
 # Trials per chi draw: bounds the draw's uniforms and, for gd_step and
@@ -263,8 +264,8 @@ def _trial_block(algs, inst, n, seed, lo, hi):
     if spiked:
         for a in range(lo, hi, _CHUNK):
             b = min(a + _CHUNK, hi)
-            mu = ((d - 1) * wishart_spectra(seed.child(3), d - 1, n, a, b) if d > 1
-                  else np.zeros((b - a, n)))
+            mu = ((d - 1) * bidiagonal_spectra(wishart_chi(seed.child(3), d - 1, n, a, b), d - 1, n)
+                  if d > 1 else np.zeros((b - a, n)))
             z = gaussian_rows(seed, a, b, n, 3)
             for j in spiked:
                 out[a - lo:b - lo, j] = _spiked_risk(algs[j], mu, z, n, r2, sigma2)
@@ -358,6 +359,17 @@ def convex_lower_bound_exact(d: int, n: int, r_w: float, sigma: float) -> float:
     return head + ((d - n) / d) * r2
 
 
+def checked_grid(key: str, n_grid) -> list:
+    """n_grid as a list of ints, or a ValueError naming key unless it is
+    non-empty and strictly ascending."""
+    grid = [int(n) for n in n_grid]
+    if not grid:
+        raise ValueError(f"{key} must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{key} must be strictly ascending, got {grid}")
+    return grid
+
+
 def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
                              n_grid, trials: int, seed: SeedSpec,
                              workers: int = 1, collect=None) -> list:
@@ -372,11 +384,7 @@ def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
     left. After each grid point, collect(n, scored), if given, gets scored
     mapping the index of every algorithm scored there to its RiskEstimate.
     """
-    grid = [int(n) for n in n_grid]
-    if not grid:
-        raise ValueError("n_grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"n_grid must be strictly ascending, got {grid}")
+    grid = checked_grid("n_grid", n_grid)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     found = [None] * len(algs)

@@ -14,8 +14,8 @@ function of (experiment seed, trial index). child_keys derives the keys
 of many children seed.child(t, ...) in one vectorized pass, so a block
 of trials draws from all of its streams at once.
 
-wishart_spectra samples the eigenvalues of S = X^T X / n for a Gaussian
-n x d design without drawing X, in two steps. With k = min(n, d) and
+The spectrum sampler draws the eigenvalues of S = X^T X / n for a
+Gaussian n x d design without X, in two steps. With k = min(n, d) and
 m = max(n, d), the nonzero eigenvalues of n S are the squared singular
 values of the k x k upper bidiagonal B with diagonal chi_m, ...,
 chi_{m-k+1} and superdiagonal chi_{k-1}, ..., chi_1 (the beta = 1
@@ -238,11 +238,3 @@ def bidiagonal_spectra(chi: np.ndarray, n: int, d: int) -> np.ndarray:
     out = np.zeros((chi.shape[0], d))
     out[:, :k] = np.linalg.svd(b, compute_uv=False) ** 2 / n
     return out
-
-
-def wishart_spectra(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenvalues of S = X^T X / n, X an n x d standard normal design,
-    for trials [lo, hi): a (hi - lo, d) array, each row descending, with
-    exactly max(d - n, 0) zeros at the end of each row. The spectra of
-    wishart_chi's bidiagonals (bidiagonal_spectra)."""
-    return bidiagonal_spectra(wishart_chi(seed, n, d, lo, hi), n, d)

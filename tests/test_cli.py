@@ -248,6 +248,21 @@ def test_growth_without_seeds_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out + ".csv")
 
 
+@pytest.mark.parametrize("t_list,shown", [("1000,1000", "[1000, 1000]"), ("", "[]")])
+def test_growth_bad_t_list_is_config_error(tmp_path, capsys, monkeypatch, t_list, shown):
+    # a repeated T would overwrite the first one's fraction and stage, and
+    # an empty list gives an empty table: both fail before any meta-step
+    def no_meta_step(*args):
+        raise AssertionError("a meta-step ran")
+
+    monkeypatch.setattr(cli, "reptile_spike", no_meta_step)
+    assert _run(["growth", "--t-list", t_list, "--seeds", "3", "--out", str(tmp_path / "g")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: t_list must be non-empty with distinct values, got {shown}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_zero_dimension_is_config_error(tmp_path, capsys):
     assert _run(["risk", "--d", "0", "--trials", "10", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "error: need d >= 1, got 0\n"
@@ -481,6 +496,20 @@ def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--lam-sweep", ""], "lam_sweep must be non-empty"),
+    (["--convex-grid", ""], "convex_grid must be non-empty"),
+    (["--convex-grid", "4,4"], "convex_grid must be strictly ascending, got [4, 4]"),
+    (["--nonconvex-grid", ""], "nonconvex_grid must be non-empty"),
+    (["--nonconvex-grid", "10,5"], "nonconvex_grid must be strictly ascending, got [10, 5]")])
+def test_separation_checks_sweep_and_grids_first(tmp_path, capsys, args, message):
+    # each key is named, and the run stops before any grid point prints
+    assert _run(["separation", *_SMALL_SEPARATION, *args, "--out", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -8,8 +8,7 @@ import pytest
 from metasep import oracles, risk
 from metasep.convex import GdRegSpec, GdStepSpec
 from metasep.linalg import SpikedIdentity
-from metasep.rng import (SeedSpec, bidiagonal_spectra, gaussian_matrix, gaussian_vector,
-                         wishart_chi, wishart_spectra)
+from metasep.rng import SeedSpec, bidiagonal_spectra, gaussian_matrix, gaussian_vector, wishart_chi
 from metasep.risk import (AlgSpec, RiskEstimate, _spiked_risk, convex_lower_bound_exact,
                           mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
 from metasep.tasks import MetaInstance
@@ -238,7 +237,7 @@ def test_step_limit_warns_at_equality_on_all_trials():
     d, n, trials = 3, 20, 64
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     seed = SeedSpec(25)
-    top = wishart_spectra(seed, n, d, 0, trials)[:, 0]
+    top = bidiagonal_spectra(wishart_chi(seed, n, d, 0, trials), n, d)[:, 0]
     # workers=2 splits the trials into two halves, one of them below the top
     assert min(top[:trials // 2].max(), top[trials // 2:].max()) < top.max()
     limit = 2.0 / float(top.max())

@@ -4,8 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metasep import oracles
-from metasep.rng import (SeedSpec, _key_uniforms, child_keys, gaussian_matrix, gaussian_rows,
-                         gaussian_vector, hash_mix, rademacher_signs, uniforms, wishart_spectra)
+from metasep.rng import (SeedSpec, _key_uniforms, bidiagonal_spectra, child_keys, gaussian_matrix,
+                         gaussian_rows, gaussian_vector, hash_mix, rademacher_signs, uniforms,
+                         wishart_chi)
+
+
+def _sampled_spectra(seed, n, d, lo, hi):
+    """The sampled spectra of S = X^T X / n for trials [lo, hi): the
+    bidiagonal_spectra of wishart_chi's draw, as the risk estimator composes them."""
+    return bidiagonal_spectra(wishart_chi(seed, n, d, lo, hi), n, d)
 
 
 def test_determinism_gaussian():
@@ -124,7 +131,7 @@ def test_wishart_moments_are_exact(n, d):
     # E tr S^-1 = d n / (n - d - 1), tested only where its variance is
     # finite with room to spare (n >= d + 4)
     trials = 4000
-    s = wishart_spectra(SeedSpec(31), n, d, 0, trials)
+    s = _sampled_spectra(SeedSpec(31), n, d, 0, trials)
     moments = [(s.sum(axis=1), d), ((s * s).sum(axis=1), d * (d + n + 1) / n)]
     if n >= d + 4:
         moments.append(((1.0 / s).sum(axis=1), d * n / (n - d - 1)))
@@ -148,7 +155,7 @@ def test_wishart_spectra_match_dense_designs(n, d):
     # level about 1e-3
     trials, k = 2000, min(n, d)
     seed = SeedSpec(32)
-    sampled = wishart_spectra(seed, n, d, 0, trials)
+    sampled = _sampled_spectra(seed, n, d, 0, trials)
     dense = oracles.dense_wishart_spectra(seed, n, d, trials)
     a, b = sampled[:, :k], dense[:, :k]
     z = (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt((a.var(axis=0) + b.var(axis=0)) / trials)
@@ -169,7 +176,7 @@ def test_wishart_spectra_match_dense_designs(n, d):
 @example(n=10, d=10, lo=31, count=2, cut=1)
 def test_wishart_spectra_edge_cases(n, d, lo, count, cut):
     hi = lo + count
-    s = wishart_spectra(SeedSpec(33), n, d, lo, hi)
+    s = _sampled_spectra(SeedSpec(33), n, d, lo, hi)
     assert s.shape == (count, d)
     assert np.all(np.isfinite(s)) and np.all(s >= 0.0)
     assert np.all(np.diff(s, axis=1) <= 0.0)
@@ -178,10 +185,10 @@ def test_wishart_spectra_edge_cases(n, d, lo, count, cut):
     # block, one block per trial and two blocks split anywhere (across a
     # 32-trial chunk boundary too) give the same bytes
     mid = lo + min(cut, count)
-    per_trial = np.concatenate([wishart_spectra(SeedSpec(33), n, d, t, t + 1)
+    per_trial = np.concatenate([_sampled_spectra(SeedSpec(33), n, d, t, t + 1)
                                 for t in range(lo, hi)])
-    split = np.concatenate([wishart_spectra(SeedSpec(33), n, d, lo, mid),
-                            wishart_spectra(SeedSpec(33), n, d, mid, hi)])
+    split = np.concatenate([_sampled_spectra(SeedSpec(33), n, d, lo, mid),
+                            _sampled_spectra(SeedSpec(33), n, d, mid, hi)])
     assert per_trial.tobytes() == s.tobytes()
     assert split.tobytes() == s.tobytes()
 
@@ -189,4 +196,4 @@ def test_wishart_spectra_edge_cases(n, d, lo, count, cut):
 def test_wishart_spectra_validation():
     for n, d in ((0, 3), (3, 0)):
         with pytest.raises(ValueError):
-            wishart_spectra(SeedSpec(1), n, d, 0, 2)
+            _sampled_spectra(SeedSpec(1), n, d, 0, 2)
