@@ -11,8 +11,8 @@ Subcommands:
 
 Configuration is a flat JSON file (--config); command-line flags
 override file values, and both must have the type of the option's
-default. Every command takes --seed and --out; separation, risk and
-nsearch also take --workers. main writes each runner's data files and a
+default. Every command takes --seed and --out; growth, separation, risk
+and nsearch also take --workers. main writes each runner's data files and a
 <out>.manifest.json with the config echo, seed, version, wall time and
 sha256 of each data file. Data files contain no timestamps and are
 byte-identical for a fixed seed regardless of --workers.
@@ -71,7 +71,7 @@ _ALG = {"family": "gd_reg", "lam": 0.0, "eta": 0.1, "t0": 100, "alpha": 1.0,
 
 _OPTIONS = {
     "dynamics": {**_COMMON, "t_tasks": 1000, "tau": 0.3, "kappa": 0.1, "r": 1.0},
-    "growth": {**_COMMON, "t_list": [1000, 10000, 100000], "seeds": 20,
+    "growth": {**_COMMON, **_WORKERS, "t_list": [1000, 10000, 100000], "seeds": 20,
                "delta": 0.1, "kappa": 0.1, "r": 1.0, "d": 2},
     "separation": {**_COMMON, **_WORKERS, "d": 50, "r": 1.0, "sigma": 1.0,
                    "epsilon": 0.05, "trials": 400, "kappa": 0.1, "alpha_target": 1e4,
@@ -268,6 +268,12 @@ def cmd_dynamics(cfg: dict):
     return {".csv": (("i", "s", "a", "b"), rows), ".json": summary}, {}, 0
 
 
+def _reptile_spikes(spec: ReptileSpec, inst: MetaInstance, seeds) -> list:
+    """reptile_spike's a_T for each seed stream: one worker's share of a
+    growth stage."""
+    return [reptile_spike(spec, inst, seed) for seed in seeds]
+
+
 def cmd_growth(cfg: dict):
     if cfg["seeds"] < 1:
         raise ConfigError(f"seeds must be >= 1, got {cfg['seeds']}")
@@ -276,25 +282,48 @@ def cmd_growth(cfg: dict):
         raise ConfigError(f"t_list must be non-empty with distinct values, got {cfg['t_list']}")
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
     master = SeedSpec(cfg["seed"])
+    # the runs read only their own streams, so a stage's seeds split over
+    # worker processes, each taking every workers-th seed. They are forked:
+    # a spawned worker would import numpy and metasep again, about as long
+    # as the default run saves, and a run calls no BLAS, so the workers
+    # need none of OpenBLAS's threads that fork leaves behind
+    workers = min(cfg["workers"], cfg["seeds"])
+    pool = None
+    if workers > 1:
+        from concurrent.futures.process import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     rows = []
     fractions = {}
     stages = {}
-    for ti, t_tasks in enumerate(cfg["t_list"]):
-        stage_start = time.monotonic()
-        tau = reptile_tau_schedule(t_tasks, cfg["delta"])
-        bound = reptile_growth_bound(t_tasks, tau, cfg["delta"], cfg["r"])
-        spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
-        hits = 0
-        for si in range(cfg["seeds"]):
-            a_t = reptile_spike(spec, inst, master.child(ti, si))
-            if not math.isfinite(a_t):
-                raise NumericalError(f"a_final is {a_t!r} at T={t_tasks}, seed index {si}")
-            ok = a_t >= bound
-            hits += int(ok)
-            rows.append((t_tasks, tau, si, a_t, bound, ok))
-        fractions[str(t_tasks)] = hits / cfg["seeds"]
-        stages[str(t_tasks)] = {"runs": cfg["seeds"], "meta_steps": cfg["seeds"] * t_tasks,
-                                "wall_s": time.monotonic() - stage_start}
+    try:
+        for ti, t_tasks in enumerate(cfg["t_list"]):
+            stage_start = time.monotonic()
+            tau = reptile_tau_schedule(t_tasks, cfg["delta"])
+            bound = reptile_growth_bound(t_tasks, tau, cfg["delta"], cfg["r"])
+            spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
+            seeds = [master.child(ti, si) for si in range(cfg["seeds"])]
+            if pool is None:  # lazily, so the first non-finite a_T stops the run
+                spikes = (reptile_spike(spec, inst, seed) for seed in seeds)
+            else:
+                spikes = [0.0] * len(seeds)
+                blocks = pool.map(_reptile_spikes, [spec] * workers, [inst] * workers,
+                                  [seeds[k::workers] for k in range(workers)])
+                for k, block in enumerate(blocks):
+                    spikes[k::workers] = block
+            hits = 0
+            for si, a_t in enumerate(spikes):
+                if not math.isfinite(a_t):
+                    raise NumericalError(f"a_final is {a_t!r} at T={t_tasks}, seed index {si}")
+                ok = a_t >= bound
+                hits += int(ok)
+                rows.append((t_tasks, tau, si, a_t, bound, ok))
+            fractions[str(t_tasks)] = hits / cfg["seeds"]
+            stages[str(t_tasks)] = {"runs": cfg["seeds"], "meta_steps": cfg["seeds"] * t_tasks,
+                                    "wall_s": time.monotonic() - stage_start}
+    finally:
+        if pool is not None:
+            pool.shutdown()
     for t_tasks, frac in fractions.items():
         print(f"growth: T={t_tasks} bound satisfied in {frac:.0%} of runs")
     header = ("t_tasks", "tau", "seed_index", "a_final", "bound", "satisfied")
@@ -336,6 +365,9 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
 def cmd_separation(cfg: dict):
     if not cfg["lam_sweep"]:
         raise ConfigError("lam_sweep must be non-empty")
+    # a repeated lambda would score the same learner twice
+    if len(set(cfg["lam_sweep"])) < len(cfg["lam_sweep"]):
+        raise ConfigError(f"lam_sweep must have distinct values, got {cfg['lam_sweep']}")
     for key in ("convex_grid", "nonconvex_grid"):
         checked_grid(key, cfg[key])
     d, r, sigma = cfg["d"], cfg["r"], cfg["sigma"]

@@ -290,9 +290,9 @@ def test_criterion_09_bad_minimizer():
 
 def test_criterion_10_worker_count_byte_identity(tmp_path):
     """Every command that takes --workers, run twice with different
-    --workers, writes byte-identical data outputs. The other commands run
+    --workers, writes byte-identical data outputs. dynamics and verify run
     serially and take no --workers. 64 trials is the fewest that --workers 4
-    splits over threads."""
+    splits over threads; growth's 5 seeds split over 4 worker processes."""
     runs = {
         "risk": ["risk", "--d", "6", "--n", "8", "--lam", "0.5",
                  "--trials", "64"],
@@ -302,6 +302,7 @@ def test_criterion_10_worker_count_byte_identity(tmp_path):
                        "--trials", "64", "--convex-grid", "4,8",
                        "--nonconvex-grid", "4,8", "--alpha-target", "50",
                        "--lam-sweep", "0.5"],
+        "growth": ["growth", "--t-list", "100,200", "--seeds", "5"],
     }
     compared = 0
     for name, args in runs.items():
@@ -328,6 +329,6 @@ def test_criterion_10_worker_count_byte_identity(tmp_path):
         ours4 = {k.replace("_w4", ""): v for k, v in m4["outputs"].items()}
         assert ours1 == ours4
         assert m1["config"] == m4["config"]
-    assert compared == 3
+    assert compared == 5
     print(f"CRITERION 10 PASS: {compared} data files byte-identical across "
           f"--workers 1 vs 4")

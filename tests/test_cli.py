@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import warnings
@@ -441,6 +442,32 @@ def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, mess
     assert os.listdir(tmp_path) == []
 
 
+def test_growth_worker_pool_edges(tmp_path, capsys):
+    # growth splits each T's seeds over min(workers, seeds) forked processes:
+    # 3 seeds over 2 workers (blocks of 2 and 1) and 1 seed at --workers 4
+    # (the serial path) write the bytes of --workers 1; the overflow case at
+    # --workers 2 stops with the serial run's line; no worker outlives main
+    for seeds, workers in (("3", "2"), ("1", "4")):
+        data = {}
+        for w in ("1", workers):
+            out = str(tmp_path / f"s{seeds}w{w}")
+            assert _run(["growth", "--t-list", "100,200", "--seeds", seeds,
+                         "--workers", w, "--out", out]) == 0
+            assert multiprocessing.active_children() == []
+            data[w] = [_read(out + ext) for ext in (".csv", ".json")]
+        assert data["1"] == data[workers]
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    assert _run(["growth", "--t-list", "10,20", "--seeds", "2", "--kappa", "1e154",
+                 "--workers", "2", "--out", str(bad / "x")]) == 3
+    assert multiprocessing.active_children() == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: numerical failure: a_final is nan at T=10, seed index 0\n"
+    assert os.listdir(bad) == []
+
+
 @pytest.mark.parametrize("args", [
     ["risk", "--family", "gd2_reg", "--lam", "1", "--d", "3", "--trials", "4"],
     ["nsearch", "--family", "gd2_reg", "--d", "3", "--trials", "4", "--n-grid", "2,4"],
@@ -504,7 +531,8 @@ def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
     (["--convex-grid", ""], "convex_grid must be non-empty"),
     (["--convex-grid", "4,4"], "convex_grid must be strictly ascending, got [4, 4]"),
     (["--nonconvex-grid", ""], "nonconvex_grid must be non-empty"),
-    (["--nonconvex-grid", "10,5"], "nonconvex_grid must be strictly ascending, got [10, 5]")])
+    (["--nonconvex-grid", "10,5"], "nonconvex_grid must be strictly ascending, got [10, 5]"),
+    (["--lam-sweep", "0.1,0.1"], "lam_sweep must have distinct values, got [0.1, 0.1]")])
 def test_separation_checks_sweep_and_grids_first(tmp_path, capsys, args, message):
     # each key is named, and the run stops before any grid point prints
     assert _run(["separation", *_SMALL_SEPARATION, *args, "--out", str(tmp_path / "x")]) == 2
