@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from . import __version__, oracles
+from . import __version__
 from .convex import GdRegSpec, GdStepSpec
 from .linalg import NumericalError, SpikedIdentity
 from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_spike, reptile_tau_schedule,
@@ -487,6 +487,9 @@ def cmd_nsearch(cfg: dict):
 
 
 def cmd_verify(cfg: dict):
+    # the oracles are test machinery: no other command loads them
+    from . import oracles
+
     report, stages = oracles.run_suites(SeedSpec(cfg["seed"]))
     for s in report:
         shifted = stages[s["suite"]]["perturbed_residual"]

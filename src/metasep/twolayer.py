@@ -98,39 +98,52 @@ def rk4(rhs, y, t_max: float, step, tol: float):
     shared across the batch. Integration stops with converged True as
     soon as the largest row norm of the derivative is below tol; if
     t_max is reached first, converged is that same test at the final
-    state. Returns (y, converged).
+    state. Returns (y, converged). Raises NumericalError, with the time
+    reached, when that norm is not finite or a step size is not finite
+    and positive: an overflowed or NaN state never returns, and a zero
+    step never stalls the loop.
 
     The state, the stage input and k1..k4 are buffers allocated once per
     call, and every step runs in place on them with numpy's out=, in
     the arithmetic order of the textbook form: stage inputs
     y + (0.5 h) k, the update y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
     rhs and step see only these buffers, never the caller's y, which is
-    copied and not written.
+    copied and not written. Overflow and invalid-operation warnings are
+    silenced while the loop runs, since the norm and step checks turn
+    every non-finite state into that one error.
     """
     y = np.array(y, dtype=np.float64)
     stage = np.empty_like(y)
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
     norms = np.empty(y.shape[:-1])
+    # a step is some 30 small numpy calls, so their dispatch is its cost:
+    # local names, positional out, and add.reduce rather than np.sum's wrapper
+    add, multiply, row_sum = np.add, np.multiply, np.add.reduce
     t = 0.0
-    while True:
-        rhs(y, k1)
-        np.sum(np.multiply(k1, k1, out=stage), axis=-1, out=norms)
-        if norms.max() < tol * tol:
-            return y, True
-        if t >= t_max:
-            return y, False
-        h = step(y)
-        np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
-        rhs(stage, k2)
-        np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
-        rhs(stage, k3)
-        np.add(y, np.multiply(k3, h, out=stage), out=stage)
-        rhs(stage, k4)
-        np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
-        np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
-        np.add(k2, k4, out=k2)
-        np.add(y, np.multiply(k2, h / 6.0, out=k2), out=y)
-        t += h
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rhs(y, k1)
+            peak = float(row_sum(multiply(k1, k1, stage), axis=-1, out=norms).max())
+            if peak < tol * tol:
+                return y, True
+            if not peak < math.inf:
+                raise NumericalError(f"rk4: squared derivative norm {peak} at t={t!r}")
+            if t >= t_max:
+                return y, False
+            h = step(y)
+            if not 0.0 < h < math.inf:
+                raise NumericalError(f"rk4: step size {h} at t={t!r}")
+            add(y, multiply(k1, 0.5 * h, stage), stage)
+            rhs(stage, k2)
+            add(y, multiply(k2, 0.5 * h, stage), stage)
+            rhs(stage, k3)
+            add(y, multiply(k3, h, stage), stage)
+            rhs(stage, k4)
+            add(k1, multiply(k2, 2.0, k2), k2)
+            add(k2, multiply(k3, 2.0, k3), k2)
+            add(k2, k4, k2)
+            add(y, multiply(k2, h / 6.0, k2), y)
+            t += h
 
 
 def gd_pop_flow(a, w, v, t_max: float, tol: float):
@@ -142,13 +155,14 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     function of the state alone, so a flow stopped at t and restarted
     takes the same steps. Returns (a, w, converged), converged as rk4
     decides it for the whole batch; a and w are views of one new array,
-    and a, w and v are never written.
+    and a, w and v are never written. A state that overflows or turns
+    NaN raises NumericalError (see rk4).
 
     The state is the row [vec A, vec W] per batch entry. The (A, W)
     views of each rk4 buffer are built on the buffer's first use and
-    reused for the rest of the flow, and A^T W, G and the step rule's
-    squares and norms live in arrays allocated once per flow, so a step
-    allocates, reshapes and concatenates nothing.
+    looked up by id() inline for the rest of the flow, and A^T W, G and
+    the step rule's squares and norms live in arrays allocated once per
+    flow, so a step allocates, reshapes and concatenates nothing.
 
     The cap is set by the one error the step size can cause. A state
     with rhs = 0 is a fixed point of the RK4 map, so the limit the flow
@@ -170,26 +184,27 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     views = {}
 
     def split(y):
-        parts = views.get(id(y))
-        if parts is None:
-            a = y[..., :n].reshape(*batch, d, d)
-            parts = views[id(y)] = (y[..., :n], a, a.swapaxes(-1, -2),
-                                    y[..., n:].reshape(v.shape))
+        a = y[..., :n].reshape(*batch, d, d)
+        views[id(y)] = parts = (y[..., :n], a, a.swapaxes(-1, -2), y[..., n:].reshape(v.shape))
         return parts
 
     atw, g = np.empty(v.shape), np.empty(v.shape)
     g_t = g.swapaxes(-1, -2)
     squares, norms = np.empty((*batch, n)), np.empty(batch)
+    # np.dot takes half of matmul's dispatch time on 2-D operands and
+    # gives the same bytes there; a stack needs matmul
+    subtract, product = np.subtract, np.matmul if batch else np.dot
 
     def rhs(y, out):
-        _, a, a_t, w = split(y)
-        _, da, _, dw = split(out)
-        np.subtract(v, np.matmul(a_t, w, out=atw), out=g)
-        np.matmul(w, g_t, out=da)
-        np.matmul(a, g, out=dw)
+        _, a, a_t, w = views.get(id(y)) or split(y)
+        _, da, _, dw = views.get(id(out)) or split(out)
+        subtract(v, product(a_t, w, atw), g)
+        product(w, g_t, da)
+        product(a, g, dw)
 
     def step(y):
-        np.sum(np.square(split(y)[0], out=squares), axis=-1, out=norms)
+        vec_a = (views.get(id(y)) or split(y))[0]
+        np.add.reduce(np.square(vec_a, squares), axis=-1, out=norms)
         return min(5e-3, 0.05 / (1.0 + float(norms.max())))
 
     y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)

@@ -221,6 +221,52 @@ def test_flow_equals_literal_rk4_when_it_stops_on_tol():
     assert np.array_equal(a_out, a_ref) and np.array_equal(w_out, w_ref)
 
 
+def _rhs_norm(a, w, v):
+    g = v - a.swapaxes(-1, -2) @ w
+    return math.sqrt(float(np.sum(np.square(w @ g.swapaxes(-1, -2))) + np.sum(np.square(a @ g))))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("k", [1, 3])
+def test_unbatched_flow_equals_batch_of_one(d, k):
+    # an unbatched flow multiplies 2-D operands, a batch stacks of them:
+    # the two must give the same bytes, run to t_max and stopped on tol
+    a, w, v = _flow_start((), d, k, 300 + 10 * d + k)
+    for t_max, tol in ((0.1, 0.0), (100.0, 0.5 * _rhs_norm(a, w, v))):
+        a_out, w_out, converged = gd_pop_flow(a, w, v, t_max, tol)
+        a_one, w_one, converged_one = gd_pop_flow(a[None], w[None], v[None], t_max, tol)
+        assert converged == converged_one == (tol > 0.0)
+        assert not np.array_equal(a_out, a)
+        assert np.array_equal(a_out, a_one[0]) and np.array_equal(w_out, w_one[0])
+
+
+@pytest.mark.parametrize("a, message", [
+    # ||A||_F^2 = 2e310 overflows, so the step rule gives h = 0; the first
+    # derivative's squared norm overflows too, and is checked first
+    (1e155 * np.eye(2), "derivative norm inf at t=0.0"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "derivative norm nan at t=0.0"),
+])
+def test_flow_raises_on_a_nonfinite_state(a, message):
+    with pytest.raises(NumericalError, match=message):
+        gd_pop_flow(a, np.zeros((2, 1)), np.ones((2, 1)), 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.125, math.inf, math.nan])
+def test_rk4_rejects_a_step_that_is_not_finite_and_positive(h):
+    # the first step is 0.125; the bad size comes at t = 0.125. A third
+    # call would raise StopIteration, so an unchecked size fails, not hangs
+    sizes = iter([0.125, h])
+    with pytest.raises(NumericalError, match=r"step size .* at t=0\.125"):
+        rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0, lambda y: next(sizes), 0.0)
+
+
+def test_rk4_raises_when_the_state_overflows():
+    # y' = y^2 from 1 blows up at t = 1; with steps of 1/8 the squared
+    # derivative y^4 overflows two steps later
+    with pytest.raises(NumericalError, match=r"derivative norm inf at t=1\.25"):
+        rk4(lambda y, out: np.square(y, out=out), np.ones(1), 4.0, lambda y: 0.125, 0.0)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e6])
 def test_flow_never_writes_its_inputs(tol):
     # tol = 1e6 converges before the first step, where the output is the
