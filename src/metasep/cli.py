@@ -36,6 +36,8 @@ import math
 import os
 import sys
 import time
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -268,10 +270,11 @@ def cmd_dynamics(cfg: dict):
     return {".csv": (("i", "s", "a", "b"), rows), ".json": summary}, {}, 0
 
 
-def _reptile_spikes(spec: ReptileSpec, inst: MetaInstance, seeds) -> list:
-    """reptile_spike's a_T for each seed stream: one worker's share of a
-    growth stage."""
-    return [reptile_spike(spec, inst, seed) for seed in seeds]
+def _reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> float:
+    """reptile_spike as the target of growth's process pool, which pickles
+    it by name: perfbench's tracer swaps each public metasep function for
+    a closure that does not pickle, and leaves private ones alone."""
+    return reptile_spike(spec, inst, seed)
 
 
 def cmd_growth(cfg: dict):
@@ -282,17 +285,18 @@ def cmd_growth(cfg: dict):
         raise ConfigError(f"t_list must be non-empty with distinct values, got {cfg['t_list']}")
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], 0.0)
     master = SeedSpec(cfg["seed"])
-    # the runs read only their own streams, so a stage's seeds split over
-    # worker processes, each taking every workers-th seed. They are forked:
+    # the runs read only their own streams, so a stage's seeds map over
+    # worker processes in one contiguous chunk per worker. They are forked:
     # a spawned worker would import numpy and metasep again, about as long
     # as the default run saves, and a run calls no BLAS, so the workers
     # need none of OpenBLAS's threads that fork leaves behind
     workers = min(cfg["workers"], cfg["seeds"])
-    pool = None
+    pool, spikes_of = None, map  # lazy, so the first non-finite a_T stops the run
     if workers > 1:
         from concurrent.futures.process import ProcessPoolExecutor
         from multiprocessing import get_context
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        spikes_of = partial(pool.map, chunksize=math.ceil(cfg["seeds"] / workers))
     rows = []
     fractions = {}
     stages = {}
@@ -303,14 +307,7 @@ def cmd_growth(cfg: dict):
             bound = reptile_growth_bound(t_tasks, tau, cfg["delta"], cfg["r"])
             spec = ReptileSpec(tau, cfg["kappa"], t_tasks)
             seeds = [master.child(ti, si) for si in range(cfg["seeds"])]
-            if pool is None:  # lazily, so the first non-finite a_T stops the run
-                spikes = (reptile_spike(spec, inst, seed) for seed in seeds)
-            else:
-                spikes = [0.0] * len(seeds)
-                blocks = pool.map(_reptile_spikes, [spec] * workers, [inst] * workers,
-                                  [seeds[k::workers] for k in range(workers)])
-                for k, block in enumerate(blocks):
-                    spikes[k::workers] = block
+            spikes = spikes_of(_reptile_spike, repeat(spec), repeat(inst), seeds)
             hits = 0
             for si, a_t in enumerate(spikes):
                 if not math.isfinite(a_t):

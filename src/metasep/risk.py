@@ -82,12 +82,10 @@ from .linalg import NumericalError, SpikedIdentity
 from .rng import SeedSpec, bidiagonal_spectra, gaussian_rows, wishart_chi
 from .tasks import MetaInstance
 
-# Trials per chi draw: bounds the draw's uniforms and, for gd_step and
-# gd2_reg, the stacked (trials, k, k) bidiagonals and their SVD workspace
-# (an unchunked 200-trial block at d = 50 added about 10 MB of RSS per
-# thread). Also the thread pool's smallest block: below two whole chunks
-# a call runs inline, where a thread costs more than it saves (README,
-# --workers).
+# Trials per draw (_draw) and per pool task: bounds the draw's uniforms
+# and, for gd_step and gd2_reg, the stacked (trials, k, k) bidiagonals and
+# their SVD workspace (an unchunked 200-trial block at d = 50 added about
+# 10 MB of RSS per thread).
 _CHUNK = 32
 
 
@@ -238,38 +236,20 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
                             - 2.0 * beta * np.sum(e * z2 / dd, axis=-1)))
 
 
-def _trial_block(algs, inst, n, seed, lo, hi):
-    """Conditional excess risks for trials [lo, hi) as an (hi-lo, n_algs)
-    array, and the largest eigenvalue of the block's spectra (0.0 with no
-    gd_step). Each family's draws are made _CHUNK trials at a time; the
-    convex families share one chi draw, which is SVDed only for a gd_step."""
-    d, r2, sigma2 = inst.d, float(inst.w_star @ inst.w_star), inst.sigma ** 2
-    ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
-    steps = [j for j, a in enumerate(algs) if a.family == "gd_step"]
-    spiked = [j for j, a in enumerate(algs) if a.family == "gd2_reg"]
-    out = np.empty((hi - lo, len(algs)))
-    top = 0.0
-    if ridge or steps:
-        k = min(n, d)
-        chunks = [wishart_chi(seed, n, d, a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)]
-        if steps:
-            spectra = np.concatenate([bidiagonal_spectra(chi, n, d) for chi in chunks])
-            top = float(spectra[:, 0].max())
-            for j in steps:
-                out[:, j] = _convex_risk(algs[j], spectra, d, n, r2, sigma2)
-        if ridge:
-            chi = np.concatenate(chunks)
-            out[:, ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
-                                         d, n, r2, sigma2)
-    if spiked:
-        for a in range(lo, hi, _CHUNK):
-            b = min(a + _CHUNK, hi)
-            mu = ((d - 1) * bidiagonal_spectra(wishart_chi(seed.child(3), d - 1, n, a, b), d - 1, n)
-                  if d > 1 else np.zeros((b - a, n)))
-            z = gaussian_rows(seed, a, b, n, 3)
-            for j in spiked:
-                out[a - lo:b - lo, j] = _spiked_risk(algs[j], mu, z, n, r2, sigma2)
-    return out, top
+def _draw(algs, inst, n, seed, lo, hi):
+    """The draws of trials [lo, hi) that algs are scored on: (chi, spectra,
+    mu, z), each None when no algorithm needs it. The convex families
+    share one chi draw, which is SVDed into spectra only for a gd_step;
+    gd2_reg reads mu and z from its own streams (module docstring)."""
+    d, families = inst.d, {a.family for a in algs}
+    chi = wishart_chi(seed, n, d, lo, hi) if families & {"gd_reg", "gd_step"} else None
+    spectra = bidiagonal_spectra(chi, n, d) if "gd_step" in families else None
+    mu = z = None
+    if "gd2_reg" in families:
+        mu = ((d - 1) * bidiagonal_spectra(wishart_chi(seed.child(3), d - 1, n, lo, hi), d - 1, n)
+              if d > 1 else np.zeros((hi - lo, n)))
+        z = gaussian_rows(seed, lo, hi, n, 3)
+    return chi if "gd_reg" in families else None, spectra, mu, z
 
 
 def _estimate(values: np.ndarray) -> RiskEstimate:
@@ -292,10 +272,12 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     non-finite trial risk, or a mean or stderr that overflows from finite
     trial risks, raises NumericalError.
 
-    The trials run on a thread pool of min(workers, trials // _CHUNK)
-    threads, each on one contiguous block of at least _CHUNK trials, and
-    inline when that is at most 1. Every trial reads only its own streams,
-    so the estimates are bit-identical for any workers."""
+    The draws are made _CHUNK trials at a time (_draw) on min(workers,
+    chunks) threads, one chunk per task, and inline at one worker or when
+    every algorithm is a gd_reg, whose trace loop holds the interpreter
+    lock; each family is then scored once over all trials. Every trial
+    reads only its own streams, so the estimates are bit-identical for
+    any workers."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 2:
@@ -308,18 +290,32 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         if not (alg.params.lam > 0.0 and isinstance(a, SpikedIdentity)
                 and np.linalg.norm(a.direction - (a.direction @ w_hat) * w_hat) <= 1e-12):
             raise ValueError(f"{alg.label()} needs lam > 0 and a SpikedIdentity along +-w_star / r")
-    workers = min(int(workers), trials // _CHUNK)
+
+    def draw(lo):
+        return _draw(algs, inst, n, seed, lo, min(lo + _CHUNK, trials))
+
+    starts = range(0, trials, _CHUNK)
+    workers = min(int(workers), len(starts)) if any(a.family != "gd_reg" for a in algs) else 1
     if workers <= 1:
-        values, top = _trial_block(algs, inst, n, seed, 0, trials)
+        draws = list(map(draw, starts))
     else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_block, algs, inst, n, seed, lo, hi)
-                       for lo, hi in spans]
-            blocks = [f.result() for f in futures]
-        values = np.concatenate([b for b, _ in blocks], axis=0)
-        top = max(t for _, t in blocks)
+            draws = list(pool.map(draw, starts))
+    chi, spectra, mu, z = (None if parts[0] is None else np.concatenate(parts)
+                           for parts in zip(*draws))
+    d, r2, sigma2 = inst.d, float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    values = np.empty((trials, len(algs)))
+    ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
+    if ridge:
+        k = min(n, d)
+        values[:, ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
+                                        d, n, r2, sigma2)
+    for j, alg in enumerate(algs):
+        if alg.family == "gd_step":
+            values[:, j] = _convex_risk(alg, spectra, d, n, r2, sigma2)
+        elif alg.family == "gd2_reg":
+            values[:, j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
+    top = 0.0 if spectra is None else float(spectra[:, 0].max())
     divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
         estimates = [_estimate(values[:, j]) for j in range(len(algs))]
@@ -361,10 +357,12 @@ def convex_lower_bound_exact(d: int, n: int, r_w: float, sigma: float) -> float:
 
 def checked_grid(key: str, n_grid) -> list:
     """n_grid as a list of ints, or a ValueError naming key unless it is
-    non-empty and strictly ascending."""
+    non-empty, strictly ascending and starts at n >= 1."""
     grid = [int(n) for n in n_grid]
     if not grid:
         raise ValueError(f"{key} must be non-empty")
+    if grid[0] < 1:
+        raise ValueError(f"{key} must start at n >= 1, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{key} must be strictly ascending, got {grid}")
     return grid

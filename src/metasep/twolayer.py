@@ -90,31 +90,34 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
     return ScalarPair(*flow_limit(state.gap, r, s))
 
 
-def rk4(rhs, y, t_max: float, step, tol: float):
+def rk4(rhs, y, t_max: float, step, tol: float, view):
     """Classical RK4, without error control, on a flat state y (..., n).
 
-    rhs(y, out) writes the derivative at y into out, an array of y's
-    shape, and returns nothing. Each step takes one size h = step(y),
-    shared across the batch. Integration stops with converged True as
-    soon as the largest row norm of the derivative is below tol; if
-    t_max is reached first, converged is that same test at the final
-    state. Returns (y, converged). Raises NumericalError, with the time
-    reached, when that norm is not finite or a step size is not finite
-    and positive: an overflowed or NaN state never returns, and a zero
-    step never stalls the loop.
+    rhs(view(y), view(out)) writes the derivative at y into out, an
+    array of y's shape, and returns nothing. Each step takes one size
+    h = step(view(y)), shared across the batch. Integration stops with
+    converged True as soon as the largest row norm of the derivative is
+    below tol; if t_max is reached first, converged is that same test at
+    the final state. Returns (y, converged). Raises NumericalError, with
+    the time reached, when that norm is not finite or a step size is not
+    finite and positive: an overflowed or NaN state never returns, and a
+    zero step never stalls the loop.
 
     The state, the stage input and k1..k4 are buffers allocated once per
     call, and every step runs in place on them with numpy's out=, in
     the arithmetic order of the textbook form: stage inputs
     y + (0.5 h) k, the update y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
-    rhs and step see only these buffers, never the caller's y, which is
-    copied and not written. Overflow and invalid-operation warnings are
-    silenced while the loop runs, since the norm and step checks turn
-    every non-finite state into that one error.
+    view is called once on each buffer, before the first step (lambda
+    b: b hands out the flat buffers), and rhs and step see only what it
+    returned, never the caller's y, which is copied and not written.
+    Overflow and invalid-operation warnings are silenced while the loop
+    runs, since the norm and step checks turn every non-finite state
+    into that one error.
     """
     y = np.array(y, dtype=np.float64)
     stage = np.empty_like(y)
     k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
+    y_v, stage_v, k1_v, k2_v, k3_v, k4_v = map(view, (y, stage, k1, k2, k3, k4))
     norms = np.empty(y.shape[:-1])
     # a step is some 30 small numpy calls, so their dispatch is its cost:
     # local names, positional out, and add.reduce rather than np.sum's wrapper
@@ -122,7 +125,7 @@ def rk4(rhs, y, t_max: float, step, tol: float):
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            rhs(y, k1)
+            rhs(y_v, k1_v)
             peak = float(row_sum(multiply(k1, k1, stage), axis=-1, out=norms).max())
             if peak < tol * tol:
                 return y, True
@@ -130,15 +133,15 @@ def rk4(rhs, y, t_max: float, step, tol: float):
                 raise NumericalError(f"rk4: squared derivative norm {peak} at t={t!r}")
             if t >= t_max:
                 return y, False
-            h = step(y)
+            h = step(y_v)
             if not 0.0 < h < math.inf:
                 raise NumericalError(f"rk4: step size {h} at t={t!r}")
             add(y, multiply(k1, 0.5 * h, stage), stage)
-            rhs(stage, k2)
+            rhs(stage_v, k2_v)
             add(y, multiply(k2, 0.5 * h, stage), stage)
-            rhs(stage, k3)
+            rhs(stage_v, k3_v)
             add(y, multiply(k3, h, stage), stage)
-            rhs(stage, k4)
+            rhs(stage_v, k4_v)
             add(k1, multiply(k2, 2.0, k2), k2)
             add(k2, multiply(k3, 2.0, k3), k2)
             add(k2, k4, k2)
@@ -158,11 +161,11 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     and a, w and v are never written. A state that overflows or turns
     NaN raises NumericalError (see rk4).
 
-    The state is the row [vec A, vec W] per batch entry. The (A, W)
-    views of each rk4 buffer are built on the buffer's first use and
-    looked up by id() inline for the rest of the flow, and A^T W, G and
-    the step rule's squares and norms live in arrays allocated once per
-    flow, so a step allocates, reshapes and concatenates nothing.
+    The state is the row [vec A, vec W] per batch entry. rk4 builds the
+    (vec A, A, A^T, W) views of each of its buffers once, by split, and
+    A^T W, G and the step rule's squares and norms live in arrays
+    allocated once per flow, so a step allocates, reshapes and
+    concatenates nothing.
 
     The cap is set by the one error the step size can cause. A state
     with rhs = 0 is a fixed point of the RK4 map, so the limit the flow
@@ -179,14 +182,10 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     v = np.asarray(v, dtype=np.float64)
     *batch, d, k = v.shape
     n = d * d
-    # id(buffer) -> (vec A, A, A^T, W) views; each view holds its buffer,
-    # so no id is reused while the flow runs
-    views = {}
 
     def split(y):
         a = y[..., :n].reshape(*batch, d, d)
-        views[id(y)] = parts = (y[..., :n], a, a.swapaxes(-1, -2), y[..., n:].reshape(v.shape))
-        return parts
+        return y[..., :n], a, a.swapaxes(-1, -2), y[..., n:].reshape(v.shape)
 
     atw, g = np.empty(v.shape), np.empty(v.shape)
     g_t = g.swapaxes(-1, -2)
@@ -196,19 +195,18 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     subtract, product = np.subtract, np.matmul if batch else np.dot
 
     def rhs(y, out):
-        _, a, a_t, w = views.get(id(y)) or split(y)
-        _, da, _, dw = views.get(id(out)) or split(out)
+        _, a, a_t, w = y
+        _, da, _, dw = out
         subtract(v, product(a_t, w, atw), g)
         product(w, g_t, da)
         product(a, g, dw)
 
     def step(y):
-        vec_a = (views.get(id(y)) or split(y))[0]
-        np.add.reduce(np.square(vec_a, squares), axis=-1, out=norms)
+        np.add.reduce(np.square(y[0], squares), axis=-1, out=norms)
         return min(5e-3, 0.05 / (1.0 + float(norms.max())))
 
     y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
-    y, converged = rk4(rhs, y0, t_max, step, tol)
+    y, converged = rk4(rhs, y0, t_max, step, tol, split)
     _, a, _, w = split(y)
     return a, w, converged
 

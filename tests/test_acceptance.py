@@ -291,8 +291,10 @@ def test_criterion_09_bad_minimizer():
 def test_criterion_10_worker_count_byte_identity(tmp_path):
     """Every command that takes --workers, run twice with different
     --workers, writes byte-identical data outputs. dynamics and verify run
-    serially and take no --workers. 64 trials is the fewest that --workers 4
-    splits over threads; growth's 5 seeds split over 4 worker processes."""
+    serially and take no --workers. risk and nsearch score a gd_reg, which
+    runs inline at any --workers; separation's nonconvex half draws its 64
+    trials as two 32-trial chunks on two threads, and growth's 5 seeds map
+    over 4 worker processes."""
     runs = {
         "risk": ["risk", "--d", "6", "--n", "8", "--lam", "0.5",
                  "--trials", "64"],

@@ -189,14 +189,16 @@ def test_risk_json_record(tmp_path):
 
 
 def test_risk_worker_independence(tmp_path):
-    # 64 trials, the fewest that --workers 4 splits (into two blocks)
-    out1 = str(tmp_path / "w1")
-    out4 = str(tmp_path / "w4")
-    _run(["risk", "--d", "5", "--n", "8", "--trials", "64",
-          "--workers", "1", "--out", out1])
-    _run(["risk", "--d", "5", "--n", "8", "--trials", "64",
-          "--workers", "4", "--out", out4])
-    assert _read(out1 + ".json") == _read(out4 + ".json")
+    # 64 trials are two 32-trial chunks: --workers 4 draws a gd_step's on
+    # two threads, and a gd_reg runs inline at any worker count
+    for family in ("gd_reg", "gd_step"):
+        out1 = str(tmp_path / f"{family}-w1")
+        out4 = str(tmp_path / f"{family}-w4")
+        _run(["risk", "--family", family, "--d", "5", "--n", "8", "--trials", "64",
+              "--workers", "1", "--out", out1])
+        _run(["risk", "--family", family, "--d", "5", "--n", "8", "--trials", "64",
+              "--workers", "4", "--out", out4])
+        assert _read(out1 + ".json") == _read(out4 + ".json")
 
 
 def test_nsearch(tmp_path, capsys):
@@ -269,12 +271,14 @@ def test_zero_dimension_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need d >= 1, got 0\n"
 
 
-@pytest.mark.parametrize("args", [["risk", "--n", "0", "--trials", "10"],
-                                  ["nsearch", "--n-grid", "0,4", "--trials", "10"]])
+@pytest.mark.parametrize("args", [
+    (["risk", "--n", "0", "--trials", "10"], "need n >= 1, got 0"),
+    (["nsearch", "--n-grid", "0,4", "--trials", "10"], "n_grid must start at n >= 1, got [0, 4]")])
 def test_zero_samples_is_config_error(tmp_path, capsys, args):
+    argv, message = args
     out = str(tmp_path / "n0")
-    assert _run([*args, "--d", "4", "--out", out]) == 2
-    assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
+    assert _run([*argv, "--d", "4", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(out + ".json")
 
 
@@ -443,8 +447,8 @@ def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, mess
 
 
 def test_growth_worker_pool_edges(tmp_path, capsys):
-    # growth splits each T's seeds over min(workers, seeds) forked processes:
-    # 3 seeds over 2 workers (blocks of 2 and 1) and 1 seed at --workers 4
+    # growth maps each T's seeds over min(workers, seeds) forked processes:
+    # 3 seeds over 2 workers (chunks of 2 and 1) and 1 seed at --workers 4
     # (the serial path) write the bytes of --workers 1; the overflow case at
     # --workers 2 stops with the serial run's line; no worker outlives main
     for seeds, workers in (("3", "2"), ("1", "4")):
@@ -532,7 +536,8 @@ def test_overflowing_square_is_config_error(tmp_path, capsys, args, key):
     (["--convex-grid", "4,4"], "convex_grid must be strictly ascending, got [4, 4]"),
     (["--nonconvex-grid", ""], "nonconvex_grid must be non-empty"),
     (["--nonconvex-grid", "10,5"], "nonconvex_grid must be strictly ascending, got [10, 5]"),
-    (["--lam-sweep", "0.1,0.1"], "lam_sweep must have distinct values, got [0.1, 0.1]")])
+    (["--lam-sweep", "0.1,0.1"], "lam_sweep must have distinct values, got [0.1, 0.1]"),
+    (["--nonconvex-grid", "0,20"], "nonconvex_grid must start at n >= 1, got [0, 20]")])
 def test_separation_checks_sweep_and_grids_first(tmp_path, capsys, args, message):
     # each key is named, and the run stops before any grid point prints
     assert _run(["separation", *_SMALL_SEPARATION, *args, "--out", str(tmp_path / "x")]) == 2
@@ -594,7 +599,7 @@ def test_stable_learner_overflow_is_numerical_failure(tmp_path, capsys, args, me
 def test_step_limit_warning_is_independent_of_workers(tmp_path):
     # the stability check runs once per estimate on the largest eigenvalue
     # of all trials, so every worker count warns once, with the same text
-    # (64 trials, so --workers 2 and 4 run two blocks)
+    # (64 trials, so --workers 2 and 4 draw two chunks on two threads)
     messages, records = set(), set()
     for workers in (1, 2, 4):
         out = str(tmp_path / f"w{workers}")

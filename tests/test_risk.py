@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -64,7 +65,7 @@ def test_bound_dominated_by_estimates():
 def test_estimator_edge_cases(d, n, sigma):
     # n < d, n = d and n > d at the smallest sizes, with and without noise:
     # every estimate is finite, nonnegative and the same on a thread pool
-    # (64 trials, the fewest the pool splits), and no convex one falls
+    # (64 trials, two chunks on two threads), and no convex one falls
     # confidently below the exact convex bound
     inst = MetaInstance.from_config(d, 1.0, sigma)
     w_hat = inst.w_star / inst.r
@@ -182,21 +183,27 @@ def test_householder_bidiagonal_keeps_singular_values(n, d):
 
 
 def test_trial_rows_do_not_depend_on_the_block():
-    # scoring trials [lo, mid) and [mid, hi) gives the rows of one [lo, hi)
-    # call bit for bit: across a _CHUNK boundary, with one-trial blocks,
-    # for n < d and n > d, with every lam in one pass of the recurrence
+    # a trial's draws are the same bit for bit in its own _CHUNK chunk, in
+    # a larger span across _CHUNK boundaries and alone, for n < d and n > d;
+    # an entry is None exactly when no algorithm needs it
+    c = risk._CHUNK
     for n, d in ((4, 7), (9, 3)):
         inst = MetaInstance.from_config(d, 1.0, 1.0)
-        w0 = gaussian_vector(SeedSpec(37), d)
-        algs = [_reg_alg(0.0, d, w0), _reg_alg(0.3, d), _reg_alg(2.0, d, w0),
-                AlgSpec("gd_step", GdStepSpec(0.05, 10), w0),
-                AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))]
-        for lo, mid, hi in ((5, 37, 80), (0, 1, 40), (31, 32, 33)):
-            whole, top = risk._trial_block(algs, inst, n, SeedSpec(38), lo, hi)
-            parts = [risk._trial_block(algs, inst, n, SeedSpec(38), a, b) for a, b in
-                     ((lo, mid), (mid, hi))]
-            assert np.array_equal(np.concatenate([p for p, _ in parts]), whole)
-            assert max(t for _, t in parts) == top
+        reg, step = _reg_alg(0.3, d), AlgSpec("gd_step", GdStepSpec(0.05, 10), np.zeros(d))
+        spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))
+        algs, seed = [reg, step, spiked], SeedSpec(38)
+        wide = risk._draw(algs, inst, n, seed, 5, 3 * c - 5)
+        for t in (5, c - 1, c, c + 1, 2 * c, 3 * c - 6):
+            own = risk._draw(algs, inst, n, seed, t // c * c, (t // c + 1) * c)
+            alone = risk._draw(algs, inst, n, seed, t, t + 1)
+            for w, o, a in zip(wide, own, alone):
+                assert np.array_equal(w[t - 5], o[t % c]) and np.array_equal(w[t - 5], a[0])
+        for subset, needed in (([reg], (0,)), ([step], (1,)), ([spiked], (2, 3)),
+                               ([reg, step], (0, 1))):
+            draws = risk._draw(subset, inst, n, seed, 5, 3 * c - 5)
+            for i, (part, full) in enumerate(zip(draws, wide)):
+                assert (part is None) == (i not in needed)
+                assert part is None or np.array_equal(part, full)
 
 
 def test_ridge_risk_at_d_1000():
@@ -232,13 +239,14 @@ def test_divergent_step_gives_inf(w0_scale):
 
 def test_step_limit_warns_at_equality_on_all_trials():
     # eta = 2 / lambda_max over all trials is at the limit (>=) and warns
-    # once for any worker count, even where one block's own lambda_max is
+    # once for any worker count, even where one chunk's own lambda_max is
     # smaller; the next float below it does not warn
     d, n, trials = 3, 20, 64
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     seed = SeedSpec(25)
     top = bidiagonal_spectra(wishart_chi(seed, n, d, 0, trials), n, d)[:, 0]
-    # workers=2 splits the trials into two halves, one of them below the top
+    # workers=2 draws the two 32-trial chunks on two threads, one of them
+    # below the top
     assert min(top[:trials // 2].max(), top[trials // 2:].max()) < top.max()
     limit = 2.0 / float(top.max())
     for eta, warned in ((limit, 1), (float(np.nextafter(limit, 0.0)), 0)):
@@ -252,39 +260,51 @@ def test_step_limit_warns_at_equality_on_all_trials():
 
 
 def test_pool_split_rule(monkeypatch):
-    # no thread gets fewer than _CHUNK trials: below 2 * _CHUNK a call runs
-    # inline at any worker count, and from there on min(workers, trials //
-    # _CHUNK) blocks; the estimates are those of workers=1, bit for bit
-    blocks = []
+    # a call with a gd_step or gd2_reg runs min(workers, chunks) threads,
+    # one task per whole _CHUNK-trial chunk (the last one short); one that
+    # scores only gd_reg learners, whose trace loop holds the interpreter
+    # lock, runs inline at any worker count, as does a one-chunk call. The
+    # estimates are those of workers=1, bit for bit
+    c, pools, calls = risk._CHUNK, [], []
+    draw = risk._draw
 
     class Pool(ThreadPoolExecutor):
-        def submit(self, fn, *args):
-            blocks.append(args[-2:])
-            return super().submit(fn, *args)
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def counted(algs, inst, n, seed, lo, hi):
+        calls.append((lo, hi, threading.current_thread() is threading.main_thread()))
+        return draw(algs, inst, n, seed, lo, hi)
 
     monkeypatch.setattr(risk, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(risk, "_draw", counted)
     inst = MetaInstance.from_config(3, 1.0, 1.0)
-    alg = _reg_alg(0.5, 3)
-    for workers in (1, 2, 3, 4, 8):
-        mc_excess_risk(alg, inst, 5, 2 * risk._CHUNK - 1, SeedSpec(26), workers=workers)
-    assert blocks == []
-    for workers in (2, 3, 4):
-        mc_excess_risk(alg, inst, 5, 2 * risk._CHUNK, SeedSpec(26), workers=workers)
-        assert len(blocks) == 2
-        blocks.clear()
+    for workers in (1, 2, 4):
+        mc_excess_risk_many([_reg_alg(0.0, 3), _reg_alg(0.5, 3)], inst, 5, 3 * c, SeedSpec(26),
+                            workers=workers)
+    assert pools == [] and calls == [(lo, lo + c, True) for lo in (0, c, 2 * c)] * 3
+    calls.clear()
     for d in (1, 3):
         inst = MetaInstance.from_config(d, 1.0, 1.0)
-        algs = [_reg_alg(0.5, d), AlgSpec("gd_step", GdStepSpec(0.05, 10), np.zeros(d)),
-                AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))]
-        for n in (1, 7):
-            for trials in (64, 65, 100):
-                seed = SeedSpec(27).child(d, n, trials)
-                serial = mc_excess_risk_many(algs, inst, n, trials, seed)
-                for workers in (2, 3, 4):
-                    assert mc_excess_risk_many(algs, inst, n, trials, seed, workers) == serial
-                    assert len(blocks) == min(workers, trials // risk._CHUNK)
-                    assert all(hi - lo >= risk._CHUNK for lo, hi in blocks)
-                    blocks.clear()
+        reg, step = _reg_alg(0.5, d), AlgSpec("gd_step", GdStepSpec(0.05, 10), np.zeros(d))
+        spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star, 3.0, 0.1))
+        for algs in ([reg, step, spiked], [step], [reg, spiked]):
+            for n in (1, 7):
+                for trials in (2, c, c + 1, 2 * c, 100):
+                    seed = SeedSpec(27).child(d, n, trials)
+                    chunks = [(lo, min(lo + c, trials)) for lo in range(0, trials, c)]
+                    serial = mc_excess_risk_many(algs, inst, n, trials, seed)
+                    assert pools == [] and calls == [(lo, hi, True) for lo, hi in chunks]
+                    calls.clear()
+                    for workers in (2, 3, 4):
+                        threads = min(workers, len(chunks))
+                        assert mc_excess_risk_many(algs, inst, n, trials, seed, workers) == serial
+                        assert pools == ([threads] if threads > 1 else [])
+                        assert sorted(call[:2] for call in calls) == chunks
+                        assert all(inline == (threads == 1) for *_, inline in calls)
+                        pools.clear()
+                        calls.clear()
 
 
 def test_search_trivial_epsilon_takes_first_point():

@@ -257,14 +257,16 @@ def test_rk4_rejects_a_step_that_is_not_finite_and_positive(h):
     # call would raise StopIteration, so an unchecked size fails, not hangs
     sizes = iter([0.125, h])
     with pytest.raises(NumericalError, match=r"step size .* at t=0\.125"):
-        rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0, lambda y: next(sizes), 0.0)
+        rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0, lambda y: next(sizes), 0.0,
+            lambda b: b)
 
 
 def test_rk4_raises_when_the_state_overflows():
     # y' = y^2 from 1 blows up at t = 1; with steps of 1/8 the squared
     # derivative y^4 overflows two steps later
     with pytest.raises(NumericalError, match=r"derivative norm inf at t=1\.25"):
-        rk4(lambda y, out: np.square(y, out=out), np.ones(1), 4.0, lambda y: 0.125, 0.0)
+        rk4(lambda y, out: np.square(y, out=out), np.ones(1), 4.0, lambda y: 0.125, 0.0,
+            lambda b: b)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e6])
@@ -281,7 +283,7 @@ def test_flow_never_writes_its_inputs(tol):
     a_out, w_out, converged = gd_pop_flow(a, w, v, 0.05, tol)
     assert converged == (tol > 0.0)
     y, converged = rk4(lambda y, out: np.negative(y, out=out), y0, 0.5,
-                       lambda y: 0.125, tol)
+                       lambda y: 0.125, tol, lambda b: b)
     assert converged == (tol > 0.0)
     for x, copy in zip(inputs, copies):
         assert np.array_equal(x, copy)
@@ -294,7 +296,7 @@ def test_rk4_is_fourth_order():
     errors = []
     for h in (0.125, 0.0625):
         y, converged = rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0,
-                           lambda y: h, tol=0.0)
+                           lambda y: h, tol=0.0, view=lambda b: b)
         assert not converged
         errors.append(abs(float(y[0]) - math.exp(-1.0)))
     assert 14.0 <= errors[0] / errors[1] <= 18.0
@@ -305,14 +307,43 @@ def test_rk4_converged_flag():
     # convergence stops at the first state below 0.5, one step of about
     # exp(-1/64) after the last one at or above it
     y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 100.0,
-                       lambda y: 1.0 / 64.0, tol=0.5)
+                       lambda y: 1.0 / 64.0, tol=0.5, view=lambda b: b)
     assert converged
     assert 0.5 * math.exp(-1.0 / 64.0) < float(np.max(np.abs(y))) < 0.5
     # the t_max budget runs out first
     y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 1.0,
-                       lambda y: 1.0 / 64.0, tol=0.5)
+                       lambda y: 1.0 / 64.0, tol=0.5, view=lambda b: b)
     assert not converged
     assert float(np.max(np.abs(y))) > 0.5
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e6])
+def test_rk4_builds_each_view_once(tol):
+    # view is called once on each of the six buffers (state, stage input,
+    # k1..k4), whether the flow converges before the first step (tol = 1e6)
+    # or runs 8 steps; rhs and step receive nothing but its results
+    made = []
+
+    def view(buffer):
+        made.append((buffer,))  # a fresh object per call, told apart by identity
+        return made[-1]
+
+    def ours(x):
+        return any(x is m for m in made)
+
+    def rhs(y, out):
+        assert ours(y) and ours(out)
+        np.negative(y[0], out=out[0])
+
+    def step(y):
+        assert ours(y)
+        return 0.125
+
+    y, converged = rk4(rhs, np.ones(2), 1.0, step, tol, view)
+    plain, _ = rk4(lambda y, out: np.negative(y, out=out), np.ones(2), 1.0,
+                   lambda y: 0.125, tol, lambda b: b)
+    assert len(made) == 6 and len({id(b) for (b,) in made}) == 6
+    assert converged == (tol > 0.0) and np.array_equal(y, plain)
 
 
 def test_gd2_reg_requires_positive_lambda():
