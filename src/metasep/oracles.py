@@ -9,9 +9,9 @@ are integrated by brute-force RK4 or explicit iteration. No reference
 calls the closed form it checks. They are slower and exist to catch
 errors in the closed forms, not to run experiments.
 
-Nonlinear flows run on twolayer.gd_pop_flow over twolayer.rk4, the one
-RK4 integrator; a linear flow raises its RK4 step matrix, formed once
-from the four stages, to the step count (see linear_flow_rk4). Either
+Nonlinear flows run on twolayer.gd_pop_flow, which takes its RK4 steps
+in place; a linear flow raises its RK4 step matrix, formed once from
+the four stages, to the step count (see linear_flow_rk4). Either
 way the result is the same sequence of explicit RK4 steps, with no
 eigendecomposition or matrix exponential, so it stays independent of
 the spectral closed forms.

@@ -225,9 +225,12 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
                  r2: float, sigma2: float) -> np.ndarray:
     """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z (trials, n)."""
     alpha, k2n = alg.init.spike, alg.init.bulk * alg.init.bulk / n
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf kappa^2 is counted as nonfinite
+    # where k2n * mu overflows, k2n / dd would read 0, so kd takes its form
+    # 1 / (mu + lam / k2n) there; an inf kappa^2 still gives NaN where mu = 0,
+    # which is counted as nonfinite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dd = k2n * mu + alg.params.lam
-        kd = k2n / dd
+        kd = np.where(np.isfinite(dd), k2n / dd, 1.0 / (mu + alg.params.lam / k2n))
         z2, e = z * z, (kd * mu) * kd  # kd * mu <= 1, so a huge kd meets mu = 0, not inf
         u, p, q = np.sum(z2 / dd, axis=-1), np.sum(z2 / dd ** 2, axis=-1), np.sum(e * z2, axis=-1)
         beta = 1.0 / (n / alpha / alpha + u) if alpha else 0.0 * u

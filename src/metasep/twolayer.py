@@ -12,11 +12,11 @@ Two within-task procedures:
   gap c = a^2 - b^2, and the limit has the closed form
   a_bar = sqrt((c + sqrt(4 r^2 + c^2)) / 2), b_bar = s * sqrt((-c +
   sqrt(4 r^2 + c^2)) / 2). gd_pop_flow integrates the batched matrix
-  flow of tasks sharing a first layer with rk4, the package's one
-  fixed-step RK4 integrator, as the numeric cross-check. Its step is
-  capped at 5e-3: the limit does not depend on the step, and at that
-  cap the drift of the conserved gap stays 67x inside the 1e-8 that
-  the acceptance check allows (see gd_pop_flow).
+  flow of tasks sharing a first layer by fixed-step RK4, as the
+  numeric cross-check. Its step is capped at 5e-3: the limit does not
+  depend on the step, and at that cap the drift of the conserved gap
+  stays 67x inside the 1e-8 that the acceptance check allows (see
+  gd_pop_flow).
 * gd2_reg: ridge regression on the second layer only, first layer
   frozen.
 
@@ -90,82 +90,32 @@ def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> Sca
     return ScalarPair(*flow_limit(state.gap, r, s))
 
 
-def rk4(rhs, y, t_max: float, step, tol: float, view):
-    """Classical RK4, without error control, on a flat state y (..., n).
-
-    rhs(view(y), view(out)) writes the derivative at y into out, an
-    array of y's shape, and returns nothing. Each step takes one size
-    h = step(view(y)), shared across the batch. Integration stops with
-    converged True as soon as the largest row norm of the derivative is
-    below tol; if t_max is reached first, converged is that same test at
-    the final state. Returns (y, converged). Raises NumericalError, with
-    the time reached, when that norm is not finite or a step size is not
-    finite and positive: an overflowed or NaN state never returns, and a
-    zero step never stalls the loop.
-
-    The state, the stage input and k1..k4 are buffers allocated once per
-    call, and every step runs in place on them with numpy's out=, in
-    the arithmetic order of the textbook form: stage inputs
-    y + (0.5 h) k, the update y + (h/6) (((k1 + 2 k2) + 2 k3) + k4).
-    view is called once on each buffer, before the first step (lambda
-    b: b hands out the flat buffers), and rhs and step see only what it
-    returned, never the caller's y, which is copied and not written.
-    Overflow and invalid-operation warnings are silenced while the loop
-    runs, since the norm and step checks turn every non-finite state
-    into that one error.
-    """
-    y = np.array(y, dtype=np.float64)
-    stage = np.empty_like(y)
-    k1, k2, k3, k4 = (np.empty_like(y) for _ in range(4))
-    y_v, stage_v, k1_v, k2_v, k3_v, k4_v = map(view, (y, stage, k1, k2, k3, k4))
-    norms = np.empty(y.shape[:-1])
-    # a step is some 30 small numpy calls, so their dispatch is its cost:
-    # local names, positional out, and add.reduce rather than np.sum's wrapper
-    add, multiply, row_sum = np.add, np.multiply, np.add.reduce
-    t = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            rhs(y_v, k1_v)
-            peak = float(row_sum(multiply(k1, k1, stage), axis=-1, out=norms).max())
-            if peak < tol * tol:
-                return y, True
-            if not peak < math.inf:
-                raise NumericalError(f"rk4: squared derivative norm {peak} at t={t!r}")
-            if t >= t_max:
-                return y, False
-            h = step(y_v)
-            if not 0.0 < h < math.inf:
-                raise NumericalError(f"rk4: step size {h} at t={t!r}")
-            add(y, multiply(k1, 0.5 * h, stage), stage)
-            rhs(stage_v, k2_v)
-            add(y, multiply(k2, 0.5 * h, stage), stage)
-            rhs(stage_v, k3_v)
-            add(y, multiply(k3, h, stage), stage)
-            rhs(stage_v, k4_v)
-            add(k1, multiply(k2, 2.0, k2), k2)
-            add(k2, multiply(k3, 2.0, k3), k2)
-            add(k2, k4, k2)
-            add(y, multiply(k2, h / 6.0, k2), y)
-            t += h
-
-
 def gd_pop_flow(a, w, v, t_max: float, tol: float):
-    """Integrate dA/dt = W G^T, dW/dt = A G, G = V - A^T W, by rk4.
+    """Integrate dA/dt = W G^T, dW/dt = A G, G = V - A^T W, by classical
+    RK4 without error control.
 
     a is (..., d, d), w (..., d, T) and v, the signed targets s_i w_star
     as columns, (..., d, T); T = 1 for one task. Every step takes
     h = min(5e-3, 0.05 / (1 + ||A||_F^2)) for the batch's largest A, a
     function of the state alone, so a flow stopped at t and restarted
-    takes the same steps. Returns (a, w, converged), converged as rk4
-    decides it for the whole batch; a and w are views of one new array,
-    and a, w and v are never written. A state that overflows or turns
-    NaN raises NumericalError (see rk4).
+    takes the same steps. Integration stops with converged True as soon
+    as the largest norm of a batch entry's derivative is below tol; if
+    t_max is reached first, converged is that same test at the final
+    state. Returns (a, w, converged); a and w are views of one new
+    array, and a, w and v are never written. Raises NumericalError, with
+    the time reached, when that norm is not finite or a step size is not
+    finite and positive: a state that overflows or turns NaN never
+    returns, and a zero step never stalls the loop.
 
-    The state is the row [vec A, vec W] per batch entry. rk4 builds the
-    (vec A, A, A^T, W) views of each of its buffers once, by split, and
-    A^T W, G and the step rule's squares and norms live in arrays
-    allocated once per flow, so a step allocates, reshapes and
-    concatenates nothing.
+    The state is the row [vec A, vec W] per batch entry. The state, the
+    stage input and k1..k4 are buffers allocated once per flow, with
+    their (A, A^T, W) views, as are A^T W, G and the step rule's squares
+    and norms, so a step allocates, reshapes and concatenates nothing.
+    Every step runs in place with numpy's out=, in the arithmetic order
+    of the textbook form: stage inputs y + (0.5 h) k, the update
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Overflow and invalid-operation
+    warnings are silenced while the loop runs, since the norm and step
+    checks turn every non-finite state into that one error.
 
     The cap is set by the one error the step size can cause. A state
     with rhs = 0 is a fixed point of the RK4 map, so the limit the flow
@@ -182,33 +132,60 @@ def gd_pop_flow(a, w, v, t_max: float, tol: float):
     v = np.asarray(v, dtype=np.float64)
     *batch, d, k = v.shape
     n = d * d
+    y = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))],
+                       axis=-1, dtype=np.float64)
+    stage, k1, k2, k3, k4 = (np.empty_like(y) for _ in range(5))
 
     def split(y):
         a = y[..., :n].reshape(*batch, d, d)
-        return y[..., :n], a, a.swapaxes(-1, -2), y[..., n:].reshape(v.shape)
+        return a, a.swapaxes(-1, -2), y[..., n:].reshape(v.shape)
 
+    y_v, stage_v, k1_v, k2_v, k3_v, k4_v = map(split, (y, stage, k1, k2, k3, k4))
+    vec_a = y[..., :n]
     atw, g = np.empty(v.shape), np.empty(v.shape)
     g_t = g.swapaxes(-1, -2)
     squares, norms = np.empty((*batch, n)), np.empty(batch)
-    # np.dot takes half of matmul's dispatch time on 2-D operands and
-    # gives the same bytes there; a stack needs matmul
-    subtract, product = np.subtract, np.matmul if batch else np.dot
+    # a step is some 30 small numpy calls, so their dispatch is its cost:
+    # local names, positional out, and add.reduce rather than np.sum's
+    # wrapper; np.dot takes half of matmul's dispatch time on 2-D operands
+    # and gives the same bytes there, but a stack needs matmul
+    add, multiply, subtract, row_sum = np.add, np.multiply, np.subtract, np.add.reduce
+    product = np.matmul if batch else np.dot
 
     def rhs(y, out):
-        _, a, a_t, w = y
-        _, da, _, dw = out
+        a, a_t, w = y
+        da, _, dw = out
         subtract(v, product(a_t, w, atw), g)
         product(w, g_t, da)
         product(a, g, dw)
 
-    def step(y):
-        np.add.reduce(np.square(y[0], squares), axis=-1, out=norms)
-        return min(5e-3, 0.05 / (1.0 + float(norms.max())))
-
-    y0 = np.concatenate([np.reshape(a, (*batch, n)), np.reshape(w, (*batch, d * k))], axis=-1)
-    y, converged = rk4(rhs, y0, t_max, step, tol, split)
-    _, a, _, w = split(y)
-    return a, w, converged
+    a, _, w = y_v
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rhs(y_v, k1_v)
+            peak = float(row_sum(multiply(k1, k1, stage), axis=-1, out=norms).max())
+            if peak < tol * tol:
+                return a, w, True
+            if not peak < math.inf:
+                raise NumericalError(f"gd_pop_flow: squared derivative norm {peak} at t={t!r}")
+            if t >= t_max:
+                return a, w, False
+            row_sum(multiply(vec_a, vec_a, squares), axis=-1, out=norms)
+            h = min(5e-3, 0.05 / (1.0 + float(norms.max())))
+            if not 0.0 < h < math.inf:
+                raise NumericalError(f"gd_pop_flow: step size {h} at t={t!r}")
+            add(y, multiply(k1, 0.5 * h, stage), stage)
+            rhs(stage_v, k2_v)
+            add(y, multiply(k2, 0.5 * h, stage), stage)
+            rhs(stage_v, k3_v)
+            add(y, multiply(k3, h, stage), stage)
+            rhs(stage_v, k4_v)
+            add(k1, multiply(k2, 2.0, k2), k2)
+            add(k2, multiply(k3, 2.0, k3), k2)
+            add(k2, k4, k2)
+            add(y, multiply(k2, h / 6.0, k2), y)
+            t += h
 
 
 def gd_pop_flow_numeric(params: TwoLayerParams, task: Task,

@@ -4,6 +4,9 @@ import math
 import multiprocessing
 import os
 import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -712,6 +715,21 @@ def test_oracles_stay_apart_from_production():
     suites = [node.name for node in ast.walk(ast.parse(cli_path.read_text(encoding="utf-8")))
               if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")]
     assert suites == []
+
+
+def test_package_import_loads_no_submodule():
+    # the package namespace binds only __version__, pyproject's version:
+    # importing metasep loads none of its modules
+    src = pathlib.Path(cli.__file__).parent
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+    code = ("import json, sys, metasep; print(json.dumps([metasep.__version__, "
+            "sorted(n for n in vars(metasep) if not n.startswith('__')) + "
+            "sorted(m for m in sys.modules if m.startswith('metasep.'))]))")
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == [version, []]
 
 
 @pytest.mark.parametrize("exc,code", [

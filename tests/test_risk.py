@@ -432,3 +432,20 @@ def test_spiked_risk_matches_predictor_matrices(d):
                     closed = _spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0]
                     worst = max(worst, abs(closed - reference) / reference)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(7, 3), (3, 5)])
+def test_spiked_risk_where_kappa_squared_mu_overflows(d, n):
+    # at kappa = 1e154, kappa^2 mu / n overflows for most nonzero mu; the
+    # risk is then at its large-kappa limit, which kappa = 1e150 already
+    # reads. (3, 5) has n - d + 1 = 3 zero mu per trial, (7, 3) none
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    w_hat = inst.w_star / inst.r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        big, huge = (mc_excess_risk(AlgSpec("gd2_reg", GdRegSpec(1.0),
+                                            SpikedIdentity(w_hat, 10.0, kappa)),
+                                    inst, n, 400, SeedSpec(19)) for kappa in (1e150, 1e154))
+    assert huge.nonfinite == 0
+    assert abs(huge.mean - big.mean) <= 1e-12 * big.mean
+    assert abs(huge.stderr - big.stderr) <= 1e-12 * big.stderr

@@ -12,7 +12,7 @@ from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
 from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg, gd_pop_fixed_point,
-                              gd_pop_flow, gd_pop_flow_numeric, rk4)
+                              gd_pop_flow, gd_pop_flow_numeric)
 from metasep import oracles
 
 finite_coord = st.floats(-5.0, 5.0, allow_nan=False)
@@ -152,7 +152,7 @@ def test_flow_step_rule():
 
 def _literal_flow(a, w, v, t_max, tol):
     """The flow on an allocating RK4, written out in the textbook order:
-    the arithmetic gd_pop_flow and rk4 must keep bit for bit. Returns
+    the arithmetic gd_pop_flow must keep bit for bit. Returns
     (a, w, converged, steps)."""
     *batch, d, k = v.shape
     n = d * d
@@ -251,22 +251,14 @@ def test_flow_raises_on_a_nonfinite_state(a, message):
         gd_pop_flow(a, np.zeros((2, 1)), np.ones((2, 1)), 1.0, 1e-9)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.125, math.inf, math.nan])
+# min(5e-3, 0.05 / (1 + ||A||_F^2)) is never negative, infinite or NaN
+# (a NaN A fails the derivative check first), so 0.0 is the one bad step
+# size a flow can reach: ||A||_F^2 = 2e310 overflows, while a tiny target
+# keeps the first derivative's squared norm at a finite 2e-10
+@pytest.mark.parametrize("h", [0.0])
 def test_rk4_rejects_a_step_that_is_not_finite_and_positive(h):
-    # the first step is 0.125; the bad size comes at t = 0.125. A third
-    # call would raise StopIteration, so an unchecked size fails, not hangs
-    sizes = iter([0.125, h])
-    with pytest.raises(NumericalError, match=r"step size .* at t=0\.125"):
-        rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0, lambda y: next(sizes), 0.0,
-            lambda b: b)
-
-
-def test_rk4_raises_when_the_state_overflows():
-    # y' = y^2 from 1 blows up at t = 1; with steps of 1/8 the squared
-    # derivative y^4 overflows two steps later
-    with pytest.raises(NumericalError, match=r"derivative norm inf at t=1\.25"):
-        rk4(lambda y, out: np.square(y, out=out), np.ones(1), 4.0, lambda y: 0.125, 0.0,
-            lambda b: b)
+    with pytest.raises(NumericalError, match=rf"step size {h} at t=0\.0"):
+        gd_pop_flow(1e155 * np.eye(2), np.zeros((2, 1)), 1e-160 * np.ones((2, 1)), 1.0, 0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e6])
@@ -274,76 +266,15 @@ def test_flow_never_writes_its_inputs(tol):
     # tol = 1e6 converges before the first step, where the output is the
     # state as copied in; tol = 0 runs every step to t_max. Read-only
     # inputs make any write raise
-    a, w, v = _flow_start((2,), 3, 3, 7)
-    y0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    inputs = (a, w, v, y0)
+    inputs = _flow_start((2,), 3, 3, 7)
     copies = [x.copy() for x in inputs]
     for x in inputs:
         x.flags.writeable = False
-    a_out, w_out, converged = gd_pop_flow(a, w, v, 0.05, tol)
-    assert converged == (tol > 0.0)
-    y, converged = rk4(lambda y, out: np.negative(y, out=out), y0, 0.5,
-                       lambda y: 0.125, tol, lambda b: b)
+    a_out, w_out, converged = gd_pop_flow(*inputs, 0.05, tol)
     assert converged == (tol > 0.0)
     for x, copy in zip(inputs, copies):
         assert np.array_equal(x, copy)
-        assert not any(np.shares_memory(x, out) for out in (a_out, w_out, y))
-
-
-def test_rk4_is_fourth_order():
-    # binary-exact steps, so t lands on 1 exactly: with h = 0.1, ten
-    # t += h sum to just under 1 and an eleventh step is taken
-    errors = []
-    for h in (0.125, 0.0625):
-        y, converged = rk4(lambda y, out: np.negative(y, out=out), np.ones(1), 1.0,
-                           lambda y: h, tol=0.0, view=lambda b: b)
-        assert not converged
-        errors.append(abs(float(y[0]) - math.exp(-1.0)))
-    assert 14.0 <= errors[0] / errors[1] <= 18.0
-
-
-def test_rk4_converged_flag():
-    # rows decay from 1 and from 100; the RHS norm of a row is its value, so
-    # convergence stops at the first state below 0.5, one step of about
-    # exp(-1/64) after the last one at or above it
-    y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 100.0,
-                       lambda y: 1.0 / 64.0, tol=0.5, view=lambda b: b)
-    assert converged
-    assert 0.5 * math.exp(-1.0 / 64.0) < float(np.max(np.abs(y))) < 0.5
-    # the t_max budget runs out first
-    y, converged = rk4(lambda y, out: np.negative(y, out=out), np.array([[1.0], [100.0]]), 1.0,
-                       lambda y: 1.0 / 64.0, tol=0.5, view=lambda b: b)
-    assert not converged
-    assert float(np.max(np.abs(y))) > 0.5
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e6])
-def test_rk4_builds_each_view_once(tol):
-    # view is called once on each of the six buffers (state, stage input,
-    # k1..k4), whether the flow converges before the first step (tol = 1e6)
-    # or runs 8 steps; rhs and step receive nothing but its results
-    made = []
-
-    def view(buffer):
-        made.append((buffer,))  # a fresh object per call, told apart by identity
-        return made[-1]
-
-    def ours(x):
-        return any(x is m for m in made)
-
-    def rhs(y, out):
-        assert ours(y) and ours(out)
-        np.negative(y[0], out=out[0])
-
-    def step(y):
-        assert ours(y)
-        return 0.125
-
-    y, converged = rk4(rhs, np.ones(2), 1.0, step, tol, view)
-    plain, _ = rk4(lambda y, out: np.negative(y, out=out), np.ones(2), 1.0,
-                   lambda y: 0.125, tol, lambda b: b)
-    assert len(made) == 6 and len({id(b) for (b,) in made}) == 6
-    assert converged == (tol > 0.0) and np.array_equal(y, plain)
+        assert not any(np.shares_memory(x, out) for out in (a_out, w_out))
 
 
 def test_gd2_reg_requires_positive_lambda():
