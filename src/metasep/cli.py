@@ -19,7 +19,8 @@ byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error (a
 ValueError, in every command also an r above about 6.7e153, whose 4 r^2
-overflows, or a sigma or kappa whose square does), 3 numerical failure (an
+overflows, or a sigma or kappa whose square does, and in risk and nsearch
+a w0 whose ||w0||^2 does), 3 numerical failure (an
 ArithmeticError: an overflow, or linalg.NumericalError when a computed
 matrix, spike, Reptile step or growth a_T is not finite, a vector is not
 in a matrix's range, a risk estimate overflows other than by a gd_step

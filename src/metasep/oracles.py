@@ -41,7 +41,7 @@ import numpy as np
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
 from .linalg import SpikedIdentity, as_dense
 from .meta_learners import ScalarTrajectory, replearn_alpha
-from .risk import AlgSpec, _convex_risk, _estimate, _ridge_risks, _spiked_risk
+from .risk import AlgSpec, _convex_risk, _estimates, _ridge_risks, _spiked_risk, _with_init
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import flow_limit, gd2_reg, gd_pop_flow
@@ -198,7 +198,7 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
     w_star||^2 with the matrices of predictor_matrices.
     risk.mc_excess_risk_many reads none of these streams.
     """
-    values = np.empty((trials, len(algs)))
+    values = np.empty((len(algs), trials))
     for t in range(trials):
         task = sample_task(inst, seed.child(t, 0))
         ds = sample_dataset(task, n, seed.child(t, 1))
@@ -207,8 +207,8 @@ def mc_excess_risk_raw(algs, inst: MetaInstance, n: int, trials: int, seed: Seed
             diff = p @ ds.y - task.target
             if alg.family != "gd2_reg":
                 diff += dm @ alg.init
-            values[t, j] = diff @ diff
-    return [_estimate(values[:, j]) for j in range(len(algs))]
+            values[j, t] = diff @ diff
+    return _estimates(values)
 
 
 def dense_wishart_spectra(seed: SeedSpec, n: int, d: int, trials: int) -> np.ndarray:
@@ -346,8 +346,9 @@ def _suite_replearn(seed: SeedSpec):
 def _suite_risk_estimator(seed: SeedSpec):
     """Each trial's conditional excess risk against the explicit predictor
     matrices (P, D) on the same design X: risk._ridge_risks on X's
-    Householder bidiagonal (gd_reg) and risk._convex_risk on the spectrum
-    of X^T X / n (gd_step) against (||w0||^2/d) ||D||_F^2 +
+    Householder bidiagonal (gd_reg) and risk._convex_risk's sums plus
+    w0's term (risk._with_init) on the spectrum of X^T X / n (gd_step)
+    against (||w0||^2/d) ||D||_F^2 +
     (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 (the exact average over
     Haar eigenvectors, since a trace is the sum over basis directions),
     and risk._spiked_risk on X's (mu, z) against ||(P X - I) w*||^2 +
@@ -383,7 +384,8 @@ def _suite_risk_estimator(seed: SeedSpec):
                 else:
                     closed = float(_ridge_risks([alg], diag[None], sup[None], d, n, r2, sigma2)[0, 0]
                                    if alg.family == "gd_reg" else
-                                   _convex_risk(alg, spectrum[None], d, n, r2, sigma2)[0])
+                                   _with_init(_convex_risk(alg.params, spectrum[None], d, n,
+                                                           r2, sigma2), w0, d)[0])
                     bias = (w0 @ w0 * np.sum(dm * dm) + r2 * np.sum(e * e)) / d
                 reference = bias + sigma2 * float(np.sum(p * p))
                 pairs.append((closed, reference, max(1.0, abs(reference))))

@@ -63,10 +63,17 @@ sampler's (oracles.mc_excess_risk_raw).
 
 mc_excess_risk_many scores every algorithm of a sweep on the same draws
 (paired sampling), and sample_complexity_search runs it once per grid
-point for every algorithm still searching. Non-finite trial risks are
-counted only for a gd_step past its stability limit; any other overflow
-raises NumericalError. This module only computes; cli writes the
-estimates to file records.
+point for every algorithm still searching. A convex learner's factors do
+not depend on its init, which enters only through ||w0||^2 / d, so a
+sweep over inits scores each distinct learner once: one row of the
+init-free sums per distinct GdStepSpec (_convex_risk) and one init-free
+row per distinct gd_reg lam (_ridge_risks). Each algorithm then adds only
+its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
+term. The trial risks are one (algorithms, trials) array, and every mean,
+stderr and non-finite count is one reduction over its rows (_estimates).
+Non-finite trial risks are counted only for a gd_step past its stability
+limit; any other overflow raises NumericalError. This module only
+computes; cli writes the estimates to file records.
 """
 
 from __future__ import annotations
@@ -132,22 +139,32 @@ class AlgSpec:
         return f"{self.family}(lam={self.params.lam:g})"
 
 
-def _weighted(c: float, v: np.ndarray) -> np.ndarray:
-    """c times the row sums of v, exactly 0 when c is: the inf factors of
-    a divergent learner must not turn a zero weight into NaN."""
-    return c * np.sum(v, axis=-1) if c else np.zeros(v.shape[:-1])
+def _weighted(c: float, sums: np.ndarray) -> np.ndarray:
+    """c times the row sums, exactly 0 when c is: the inf sums of a
+    divergent learner must not turn a zero weight into NaN."""
+    return c * sums if c else np.zeros(sums.shape)
 
 
-def _convex_risk(alg: AlgSpec, s: np.ndarray, d: int, n: int,
-                 r2: float, sigma2: float) -> np.ndarray:
-    """E[excess | spectrum] of a gd_step or gd_reg learner for each row
-    of the spectra s (trials, d). The estimator scores gd_reg by
-    _ridge_risks; this spectral form is its reference."""
-    decay, gain, _ = learner_factors(alg.params, s)
+def _convex_risk(spec, s: np.ndarray, d: int, n: int, r2: float, sigma2: float):
+    """The init-free sums of the spectral form (module docstring) of the
+    gd_step or gd_reg learner spec for each row of the spectra s (trials,
+    d): (sum delta_i^2, (r^2 / d) sum (1 - g_i s_i)^2, (sigma^2 / n) sum
+    g_i^2 s_i), three (trials,) arrays. _with_init adds an init's term.
+    The estimator scores gd_reg by _ridge_risks; this spectral form is its
+    reference."""
+    decay, gain, _ = learner_factors(spec, s)
     with np.errstate(over="ignore"):  # a divergent gd_step squares to inf, counted as nonfinite
-        return (_weighted(float(alg.init @ alg.init) / d, decay * decay)
-                + _weighted(r2 / d, (1.0 - gain * s) ** 2)
-                + _weighted(sigma2 / n, gain * gain * s))
+        return (np.sum(decay * decay, axis=-1),
+                _weighted(r2 / d, np.sum((1.0 - gain * s) ** 2, axis=-1)),
+                _weighted(sigma2 / n, np.sum(gain * gain * s, axis=-1)))
+
+
+def _with_init(sums, w0: np.ndarray, d: int) -> np.ndarray:
+    """E[excess | spectrum] from the _convex_risk sums of a learner
+    started at w0: (||w0||^2 / d) sum delta_i^2 + bias + variance."""
+    decay2, bias, var = sums
+    with np.errstate(over="ignore"):
+        return _weighted(float(w0 @ w0) / d, decay2) + bias + var
 
 
 def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
@@ -201,23 +218,23 @@ def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
 
 def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
                  r2: float, sigma2: float) -> np.ndarray:
-    """E[excess | B] (module docstring) of the gd_reg learners algs, an
-    (rows, len(algs)) array, for the bidiagonals B of _ridge_sums. One
-    pass of the recurrence serves every distinct lam.
+    """E[excess | B] (module docstring) of the gd_reg learners algs, a
+    (len(algs), rows) array, for the bidiagonals B of _ridge_sums. One
+    pass of the recurrence serves every distinct lam, whose init-free risk
+    is formed once; each learner then adds only its lam = 0 w0 term.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
     form takes the ridge limit, which forgets w0."""
     k = diag.shape[1]
     lams = sorted({a.params.lam for a in algs})
-    out = np.empty((diag.shape[0], len(algs)))
     with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
         bias, var = _ridge_sums(diag, sup, n, lams)
-        for j, alg in enumerate(algs):
-            i = lams.index(alg.params.lam)
-            out[:, j] = (r2 / d) * (bias[:, i] + (d - k)) + (sigma2 / n) * var[:, i]
+        out = ((r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T)[
+            [lams.index(a.params.lam) for a in algs]]
+        for row, alg in zip(out, algs):
             if alg.params.lam == 0.0 and d > k:
-                out[:, j] += float(alg.init @ alg.init) / d * (d - k)
+                row += float(alg.init @ alg.init) / d * (d - k)
     return out
 
 
@@ -255,18 +272,23 @@ def _draw(algs, inst, n, seed, lo, hi):
     return chi if "gd_reg" in families else None, spectra, mu, z
 
 
-def _estimate(values: np.ndarray) -> RiskEstimate:
-    trials = values.shape[0]
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(trials))
-    return RiskEstimate(mean, stderr, trials, int(np.count_nonzero(~np.isfinite(values))))
+def _estimates(values: np.ndarray) -> list:
+    """One RiskEstimate per row of values (algorithms, trials): every
+    mean, ddof=1 stderr and non-finite count is one reduction over rows."""
+    trials = values.shape[1]
+    means = np.mean(values, axis=1).tolist()
+    stderrs = (np.std(values, axis=1, ddof=1) / math.sqrt(trials)).tolist()
+    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
+    return [RiskEstimate(m, e, trials, c) for m, e, c in zip(means, stderrs, nonfinite)]
 
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                         seed: SeedSpec, workers: int = 1) -> list:
     """Paired Monte-Carlo excess risks, one RiskEstimate per algorithm:
-    the convex ones share the per-trial chi draws, the gd2_reg ones (in the
-    one form _spiked_risk scores, else ValueError) the per-trial (mu, z).
+    the convex ones (each with an init w0 of shape (d,) and a finite
+    ||w0||^2, else ValueError) share the per-trial chi draws, the gd2_reg
+    ones (in the one form _spiked_risk scores, with a finite kappa^2, else
+    ValueError) the per-trial (mu, z).
 
     Each gd_step algorithm is checked once against the largest eigenvalue
     of all trials' spectra (convex.past_step_limit warns once), so what
@@ -287,12 +309,19 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         raise ValueError(f"need trials >= 2, got {trials}")
     if not algs:
         raise ValueError("need at least one algorithm")
-    w_hat = inst.w_star / inst.r
+    d, w_hat = inst.d, inst.w_star / inst.r
     for alg in (x for x in algs if x.family == "gd2_reg"):
         a = alg.init
         if not (alg.params.lam > 0.0 and isinstance(a, SpikedIdentity)
                 and np.linalg.norm(a.direction - (a.direction @ w_hat) * w_hat) <= 1e-12):
             raise ValueError(f"{alg.label()} needs lam > 0 and a SpikedIdentity along +-w_star / r")
+        if not math.isfinite(float(a.bulk) * float(a.bulk)):
+            raise ValueError(f"{alg.label()} needs a finite kappa^2, got kappa = {a.bulk!r}")
+    with np.errstate(over="ignore"):  # an overflowing ||w0||^2 is the error below
+        for alg in (x for x in algs if x.family != "gd2_reg"):
+            if np.shape(alg.init) != (d,) or not math.isfinite(float(alg.init @ alg.init)):
+                raise ValueError(f"w0 must have shape ({d},) and a finite ||w0||^2 for "
+                                 f"{alg.label()}")
 
     def draw(lo):
         return _draw(algs, inst, n, seed, lo, min(lo + _CHUNK, trials))
@@ -306,22 +335,25 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
             draws = list(pool.map(draw, starts))
     chi, spectra, mu, z = (None if parts[0] is None else np.concatenate(parts)
                            for parts in zip(*draws))
-    d, r2, sigma2 = inst.d, float(inst.w_star @ inst.w_star), inst.sigma ** 2
-    values = np.empty((trials, len(algs)))
+    r2, sigma2 = float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    values = np.empty((len(algs), trials))
     ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
     if ridge:
         k = min(n, d)
-        values[:, ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
-                                        d, n, r2, sigma2)
+        values[ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
+                                     d, n, r2, sigma2)
+    sums = {}  # _convex_risk of each distinct GdStepSpec
     for j, alg in enumerate(algs):
         if alg.family == "gd_step":
-            values[:, j] = _convex_risk(alg, spectra, d, n, r2, sigma2)
+            if alg.params not in sums:
+                sums[alg.params] = _convex_risk(alg.params, spectra, d, n, r2, sigma2)
+            values[j] = _with_init(sums[alg.params], alg.init, d)
         elif alg.family == "gd2_reg":
-            values[:, j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
+            values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
     top = 0.0 if spectra is None else float(spectra[:, 0].max())
     divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
-        estimates = [_estimate(values[:, j]) for j in range(len(algs))]
+        estimates = _estimates(values)
     for alg, est, counted in zip(algs, estimates, divergent):
         if math.isfinite(est.mean) and math.isfinite(est.stderr):
             continue
@@ -386,8 +418,8 @@ def sample_complexity_search(algs, inst: MetaInstance, epsilon: float,
     mapping the index of every algorithm scored there to its RiskEstimate.
     """
     grid = checked_grid("n_grid", n_grid)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     found = [None] * len(algs)
     for idx, n in enumerate(grid):
         active = [j for j, hit in enumerate(found) if hit is None]

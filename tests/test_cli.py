@@ -422,11 +422,14 @@ def test_bad_w0_spec_is_config_error(tmp_path):
     (["risk", "--w0", "random:nan"], "w0"),
     (["risk", "--w0", "random:inf"], "w0"),
     (["risk", "--w0", "random:abc"], "w0"),
+    (["risk", "--w0", "random:1e200", "--n", "2"], "w0"),
+    (["nsearch", "--family", "gd_step", "--w0", "random:1e200", "--n-grid", "2,4"], "w0"),
 ], ids=["gd2_reg-negative-alpha", "gd2_reg-alpha-overflow", "gd2_reg-negative-lam",
-        "separation-alpha_target-overflow", "w0-nan", "w0-inf", "w0-text"])
+        "separation-alpha_target-overflow", "w0-nan", "w0-inf", "w0-text",
+        "w0-norm-overflow", "nsearch-w0-norm-overflow"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, args, key):
     # a value that leaves its formula's domain (alpha^1.5, the RepLearn task
-    # count, the w0 scale) is a config error naming its key, not a
+    # count, the w0 scale, ||w0||^2) is a config error naming its key, not a
     # traceback or a divergent learner
     out = str(tmp_path / "x")
     assert _run([*args, "--d", "3", "--trials", "4", "--out", out]) == 2

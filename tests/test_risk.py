@@ -95,8 +95,40 @@ def test_paired_many_matches_single():
     # every member reads the same per-trial eigendecomposition either way,
     # so each reproduces bit for bit
     for alg, est in zip(algs, paired):
-        solo = mc_excess_risk(alg, inst, 8, 60, SeedSpec(3))
-        assert solo.mean == est.mean
+        assert mc_excess_risk(alg, inst, 8, 60, SeedSpec(3)) == est
+
+
+@pytest.mark.parametrize("trials", [2, 40, 100])
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_sweep_over_inits_matches_solo_estimates(n, trials):
+    # a sweep scores each distinct convex learner once and adds each init's
+    # term: every estimate equals its solo call bit for bit, one of them
+    # past the stability limit (inf from w0 = 0 too, not NaN), and the call
+    # warns once per divergent gd_step algorithm, as the solo calls do
+    d = 6
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    g = gaussian_vector(SeedSpec(40), d)
+    algs = []
+    for w0 in (np.zeros(d), inst.w_star.copy(), 5.0 * g / np.linalg.norm(g)):
+        algs += [AlgSpec("gd_step", GdStepSpec(eta, t0), w0)
+                 for eta, t0 in ((0.05, 10), (0.1, 30), (5.0, 2000))]
+        algs += [_reg_alg(lam, d, w0) for lam in (0.0, 0.1)]
+    seed = SeedSpec(41).child(n, trials)
+
+    def warned(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+
+    sweep, count = warned(lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
+    solo_count = 0
+    for alg, est in zip(algs, sweep):
+        solo, c = warned(lambda: mc_excess_risk(alg, inst, n, trials, seed))
+        assert repr(solo) == repr(est), alg.label()  # a divergent stderr is NaN
+        assert (est.mean == math.inf) == (alg.params == GdStepSpec(5.0, 2000)), alg.label()
+        solo_count += c
+    assert count == solo_count == 3
 
 
 def test_worker_count_does_not_change_bits():
@@ -166,8 +198,9 @@ def test_ridge_risks_match_spectral_form(n, d):
         algs = [_reg_alg(lam, d, w0) for lam in lams]
         traced = risk._ridge_risks(algs, chi[:, :k], chi[:, k:], d, n, r2, sigma2)
         for j, (lam, alg) in enumerate(zip(lams, algs)):
-            spectral = risk._convex_risk(alg, spectra, d, n, r2, sigma2)
-            worst = float(np.max(np.abs(traced[:, j] - spectral) / spectral))
+            spectral = risk._with_init(risk._convex_risk(alg.params, spectra, d, n, r2, sigma2),
+                                       w0, d)
+            worst = float(np.max(np.abs(traced[j] - spectral) / spectral))
             assert worst <= 1e-12, (lam, worst)
 
 
@@ -333,6 +366,13 @@ def test_search_grid_validation():
                                  50, SeedSpec(13))
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_search_epsilon_validation(epsilon):
+    inst = MetaInstance.from_config(3, 1.0, 1.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        sample_complexity_search([_reg_alg(1.0, 3)], inst, epsilon, [2, 4], 50, SeedSpec(13))
+
+
 def test_search_builder_validation():
     inst = MetaInstance.from_config(3, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -432,6 +472,32 @@ def test_spiked_risk_matches_predictor_matrices(d):
                     closed = _spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0]
                     worst = max(worst, abs(closed - reference) / reference)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(7, 3), (3, 5)])
+def test_estimator_rejects_overflowing_kappa_squared(d, n):
+    # kappa = 1e160 is a finite bulk whose square is not: a domain error at
+    # either shape, not a limit at (7, 3) and a NumericalError at (3, 5)
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    alg = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 10.0, 1e160))
+    with pytest.raises(ValueError, match="finite kappa\\^2"):
+        mc_excess_risk(alg, inst, n, 40, SeedSpec(19))
+
+
+@pytest.mark.parametrize("family", ["gd_step", "gd_reg"])
+def test_estimator_rejects_a_bad_convex_init(family):
+    # a w0 of the wrong shape, with a NaN, or whose ||w0||^2 overflows is a
+    # domain error naming w0, not an estimate or a "stability limit" failure
+    d = 3
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    params = GdStepSpec(0.1, 3) if family == "gd_step" else GdRegSpec(0.0)
+    good = AlgSpec(family, params, np.zeros(d))
+    for w0 in (np.ones(d + 1), np.ones((d, 1)), np.array([np.nan, 0.0, 0.0]),
+               np.full(d, 1e200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^w0 must have shape \\(3,\\) and a finite"):
+                mc_excess_risk_many([good, AlgSpec(family, params, w0)], inst, 3, 4, SeedSpec(1))
 
 
 @pytest.mark.parametrize("d, n", [(7, 3), (3, 5)])
