@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metasep import oracles
-from metasep.rng import (SeedSpec, _key_uniforms, bidiagonal_spectra, child_keys, gaussian_matrix,
-                         gaussian_rows, gaussian_vector, hash_mix, rademacher_signs, uniforms,
-                         wishart_chi)
+from metasep.rng import (SeedSpec, _box_muller, _key_uniforms, bidiagonal_spectra, child_keys,
+                         gaussian_matrix, gaussian_rows, gaussian_vector, hash_mix,
+                         rademacher_signs, uniforms, wishart_chi)
 
 
 def _sampled_spectra(seed, n, d, lo, hi):
@@ -191,6 +191,45 @@ def test_wishart_spectra_edge_cases(n, d, lo, count, cut):
                             _sampled_spectra(SeedSpec(33), n, d, mid, hi)])
     assert per_trial.tobytes() == s.tobytes()
     assert split.tobytes() == s.tobytes()
+
+
+def _literal_chi(seed, n, d, lo, hi):
+    """wishart_chi as its docstring states it: attempt j of trial t reads
+    _key_uniforms(child_keys(seed, [t], 2, j), 2 ceil(V/2) + 2 V), and a
+    variate keeps its first accepted attempt."""
+    k, m = min(n, d), max(n, d)
+    dof = np.concatenate([np.arange(m, m - k, -1), np.arange(k - 1, 0, -1)])
+    v, pairs = dof.size, (dof.size + 1) // 2
+    shape = dof / 2.0
+    small = shape < 1.0
+    dd = shape + small - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * dd)
+    boost = np.where(small, 1.0 / shape, 0.0)
+    trials = np.arange(lo, hi)
+    gamma = np.empty((hi - lo, v))
+    pending = np.ones((hi - lo, v), dtype=bool)
+    j = 0
+    while (rows := np.flatnonzero(pending.any(axis=1))).size:
+        u = _key_uniforms(child_keys(seed, trials[rows], 2, j), 2 * pairs + 2 * v)
+        x = _box_muller(u[:, :2 * pairs], v)
+        cube = (1.0 + c * x) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accept = (cube > 0.0) & (np.log(u[:, 2 * pairs:2 * pairs + v])
+                                     < 0.5 * x * x + dd - dd * cube + dd * np.log(cube))
+        r, i = np.nonzero(pending[rows] & accept)
+        gamma[rows[r], i] = dd[i] * cube[r, i] * u[r, 2 * pairs + v + i] ** boost[i]
+        pending[rows[r], i] = False
+        j += 1
+    return np.sqrt(2.0 * gamma)
+
+
+@pytest.mark.parametrize("n,d,lo,hi", [(1, 1, 3, 43), (3, 1, 3, 43), (5, 20, 3, 43),
+                                       (49, 40, 3, 43), (900, 50, 3, 43), (20000, 1000, 5, 7)])
+def test_wishart_chi_equals_literal_streams(n, d, lo, hi):
+    # the chi bytes are pinned to the attempt streams of the docstring:
+    # a faster key derivation must read the very same words
+    seed = SeedSpec(34, 5)
+    assert wishart_chi(seed, n, d, lo, hi).tobytes() == _literal_chi(seed, n, d, lo, hi).tobytes()
 
 
 def test_wishart_spectra_validation():
