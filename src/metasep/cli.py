@@ -49,7 +49,6 @@ from .meta_learners import (ReptileSpec, reptile_growth_bound, reptile_spike, re
                             replearn_tasks_for_alpha, run_replearn, run_reptile)
 from .rng import SeedSpec, gaussian_vector
 from .tasks import MetaInstance
-from .twolayer import flow_limit
 from .risk import (AlgSpec, checked_grid, convex_lower_bound_exact, mc_excess_risk,
                    sample_complexity_search)
 
@@ -91,16 +90,14 @@ _OPTIONS = {
 _NON_SCIENCE = {"out", "workers"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="metasep",
-                                     description="meta-learning separation experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _OPTIONS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """One command's parser: --config and its flags, each by its full name only."""
+    parser = argparse.ArgumentParser(prog=f"metasep {command}", allow_abbrev=False)
+    parser.set_defaults(command=command)
+    parser.add_argument("--config", type=str, default=None,
                         help="flat JSON config; flags override file values")
-        for key, default in opts.items():
-            sp.add_argument("--" + key.replace("_", "-"), default=None,
+    for key, default in _OPTIONS[command].items():
+        parser.add_argument("--" + key.replace("_", "-"), default=None,
                             help="comma-separated values" if isinstance(default, list) else None)
     return parser
 
@@ -244,6 +241,7 @@ def _sha256(path: str) -> str:
 
 
 def cmd_dynamics(cfg: dict):
+    from .twolayer import flow_limit  # no other command calls twolayer
     spec = ReptileSpec(cfg["tau"], cfg["kappa"], cfg["t_tasks"])
     # the meta-step reads only r, so d = 1 serves every instance
     inst = MetaInstance.from_config(1, cfg["r"], 0.0)
@@ -510,8 +508,13 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _OPTIONS:  # no command: the help, or a usage error
+        front = argparse.ArgumentParser(prog="metasep",
+                                        description="meta-learning separation experiments")
+        front.add_argument("command", choices=_OPTIONS)
+        front.parse_args(argv[:1])  # a lone token that names no command: exits
+    args = build_parser(argv[0]).parse_args(argv[1:])
     try:
         cfg = _resolve_config(args)
         start = time.monotonic()

@@ -273,13 +273,14 @@ def _draw(algs, inst, n, seed, lo, hi):
 
 
 def _estimates(values: np.ndarray) -> list:
-    """One RiskEstimate per row of values (algorithms, trials): every
-    mean, ddof=1 stderr and non-finite count is one reduction over rows."""
+    """One RiskEstimate per row of values (algorithms, trials): every mean, ddof=1
+    stderr (inf, not NaN, where a trial is not finite) and non-finite count is one reduction."""
     trials = values.shape[1]
     means = np.mean(values, axis=1).tolist()
-    stderrs = (np.std(values, axis=1, ddof=1) / math.sqrt(trials)).tolist()
-    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
-    return [RiskEstimate(m, e, trials, c) for m, e, c in zip(means, stderrs, nonfinite)]
+    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
+    stderrs = np.where(nonfinite, math.inf, np.std(values, axis=1, ddof=1) / math.sqrt(trials))
+    return [RiskEstimate(m, e, trials, c)
+            for m, e, c in zip(means, stderrs.tolist(), nonfinite.tolist())]
 
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,

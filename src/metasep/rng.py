@@ -12,7 +12,8 @@ Stream derivation for parallel work: ``seed.child(i)`` (or ``hash_mix``)
 mixes integer indices into the stream id, so per-trial seeds are a pure
 function of (experiment seed, trial index). child_keys derives the keys
 of many children seed.child(t, ...) in one vectorized pass, so a block
-of trials draws from all of its streams at once.
+of trials draws from all of its streams at once; wishart_chi mixes the
+shared prefix seed.child(t, 2) once per call and reads the same streams.
 
 The spectrum sampler draws the eigenvalues of S = X^T X / n for a
 Gaussian n x d design without X, in two steps. With k = min(n, d) and
@@ -108,16 +109,25 @@ class SeedSpec:
         return np.uint64(_mix64_int(k))
 
 
+def _level(c: int, x) -> np.ndarray:
+    """mix64(mix64(c) xor x gamma) over the uint64 array x: a hash_mix or _key step."""
+    with np.errstate(over="ignore"):
+        return _mix64_array(np.uint64(_mix64_int(c)) ^ (x * _U_STREAM_GAMMA))
+
+
+def _descend(ids: np.ndarray, *rest: int) -> np.ndarray:
+    """The stream id of SeedSpec(_, s).child(*rest) for every s of ids."""
+    for i in rest:
+        ids = _mix64_array(_mix64_array(ids) ^ np.uint64(((i + 1) * _STREAM_GAMMA) & _MASK))
+    return ids
+
+
 def child_keys(seed: SeedSpec, first, *rest: int) -> np.ndarray:
     """The stream key of seed.child(t, *rest) for every t of the
     nonnegative int array first, derived in one vectorized pass: hash_mix
     and SeedSpec._key over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        s = np.asarray(first, dtype=np.uint64) + np.uint64(1)
-        s = _mix64_array(np.uint64(_mix64_int(seed.stream_id)) ^ (s * _U_STREAM_GAMMA))
-        for i in rest:
-            s = _mix64_array(_mix64_array(s) ^ np.uint64(((i + 1) * _STREAM_GAMMA) & _MASK))
-        return _mix64_array(np.uint64(_mix64_int(seed.master_seed)) ^ (s * _U_STREAM_GAMMA))
+    ids = _level(seed.stream_id, np.asarray(first, dtype=np.uint64) + np.uint64(1))
+    return _level(seed.master_seed, _descend(ids, *rest))
 
 
 def _raw(keys, count: int) -> np.ndarray:
@@ -195,7 +205,8 @@ def wishart_chi(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
     2 ceil(V/2) give the V Marsaglia-Tsang normals x (_box_muller), the
     next V the acceptance uniforms, the last V the uniforms of the
     shape-below-1 boost. A variate takes the value of its first accepted
-    attempt.
+    attempt. Each attempt mixes only its level j and key onto the ids of
+    seed.child(t, 2), mixed once per call: the same streams.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
@@ -207,12 +218,12 @@ def wishart_chi(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
     dd = shape + small - 1.0 / 3.0  # Marsaglia-Tsang's d, at shape + 1 below 1
     c = 1.0 / np.sqrt(9.0 * dd)
     boost = np.where(small, 1.0 / shape, 0.0)  # U^0 = 1 leaves shapes >= 1 alone
-    trials = np.arange(lo, hi)
+    ids = _descend(_level(seed.stream_id, np.arange(lo + 1, hi + 1, dtype=np.uint64)), 2)
     gamma = np.empty((hi - lo, v))
     pending = np.ones((hi - lo, v), dtype=bool)
     attempt = 0
     while (rows := np.flatnonzero(pending.any(axis=1))).size:
-        u = _key_uniforms(child_keys(seed, trials[rows], 2, attempt), 2 * pairs + 2 * v)
+        u = _key_uniforms(_level(seed.master_seed, _descend(ids[rows], attempt)), 2 * pairs + 2 * v)
         x = _box_muller(u[:, :2 * pairs], v)
         cube = (1.0 + c * x) ** 3
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -290,7 +290,7 @@ def test_negative_workers_is_config_error(tmp_path, capsys):
     assert _run(["risk", "--d", "4", "--trials", "10", "--workers", "-3", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: workers must be >= 0")
     assert not os.path.exists(out + ".json")
-    args = cli.build_parser().parse_args(["risk", "--workers", "0"])
+    args = cli.build_parser("risk").parse_args(["--workers", "0"])
     assert cli._resolve_config(args)["workers"] == (os.cpu_count() or 1)
 
 
@@ -345,8 +345,8 @@ def test_config_values_take_the_default_type(tmp_path):
     # a file int stands for a float and a file list for a list; flags parse
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"lam": 1, "n_grid": [2, 4]}))
-    args = cli.build_parser().parse_args(["nsearch", "--config", str(cfg_path),
-                                          "--epsilon", "2.5", "--trials", "40"])
+    args = cli.build_parser("nsearch").parse_args(["--config", str(cfg_path),
+                                                   "--epsilon", "2.5", "--trials", "40"])
     cfg = cli._resolve_config(args)
     assert type(cfg["lam"]) is float and cfg["n_grid"] == [2, 4]
     assert type(cfg["epsilon"]) is float and type(cfg["trials"]) is int
@@ -733,6 +733,68 @@ def test_package_import_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert json.loads(out) == [version, []]
+
+
+def test_cli_import_loads_neither_twolayer_nor_oracles():
+    # dynamics alone calls twolayer and verify alone oracles: each imports
+    # it when it runs, so no other command pays for loading it
+    src = pathlib.Path(cli.__file__).parent
+    code = ("import json, sys, metasep.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('metasep.'))))")
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    loaded = set(json.loads(out))
+    assert "metasep.cli" in loaded
+    assert not loaded & {"metasep.twolayer", "metasep.oracles"}, loaded
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_help_lists_the_six_commands(capsys):
+    assert _exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: metasep [-h] {dynamics,growth,separation,verify,risk,nsearch}")
+    assert len(cli._OPTIONS) == 6
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["bogus", "--n", "5"], "argument command: invalid choice: 'bogus'"),
+    (["--seed", "3", "risk"], "the following arguments are required: command"),
+], ids=["none", "bogus", "bogus-with-flag", "flag-first"])
+def test_no_command_is_usage_error(capsys, argv, message):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metasep [-h] {") and message in err, err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--n-grid", "--nonconvex"],
+                         ids=["other-command", "other-command-list", "abbreviation"])
+def test_flag_outside_the_command_is_usage_error(tmp_path, capsys, flag):
+    # --n and --n-grid are risk's and nsearch's; a prefix of one of
+    # separation's flags does not stand for it
+    out = str(tmp_path / "sep")
+    assert _exit_code(["separation", flag, "5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metasep separation ")
+    assert f"unrecognized arguments: {flag} 5" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_command_help_lists_only_its_flags(capsys):
+    assert _exit_code(["risk", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: metasep risk ")
+    flags = set(re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", out, re.M))
+    risk = {"--" + key.replace("_", "-") for key in cli._OPTIONS["risk"]}
+    assert flags == {"--help", "--config"} | risk
+    assert "--n-grid" not in out and "--t-list" not in out
 
 
 @pytest.mark.parametrize("exc,code", [
