@@ -220,12 +220,18 @@ def _point_record(n: int, est) -> dict:
 
 def _report_nonfinite(command: str, estimates) -> None:
     """One stderr line counting the trials whose excess risk is inf or
-    NaN; their records hold null."""
+    NaN, and one counting the estimates of finite trials whose mean or
+    stderr overflows; their records hold null."""
     bad = sum(e.nonfinite for e in estimates)
     if bad:
         total = sum(e.trials for e in estimates)
         print(f"{command}: {bad} of {total} trials gave a non-finite excess risk "
               f"(a divergent learner); mean/stderr written as null", file=sys.stderr)
+    spread = sum(not (e.nonfinite or math.isfinite(e.mean) and math.isfinite(e.stderr))
+                 for e in estimates)
+    if spread:
+        print(f"{command}: the mean or stderr of {spread} of {len(estimates)} estimates overflows "
+              f"from finite trials (a divergent learner); written as null", file=sys.stderr)
 
 
 def _sha256(path: str) -> str:

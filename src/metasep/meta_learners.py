@@ -119,13 +119,13 @@ def run_reptile(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> Scalar
 
 
 def reptile_tau_schedule(t_tasks: int, delta: float) -> float:
-    """Rate schedule tau = T^{-1/3} log(2T/delta)^{-2/3}, clamped below 1."""
+    """Rate schedule tau = T^{-1/3} log(2T/delta)^{-2/3}, below
+    2^{-1/3} (ln 4)^{-2/3} < 0.64 for T >= 2 and delta < 1."""
     if t_tasks < 2:
         raise ValueError(f"need t_tasks >= 2, got {t_tasks}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    tau = t_tasks ** (-1.0 / 3.0) * math.log(2.0 * t_tasks / delta) ** (-2.0 / 3.0)
-    return min(tau, 1.0 - 1e-9)
+    return t_tasks ** (-1.0 / 3.0) * math.log(2.0 * t_tasks / delta) ** (-2.0 / 3.0)
 
 
 def reptile_growth_bound(t_tasks: int, tau: float, delta: float, r: float) -> float:

@@ -71,8 +71,8 @@ row per distinct gd_reg lam (_ridge_risks). Each algorithm then adds only
 its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
 term. The trial risks are one (algorithms, trials) array, and every mean,
 stderr and non-finite count is one reduction over its rows (_estimates).
-Non-finite trial risks are counted only for a gd_step past its stability
-limit; any other overflow raises NumericalError. This module only
+Only a gd_step past its stability limit may have non-finite trial risks,
+mean or stderr; any other overflow raises NumericalError. This module only
 computes; cli writes the estimates to file records.
 """
 
@@ -242,12 +242,13 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
                  r2: float, sigma2: float) -> np.ndarray:
     """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z (trials, n)."""
     alpha, k2n = alg.init.spike, alg.init.bulk * alg.init.bulk / n
-    # where k2n * mu overflows, k2n / dd would read 0, so kd takes its form
-    # 1 / (mu + lam / k2n) there; an inf kappa^2 still gives NaN where mu = 0,
-    # which is counted as nonfinite
+    # where k2n * mu overflows, k2n / dd would read 0, so kd falls back to
+    # 1 / (mu + lam / k2n); np.where forms both, so at k2n = 0 (kappa = 0, or
+    # a kappa^2 that underflows) the unused fallback divides by zero. Where
+    # k2n / lam overflows, kd is inf at a zero mu and e NaN: a NumericalError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dd = k2n * mu + alg.params.lam
-        kd = np.where(np.isfinite(dd), k2n / dd, 1.0 / (mu + alg.params.lam / k2n))
+        kd = np.where(np.isfinite(dd), k2n / dd, 1.0 / (mu + np.divide(alg.params.lam, k2n)))
         z2, e = z * z, (kd * mu) * kd  # kd * mu <= 1, so a huge kd meets mu = 0, not inf
         u, p, q = np.sum(z2 / dd, axis=-1), np.sum(z2 / dd ** 2, axis=-1), np.sum(e * z2, axis=-1)
         beta = 1.0 / (n / alpha / alpha + u) if alpha else 0.0 * u
@@ -294,9 +295,9 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     Each gd_step algorithm is checked once against the largest eigenvalue
     of all trials' spectra (convex.past_step_limit warns once), so what
     the call warns of does not depend on workers. Only a gd_step past
-    that limit may count non-finite trials in its estimate; any other
-    non-finite trial risk, or a mean or stderr that overflows from finite
-    trial risks, raises NumericalError.
+    that limit may have non-finite trial risks, or a mean or stderr that
+    overflows from finite ones; for any other algorithm either raises
+    NumericalError.
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -356,15 +357,11 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
         estimates = _estimates(values)
     for alg, est, counted in zip(algs, estimates, divergent):
-        if math.isfinite(est.mean) and math.isfinite(est.stderr):
-            continue
-        if not est.nonfinite:
-            raise NumericalError(f"{alg.label()} at n={n}: the mean or stderr of "
-                                 f"{trials} finite trial excess risks overflows")
-        if not counted:
-            raise NumericalError(f"{alg.label()} at n={n}: {est.nonfinite} of {trials} "
-                                 f"trial excess risks are not finite, which only a gd_step "
-                                 f"past its stability limit may give")
+        if not (counted or math.isfinite(est.mean) and math.isfinite(est.stderr)):
+            raise NumericalError(f"{alg.label()} at n={n}: " + (
+                f"{est.nonfinite} of {trials} trial excess risks are not finite" if est.nonfinite
+                else f"the mean or stderr of {trials} finite trial excess risks overflows")
+                + ", which only a gd_step past its stability limit may give")
     return estimates
 
 

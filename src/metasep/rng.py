@@ -70,14 +70,13 @@ def _mix64_int(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    x = x.copy()
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= _U_MIX_A
-        x ^= x >> np.uint64(27)
-        x *= _U_MIX_B
-        x ^= x >> np.uint64(31)
+    """splitmix64 finalizer over a uint64 array of at least one dimension,
+    whose products numpy wraps silently (a 0-d one's would warn)."""
+    x = x ^ (x >> np.uint64(30))
+    x *= _U_MIX_A
+    x ^= x >> np.uint64(27)
+    x *= _U_MIX_B
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -111,8 +110,7 @@ class SeedSpec:
 
 def _level(c: int, x) -> np.ndarray:
     """mix64(mix64(c) xor x gamma) over the uint64 array x: a hash_mix or _key step."""
-    with np.errstate(over="ignore"):
-        return _mix64_array(np.uint64(_mix64_int(c)) ^ (x * _U_STREAM_GAMMA))
+    return _mix64_array(np.uint64(_mix64_int(c)) ^ (x * _U_STREAM_GAMMA))
 
 
 def _descend(ids: np.ndarray, *rest: int) -> np.ndarray:
@@ -123,9 +121,9 @@ def _descend(ids: np.ndarray, *rest: int) -> np.ndarray:
 
 
 def child_keys(seed: SeedSpec, first, *rest: int) -> np.ndarray:
-    """The stream key of seed.child(t, *rest) for every t of the
-    nonnegative int array first, derived in one vectorized pass: hash_mix
-    and SeedSpec._key over uint64 arrays."""
+    """The stream key of seed.child(t, *rest) for every t of first, a
+    nonnegative int array of at least one dimension, derived in one
+    vectorized pass: hash_mix and SeedSpec._key over uint64 arrays."""
     ids = _level(seed.stream_id, np.asarray(first, dtype=np.uint64) + np.uint64(1))
     return _level(seed.master_seed, _descend(ids, *rest))
 
@@ -134,9 +132,7 @@ def _raw(keys, count: int) -> np.ndarray:
     """count keyed 64-bit words per key, mix64(key + (i+1)*golden), with
     shape keys.shape + (count,)."""
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.asarray(keys, dtype=np.uint64)[..., None] + idx * _U_GOLDEN
-    return _mix64_array(state)
+    return _mix64_array(np.asarray(keys, dtype=np.uint64)[..., None] + idx * _U_GOLDEN)
 
 
 def _key_uniforms(keys, count: int) -> np.ndarray:
@@ -226,9 +222,9 @@ def wishart_chi(seed: SeedSpec, n: int, d: int, lo: int, hi: int) -> np.ndarray:
         u = _key_uniforms(_level(seed.master_seed, _descend(ids[rows], attempt)), 2 * pairs + 2 * v)
         x = _box_muller(u[:, :2 * pairs], v)
         cube = (1.0 + c * x) ** 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (cube > 0.0) & (np.log(u[:, 2 * pairs:2 * pairs + v])
-                                     < 0.5 * x * x + dd - dd * cube + dd * np.log(cube))
+        positive = cube > 0.0  # the rest are rejected; log reads 1 in their place
+        accept = positive & (np.log(u[:, 2 * pairs:2 * pairs + v]) < 0.5 * x * x + dd - dd * cube
+                             + dd * np.log(np.where(positive, cube, 1.0)))
         r, i = np.nonzero(pending[rows] & accept)
         gamma[rows[r], i] = dd[i] * cube[r, i] * u[r, 2 * pairs + v + i] ** boost[i]
         pending[rows[r], i] = False

@@ -224,6 +224,28 @@ def test_nsearch(tmp_path, capsys):
     assert progress[0].startswith("nsearch: n=2 open=gd_reg(lam=1) ")
 
 
+@pytest.mark.parametrize("w0, null_means", [("zero", 2), ("random:1e9", 4)])
+def test_divergent_point_with_finite_trials_writes_null_stderr(tmp_path, capsys, w0, null_means):
+    # eta = 10 is past the stability limit at every n: the first points have
+    # inf trial risks, the later ones finite trials whose squares overflow
+    # the stderr. Both write null and exit 0, with a finite mean where the
+    # trials are finite; a 1e9 w0's init term overflows up to n = 40
+    out = str(tmp_path / "ns")
+    with pytest.warns(RuntimeWarning) as record:
+        assert _run(["nsearch", "--family", "gd_step", "--eta", "10", "--trials", "4",
+                     "--w0", w0, "--out", out]) == 0
+    assert all("stability limit" in str(w.message) for w in record)
+    points = json.loads(_read(out + ".json"))["points"]
+    assert [p["n"] for p in points] == [5, 10, 20, 40, 80, 160]
+    assert all(p["stderr"] is None for p in points)
+    assert [p["mean"] is None for p in points] == [True] * null_means + [False] * (6 - null_means)
+    assert all(math.isfinite(p["mean"]) for p in points[null_means:])
+    err = capsys.readouterr().err
+    assert "mean/stderr written as null" in err
+    assert (f"nsearch: the mean or stderr of {6 - null_means} of 6 estimates overflows "
+            f"from finite trials (a divergent learner); written as null") in err
+
+
 def test_divergent_nsearch_counts_nonfinite_per_stage(tmp_path):
     # the divergent gd_step of test_divergent_risk_writes_strict_json never
     # reaches epsilon, so every grid point is scored and counted
@@ -276,8 +298,11 @@ def test_zero_dimension_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     (["risk", "--n", "0", "--trials", "10"], "need n >= 1, got 0"),
-    (["nsearch", "--n-grid", "0,4", "--trials", "10"], "n_grid must start at n >= 1, got [0, 4]")])
+    (["nsearch", "--n-grid", "0,4", "--trials", "10"], "n_grid must start at n >= 1, got [0, 4]"),
+    (["risk", "--trials", "1"], "need trials >= 2, got 1"),
+    (["risk", "--family", "bogus", "--trials", "10"], "unknown family 'bogus'")])
 def test_zero_samples_is_config_error(tmp_path, capsys, args):
+    # and the other sizes and names that leave the estimator's domain
     argv, message = args
     out = str(tmp_path / "n0")
     assert _run([*argv, "--d", "4", "--out", out]) == 2

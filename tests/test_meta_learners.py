@@ -149,6 +149,8 @@ def test_tau_schedule_values_and_monotonicity():
     taus = [reptile_tau_schedule(t, 0.3) for t in (10, 100, 1000, 10 ** 4)]
     assert all(t2 < t1 for t1, t2 in zip(taus, taus[1:]))
     assert all(0.0 < t < 1.0 for t in taus)
+    # the supremum over T >= 2 and delta < 1, approached at T = 2, delta -> 1
+    assert reptile_tau_schedule(2, 0.999) < 2 ** (-1 / 3) * math.log(4.0) ** (-2 / 3) < 0.64
     with pytest.raises(ValueError):
         reptile_tau_schedule(1, 0.1)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from metasep import oracles, risk
 from metasep.convex import GdRegSpec, GdStepSpec
-from metasep.linalg import SpikedIdentity
+from metasep.linalg import NumericalError, SpikedIdentity
 from metasep.rng import SeedSpec, bidiagonal_spectra, gaussian_matrix, gaussian_vector, wishart_chi
 from metasep.risk import (AlgSpec, RiskEstimate, _spiked_risk, convex_lower_bound_exact,
                           mc_excess_risk, mc_excess_risk_many, sample_complexity_search)
@@ -464,13 +464,14 @@ def test_spiked_risk_matches_predictor_matrices(d):
     # each trial's E[excess | mu, z] from the rank-one form equals
     # ||(P X - I) w*||^2 + sigma^2 ||P||_F^2 with the oracle's explicit
     # predictor matrix on the same design, whose (mu, z) come from eigh;
-    # the grid covers n < d - 1, n = d - 1, n = d, n > d, d = 1 and alpha = kappa
+    # the grid covers n < d - 1, n = d - 1, n = d, n > d, d = 1, alpha = kappa
+    # and kappa = 0, where the unused overflow form of kd divides by zero
     inst = MetaInstance.from_config(d, 1.3, 0.7)
     r2, sigma2 = inst.r ** 2, inst.sigma ** 2
     w_hat = inst.w_star / inst.r
     worst = 0.0
     for n in sorted({1, 5, max(d - 1, 1), d, d + 1, 300}):
-        for alpha, kappa in ((1e4, 0.1), (30.0, 0.1), (3.0, 0.5), (1.0, 1.0)):
+        for alpha, kappa in ((1e4, 0.1), (30.0, 0.1), (3.0, 0.5), (1.0, 1.0), (3.0, 0.0)):
             for lam in (alpha ** 1.5, 0.3):
                 alg = AlgSpec("gd2_reg", GdRegSpec(lam), SpikedIdentity(w_hat, alpha, kappa))
                 for t in range(2):
@@ -524,6 +525,15 @@ def test_spiked_risk_where_kappa_squared_mu_overflows(d, n):
         big, huge = (mc_excess_risk(AlgSpec("gd2_reg", GdRegSpec(1.0),
                                             SpikedIdentity(w_hat, 10.0, kappa)),
                                     inst, n, 400, SeedSpec(19)) for kappa in (1e150, 1e154))
+        # at lam = 0.01, kappa^2 / (n lam) overflows as well: kd is inf at a
+        # zero mu, whose e is NaN, a numerical failure at (3, 5); at (7, 3)
+        # every mu is nonzero and the risk finite
+        small_lam = AlgSpec("gd2_reg", GdRegSpec(0.01), SpikedIdentity(w_hat, 10.0, 1e154))
+        if n < d:
+            assert math.isfinite(mc_excess_risk(small_lam, inst, n, 40, SeedSpec(19)).mean)
+        else:
+            with pytest.raises(NumericalError, match="40 of 40 trial excess risks are not finite"):
+                mc_excess_risk(small_lam, inst, n, 40, SeedSpec(19))
     assert huge.nonfinite == 0
     assert abs(huge.mean - big.mean) <= 1e-12 * big.mean
     assert abs(huge.stderr - big.stderr) <= 1e-12 * big.stderr

@@ -113,7 +113,7 @@ def test_first_words_are_pinned():
     assert rademacher_signs(s, 12).tolist() == [-1, 1, -1, -1, -1, 1, -1, -1, -1, 1, -1, 1]
 
 
-@pytest.mark.parametrize("seed", [SeedSpec(42), SeedSpec(9, 123)])
+@pytest.mark.parametrize("seed", [SeedSpec(42), SeedSpec(9, 123), SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)])
 def test_child_keys_match_seed_child(seed):
     trials = [0, 1, 31, 32, 2 ** 40 + 3, 2 ** 64 - 2]
     for attempt in (0, 3):

@@ -245,6 +245,8 @@ def test_unbatched_flow_equals_batch_of_one(d, k):
     # derivative's squared norm overflows too, and is checked first
     (1e155 * np.eye(2), "derivative norm inf at t=0.0"),
     (np.array([[np.nan, 0.0], [0.0, 1.0]]), "derivative norm nan at t=0.0"),
+    # an inf entry meets W = 0: A^T W is inf * 0, NaN
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "derivative norm nan at t=0.0"),
 ])
 def test_flow_raises_on_a_nonfinite_state(a, message):
     with pytest.raises(NumericalError, match=message):
@@ -293,6 +295,11 @@ def test_gd2_reg_rounded_ridge_matrix_not_positive_definite():
     ds = sample_dataset(sample_task(inst, SeedSpec(0).child(0)), 2, SeedSpec(0).child(1))
     with pytest.raises(NumericalError, match="not positive definite"):
         gd2_reg(1e-12, ds, SpikedIdentity(inst.w_star, 1e8, 1e8))
+    # a first layer whose A S A^T overflows, or whose inf meets a 0 (NaN),
+    # gives a ridge matrix that sym_eigen rejects as not finite
+    for a0 in (1e200 * np.eye(6), np.diag([np.inf] + [1.0] * 5)):
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            gd2_reg(1.0, ds, a0)
 
 
 def test_gd2_reg_nonsymmetric_first_layer_solves_objective():
