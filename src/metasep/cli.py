@@ -338,8 +338,9 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
     """One paired search over algs at cfg's epsilon, trials and workers.
     Prints a progress line per grid point and records its stage under
     "<half>/<n>" ("<n>" when half is empty), with the statistical
-    efficiency of each algorithm scored there (_efficiency); returns the
-    n_eps list and each algorithm's (n, RiskEstimate) points."""
+    efficiency of each algorithm scored there (_efficiency) and the number
+    of control variates its mean used; returns the n_eps list and each
+    algorithm's (n, RiskEstimate) points."""
     labels = [a.label() for a in algs]
     points = [[] for _ in algs]
     last = time.monotonic()
@@ -354,7 +355,8 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
         stages[f"{half}/{n}" if half else str(n)] = {
             "algorithms": scored_labels, "trials": cfg["trials"],
             "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall,
-            "efficiency": [_efficiency(est.stderr, wall) for est in scored.values()]}
+            "efficiency": [_efficiency(est.stderr, wall) for est in scored.values()],
+            "controls": [est.controls for est in scored.values()]}
         where = f"{half} n={n}" if half else f"n={n}"
         print(f"{command}: {where} open={','.join(scored_labels)} {wall:.2f} s",
               file=sys.stderr)
@@ -469,7 +471,7 @@ def cmd_risk(cfg: dict):
     _report_nonfinite("risk", [est])
     print(f"risk: {record['alg']} n={cfg['n']} mean={est.mean:.6g} "
           f"stderr={est.stderr:.3g}")
-    return {".json": record}, {"nonfinite": est.nonfinite}, 0
+    return {".json": record}, {"nonfinite": est.nonfinite, "controls": est.controls}, 0
 
 
 def cmd_nsearch(cfg: dict):

@@ -71,6 +71,25 @@ row per distinct gd_reg lam (_ridge_risks). Each algorithm then adds only
 its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
 term. The trial risks are one (algorithms, trials) array, and every mean,
 stderr and non-finite count is one reduction over its rows (_estimates).
+
+Two families' rows are corrected by control variates: values of the same
+draws whose means are known exactly (_controlled). A gd_reg row at
+lam > 0 uses the init-free lam = 0 row, (r^2 / d)(d - k) + sigma^2 tr T^-1,
+with m = max(n, d) and mean r^2 (d - k) / d + sigma^2 k / (m - k - 1) (the
+inverse-Wishart mean, Muirhead 1982, Thm 3.2.12), but only where
+m - k >= 4: its variance is finite only for m - k > 3 (von Rosen 1988).
+A gd2_reg row, from _SPIKED_CONTROL_TRIALS trials on, uses four sums
+sum (z^2 - 1) w with weights w of mu, each of mean 0 given mu. beta is
+fitted by least squares on all trials together, so the bytes do not
+depend on workers; the mean is the intercept and the stderr the
+intercept's, with ddof 1 + p for p controls. A beta fitted on the same
+trials biases the mean by O(1 / trials): 0.012 stderr for gd_reg(lam =
+0.1) at (d, n) = (50, 100) and -0.075 for the separation spike's gd2_reg
+at (50, 40), at 400 trials over 512 seeds, against leave-one-out fits.
+A row whose control is constant (the lam = 0 row at sigma = 0) or not
+finite, or whose fit would keep fewer than two residual degrees of
+freedom, keeps the plain mean and ddof=1 stderr bit for bit.
+
 Only a gd_step past its stability limit may have non-finite trial risks,
 mean or stderr; any other overflow raises NumericalError. This module only
 computes; cli writes the estimates to file records.
@@ -94,17 +113,28 @@ from .tasks import MetaInstance
 # their SVD workspace (an unchunked 200-trial block at d = 50 added about
 # 10 MB of RSS per thread).
 _CHUNK = 32
+# Trials from which a gd2_reg row is corrected by its control variates.
+# Its risk is close to a convex function of u (about 1 / sum z^2 on the
+# separation spike), which the linear fit leaves in a skewed residual:
+# over 256 seeds at (d, n) = (50, 20) and (50, 40), the controlled
+# z-scores spread with sd 1.7-1.8 at 12 trials and 1.12-1.16 at 96 (the
+# plain ones 1.0-1.1). The fitted beta biases the mean by -0.14 to -0.16
+# stderr at 100 trials and -0.07 to -0.08 at 400 (n = 20, 40 and 100,
+# 256 seeds each, against leave-one-out fits).
+_SPIKED_CONTROL_TRIALS = 100
 
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte-Carlo mean, standard error, trial count, and the number of
-    trials whose excess risk is not finite (a divergent gd_step)."""
+    """Monte-Carlo mean, standard error, trial count, the number of
+    trials whose excess risk is not finite (a divergent gd_step), and the
+    number of control variates the mean was corrected by (_estimates)."""
 
     mean: float
     stderr: float
     trials: int
     nonfinite: int = 0
+    controls: int = 0
 
     def __post_init__(self):
         if self.trials < 2:
@@ -217,44 +247,68 @@ def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
 
 
 def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
-                 r2: float, sigma2: float) -> np.ndarray:
+                 r2: float, sigma2: float):
     """E[excess | B] (module docstring) of the gd_reg learners algs, a
-    (len(algs), rows) array, for the bidiagonals B of _ridge_sums. One
-    pass of the recurrence serves every distinct lam, whose init-free risk
-    is formed once; each learner then adds only its lam = 0 w0 term.
+    (len(algs), rows) array, for the bidiagonals B of _ridge_sums, and the
+    control variate of their lam > 0 rows: the init-free lam = 0 row minus
+    its exact mean r^2 (d - k) / d + sigma^2 k / (m - k - 1), formed only
+    where some lam > 0 and m - k >= 4 (else None). One pass of the
+    recurrence serves every distinct lam, whose init-free risk is formed
+    once; each learner then adds only its lam = 0 w0 term.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
     form takes the ridge limit, which forgets w0."""
-    k = diag.shape[1]
-    lams = sorted({a.params.lam for a in algs})
+    k, m = diag.shape[1], max(n, d)
+    lams = {a.params.lam for a in algs}
+    control = m - k >= 4 and max(lams) > 0.0
+    lams = sorted(lams | {0.0} if control else lams)
     with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
         bias, var = _ridge_sums(diag, sup, n, lams)
-        out = ((r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T)[
-            [lams.index(a.params.lam) for a in algs]]
+        free = (r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T
+        out = free[[lams.index(a.params.lam) for a in algs]]
         for row, alg in zip(out, algs):
             if alg.params.lam == 0.0 and d > k:
                 row += float(alg.init @ alg.init) / d * (d - k)
-    return out
+    null = free[0] - (r2 * (d - k) / d + sigma2 * k / (m - k - 1)) if control else None
+    return out, null
 
 
 def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
-                 r2: float, sigma2: float) -> np.ndarray:
-    """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z (trials, n)."""
+                 r2: float, sigma2: float):
+    """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z
+    (trials, n), with kd = kappa^2 / (n D) and e, each (trials, n), for
+    _spiked_controls."""
     alpha, k2n = alg.init.spike, alg.init.bulk * alg.init.bulk / n
     # where k2n * mu overflows, k2n / dd would read 0, so kd falls back to
     # 1 / (mu + lam / k2n); np.where forms both, so at k2n = 0 (kappa = 0, or
     # a kappa^2 that underflows) the unused fallback divides by zero. Where
-    # k2n / lam overflows, kd is inf at a zero mu and e NaN: a NumericalError
+    # k2n / lam overflows, kd is inf at a zero mu, whose e is exactly 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dd = k2n * mu + alg.params.lam
         kd = np.where(np.isfinite(dd), k2n / dd, 1.0 / (mu + np.divide(alg.params.lam, k2n)))
-        z2, e = z * z, (kd * mu) * kd  # kd * mu <= 1, so a huge kd meets mu = 0, not inf
+        z2 = z * z
+        e = np.where(mu > 0.0, (kd * mu) * kd, 0.0)  # kd * mu <= 1
         u, p, q = np.sum(z2 / dd, axis=-1), np.sum(z2 / dd ** 2, axis=-1), np.sum(e * z2, axis=-1)
         beta = 1.0 / (n / alpha / alpha + u) if alpha else 0.0 * u
         return (r2 * (1.0 - beta * u) ** 2 * (1.0 + q)
                 + sigma2 * (beta * beta * p * (1.0 + q) + np.sum(e, axis=-1)
-                            - 2.0 * beta * np.sum(e * z2 / dd, axis=-1)))
+                            - 2.0 * beta * np.sum(e * z2 / dd, axis=-1))), kd, e
+
+
+def _spiked_controls(z: np.ndarray, kd: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """gd2_reg's control variates, a (trials, 4) block: sum (z^2 - 1) w for
+    the weights w = kd, kd^2, e and e kd of _spiked_risk, each over its
+    largest entry. Given mu each has mean exactly 0. They are 1 / D,
+    1 / D^2, e and e / D times constants, which keep them representable
+    where D or kd overflows; a weight with an inf entry gives a NaN column.
+    At kappa = 0 (or a kappa^2 that underflows) kd is 0 and D = lam, so
+    the weight of 1 / D is 1."""
+    w = z * z - 1.0
+    kd = kd if kd.any() else np.ones_like(kd)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.stack([np.sum(w * (f / np.max(f)), axis=-1) for f in (kd, kd * kd, e, e * kd)],
+                        axis=-1)
 
 
 def _draw(algs, inst, n, seed, lo, hi):
@@ -273,15 +327,55 @@ def _draw(algs, inst, n, seed, lo, hi):
     return chi if "gd_reg" in families else None, spectra, mu, z
 
 
-def _estimates(values: np.ndarray) -> list:
+def _controlled(ys: np.ndarray, block: np.ndarray):
+    """([(mean, stderr), ...], p): each row of trial values ys (rows,
+    trials) corrected by p control variates, the finite, non-constant
+    columns of block (trials, columns), each with exact mean 0; None where
+    no column is left or fewer than two residual degrees of freedom would be.
+
+    The fit is least squares of a row on [1, block], by one SVD shared by
+    every row, with numpy lstsq's cutoff (columns scaled to a largest
+    entry of 1 first, so a small scale is not cut as rank), and p counts
+    the controls kept by that rank. The mean is the intercept, and the stderr is the
+    intercept's: sqrt(sum res^2 / (trials - 1 - p) * (X^T X)^+_00). A row
+    is fitted by the same operations whatever rows share its block."""
+    trials = ys.shape[1]
+    block = block[:, np.all(np.isfinite(block), axis=0)]
+    block = block[:, np.ptp(block, axis=0) > 0.0]
+    if block.shape[1] == 0 or trials - 1 - block.shape[1] < 2:
+        return None
+    x = np.column_stack([np.ones(trials), block / np.max(np.abs(block), axis=0)])
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * trials * np.finfo(float).eps))
+    u, pinv = u[:, :rank], vt[:rank].T / s[:rank]  # X^+ = pinv u^T
+    scale = float(pinv[0] @ pinv[0]) / (trials - rank)  # (X^T X)^+_00 / ddof
+    fits = []
+    for y in ys:
+        beta = pinv @ (u.T @ y)
+        res = y - x @ beta
+        fits.append((float(beta[0]), math.sqrt(float(res @ res) * scale)))
+    return fits, rank - 1
+
+
+def _estimates(values: np.ndarray, controls=()) -> list:
     """One RiskEstimate per row of values (algorithms, trials): every mean, ddof=1
-    stderr (inf, not NaN, where a trial is not finite) and non-finite count is one reduction."""
+    stderr (inf, not NaN, where a trial is not finite) and non-finite count is one
+    reduction. controls holds (rows, block) pairs: the rows with finite trials are
+    corrected by the (trials, columns) block of control variates (_controlled)."""
     trials = values.shape[1]
     means = np.mean(values, axis=1).tolist()
     nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
     stderrs = np.where(nonfinite, math.inf, np.std(values, axis=1, ddof=1) / math.sqrt(trials))
-    return [RiskEstimate(m, e, trials, c)
-            for m, e, c in zip(means, stderrs.tolist(), nonfinite.tolist())]
+    stderrs, nonfinite, used = stderrs.tolist(), nonfinite.tolist(), [0] * len(means)
+    for rows, block in controls:
+        rows = [j for j in rows if not nonfinite[j]]
+        fit = _controlled(values[rows], block) if rows else None
+        if fit is not None:
+            fits, p = fit
+            for j, (mean, stderr) in zip(rows, fits):
+                means[j], stderrs[j], used[j] = mean, stderr, p
+    return [RiskEstimate(m, e, trials, c, p)
+            for m, e, c, p in zip(means, stderrs, nonfinite, used)]
 
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
@@ -297,7 +391,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     the call warns of does not depend on workers. Only a gd_step past
     that limit may have non-finite trial risks, or a mean or stderr that
     overflows from finite ones; for any other algorithm either raises
-    NumericalError.
+    NumericalError. The gd_reg rows at lam > 0 and the gd2_reg rows are
+    corrected by control variates (module docstring).
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -338,12 +433,14 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     chi, spectra, mu, z = (None if parts[0] is None else np.concatenate(parts)
                            for parts in zip(*draws))
     r2, sigma2 = float(inst.w_star @ inst.w_star), inst.sigma ** 2
-    values = np.empty((len(algs), trials))
+    values, controls = np.empty((len(algs), trials)), []  # (rows, block) pairs
     ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
     if ridge:
         k = min(n, d)
-        values[ridge] = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
-                                     d, n, r2, sigma2)
+        values[ridge], null = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
+                                           d, n, r2, sigma2)
+        if null is not None:
+            controls.append(([j for j in ridge if algs[j].params.lam > 0.0], null[:, None]))
     sums = {}  # _convex_risk of each distinct GdStepSpec
     for j, alg in enumerate(algs):
         if alg.family == "gd_step":
@@ -351,11 +448,13 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                 sums[alg.params] = _convex_risk(alg.params, spectra, d, n, r2, sigma2)
             values[j] = _with_init(sums[alg.params], alg.init, d)
         elif alg.family == "gd2_reg":
-            values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
+            values[j], kd, e = _spiked_risk(alg, mu, z, n, r2, sigma2)
+            if trials >= _SPIKED_CONTROL_TRIALS:
+                controls.append(([j], _spiked_controls(z, kd, e)))
     top = 0.0 if spectra is None else float(spectra[:, 0].max())
     divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
-        estimates = _estimates(values)
+        estimates = _estimates(values, controls)
     for alg, est, counted in zip(algs, estimates, divergent):
         if not (counted or math.isfinite(est.mean) and math.isfinite(est.stderr)):
             raise NumericalError(f"{alg.label()} at n={n}: " + (
