@@ -379,10 +379,11 @@ def _suite_risk_estimator(seed: SeedSpec):
                 p, dm = predictor_matrices(alg, x)
                 e = p @ x - np.eye(d)
                 if alg.family == "gd2_reg":
-                    closed = float(_spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0][0])
+                    closed = float(_spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0])
                     bias = float(np.sum((e @ w_star) ** 2))
                 else:
-                    closed = float(_ridge_risks([alg], diag[None], sup[None], d, n, r2, sigma2)[0][0, 0]
+                    closed = float(_ridge_risks([alg], diag[None], sup[None], d, n, r2,
+                                                sigma2)[0][0, 0]
                                    if alg.family == "gd_reg" else
                                    _with_init(_convex_risk(alg.params, spectrum[None], d, n,
                                                            r2, sigma2), w0, d)[0])

@@ -72,23 +72,21 @@ its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
 term. The trial risks are one (algorithms, trials) array, and every mean,
 stderr and non-finite count is one reduction over its rows (_estimates).
 
-Two families' rows are corrected by control variates: values of the same
-draws whose means are known exactly (_controlled). A gd_reg row at
-lam > 0 uses the init-free lam = 0 row, (r^2 / d)(d - k) + sigma^2 tr T^-1,
-with m = max(n, d) and mean r^2 (d - k) / d + sigma^2 k / (m - k - 1) (the
-inverse-Wishart mean, Muirhead 1982, Thm 3.2.12), but only where
+The gd_reg rows at lam > 0 are corrected by a control variate: a value of
+the same draws whose mean is known exactly (_controlled). It is the
+init-free lam = 0 row, (r^2 / d)(d - k) + sigma^2 tr T^-1, with m =
+max(n, d) and mean r^2 (d - k) / d + sigma^2 k / (m - k - 1) (the
+inverse-Wishart mean, Muirhead 1982, Thm 3.2.12), used only where
 m - k >= 4: its variance is finite only for m - k > 3 (von Rosen 1988).
-A gd2_reg row, from _SPIKED_CONTROL_TRIALS trials on, uses four sums
-sum (z^2 - 1) w with weights w of mu, each of mean 0 given mu. beta is
-fitted by least squares on all trials together, so the bytes do not
-depend on workers; the mean is the intercept and the stderr the
-intercept's, with ddof 1 + p for p controls. A beta fitted on the same
-trials biases the mean by O(1 / trials): 0.012 stderr for gd_reg(lam =
-0.1) at (d, n) = (50, 100) and -0.075 for the separation spike's gd2_reg
-at (50, 40), at 400 trials over 512 seeds, against leave-one-out fits.
-A row whose control is constant (the lam = 0 row at sigma = 0) or not
-finite, or whose fit would keep fewer than two residual degrees of
-freedom, keeps the plain mean and ddof=1 stderr bit for bit.
+beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
+do not depend on workers; the mean is the intercept mean(y - beta c) and
+the stderr the intercept's, from the residuals with ddof 2. A beta fitted
+on the same trials biases the mean by O(1 / trials): 0.012 stderr for
+gd_reg(lam = 0.1) at (d, n) = (50, 100) at 400 trials over 512 seeds,
+against leave-one-out fits. A row whose control is constant (the lam = 0
+row at sigma = 0) or not finite, or whose fit would keep fewer than two
+residual degrees of freedom, keeps the plain mean and ddof=1 stderr bit
+for bit, as does every other row.
 
 Only a gd_step past its stability limit may have non-finite trial risks,
 mean or stderr; any other overflow raises NumericalError. This module only
@@ -113,22 +111,13 @@ from .tasks import MetaInstance
 # their SVD workspace (an unchunked 200-trial block at d = 50 added about
 # 10 MB of RSS per thread).
 _CHUNK = 32
-# Trials from which a gd2_reg row is corrected by its control variates.
-# Its risk is close to a convex function of u (about 1 / sum z^2 on the
-# separation spike), which the linear fit leaves in a skewed residual:
-# over 256 seeds at (d, n) = (50, 20) and (50, 40), the controlled
-# z-scores spread with sd 1.7-1.8 at 12 trials and 1.12-1.16 at 96 (the
-# plain ones 1.0-1.1). The fitted beta biases the mean by -0.14 to -0.16
-# stderr at 100 trials and -0.07 to -0.08 at 400 (n = 20, 40 and 100,
-# 256 seeds each, against leave-one-out fits).
-_SPIKED_CONTROL_TRIALS = 100
 
 
 @dataclass(frozen=True)
 class RiskEstimate:
     """Monte-Carlo mean, standard error, trial count, the number of
     trials whose excess risk is not finite (a divergent gd_step), and the
-    number of control variates the mean was corrected by (_estimates)."""
+    number of control variates the mean was corrected by (0 or 1, _estimates)."""
 
     mean: float
     stderr: float
@@ -275,10 +264,8 @@ def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
 
 
 def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
-                 r2: float, sigma2: float):
-    """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z
-    (trials, n), with kd = kappa^2 / (n D) and e, each (trials, n), for
-    _spiked_controls."""
+                 r2: float, sigma2: float) -> np.ndarray:
+    """E[excess | mu, z] of gd2_reg (module docstring) per row of mu and z (trials, n)."""
     alpha, k2n = alg.init.spike, alg.init.bulk * alg.init.bulk / n
     # where k2n * mu overflows, k2n / dd would read 0, so kd falls back to
     # 1 / (mu + lam / k2n); np.where forms both, so at k2n = 0 (kappa = 0, or
@@ -293,22 +280,7 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
         beta = 1.0 / (n / alpha / alpha + u) if alpha else 0.0 * u
         return (r2 * (1.0 - beta * u) ** 2 * (1.0 + q)
                 + sigma2 * (beta * beta * p * (1.0 + q) + np.sum(e, axis=-1)
-                            - 2.0 * beta * np.sum(e * z2 / dd, axis=-1))), kd, e
-
-
-def _spiked_controls(z: np.ndarray, kd: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """gd2_reg's control variates, a (trials, 4) block: sum (z^2 - 1) w for
-    the weights w = kd, kd^2, e and e kd of _spiked_risk, each over its
-    largest entry. Given mu each has mean exactly 0. They are 1 / D,
-    1 / D^2, e and e / D times constants, which keep them representable
-    where D or kd overflows; a weight with an inf entry gives a NaN column.
-    At kappa = 0 (or a kappa^2 that underflows) kd is 0 and D = lam, so
-    the weight of 1 / D is 1."""
-    w = z * z - 1.0
-    kd = kd if kd.any() else np.ones_like(kd)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.stack([np.sum(w * (f / np.max(f)), axis=-1) for f in (kd, kd * kd, e, e * kd)],
-                        axis=-1)
+                            - 2.0 * beta * np.sum(e * z2 / dd, axis=-1)))
 
 
 def _draw(algs, inst, n, seed, lo, hi):
@@ -327,55 +299,48 @@ def _draw(algs, inst, n, seed, lo, hi):
     return chi if "gd_reg" in families else None, spectra, mu, z
 
 
-def _controlled(ys: np.ndarray, block: np.ndarray):
-    """([(mean, stderr), ...], p): each row of trial values ys (rows,
-    trials) corrected by p control variates, the finite, non-constant
-    columns of block (trials, columns), each with exact mean 0; None where
-    no column is left or fewer than two residual degrees of freedom would be.
+def _controlled(ys: np.ndarray, c: np.ndarray):
+    """(means, stderrs) of the rows of trial values ys (rows, trials)
+    corrected by the control variate c (trials,), whose exact mean is 0;
+    None where c is not finite or constant or fewer than two residual
+    degrees of freedom would be left.
 
-    The fit is least squares of a row on [1, block], by one SVD shared by
-    every row, with numpy lstsq's cutoff (columns scaled to a largest
-    entry of 1 first, so a small scale is not cut as rank), and p counts
-    the controls kept by that rank. The mean is the intercept, and the stderr is the
-    intercept's: sqrt(sum res^2 / (trials - 1 - p) * (X^T X)^+_00). A row
-    is fitted by the same operations whatever rows share its block."""
-    trials = ys.shape[1]
-    block = block[:, np.all(np.isfinite(block), axis=0)]
-    block = block[:, np.ptp(block, axis=0) > 0.0]
-    if block.shape[1] == 0 or trials - 1 - block.shape[1] < 2:
+    beta = cov(y, c) / var(c) over all trials, the mean is the intercept
+    mean(y - beta c), and the stderr the intercept's:
+    sqrt(sum res^2 / (trials - 2) * (1 / trials + mean(c)^2 / sum (c - mean c)^2)).
+    Every reduction runs along a row, so a row's fit does not depend on
+    the rows that share c."""
+    trials = c.size
+    if trials < 4 or not np.all(np.isfinite(c)) or np.ptp(c) == 0.0:
         return None
-    x = np.column_stack([np.ones(trials), block / np.max(np.abs(block), axis=0)])
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * trials * np.finfo(float).eps))
-    u, pinv = u[:, :rank], vt[:rank].T / s[:rank]  # X^+ = pinv u^T
-    scale = float(pinv[0] @ pinv[0]) / (trials - rank)  # (X^T X)^+_00 / ddof
-    fits = []
-    for y in ys:
-        beta = pinv @ (u.T @ y)
-        res = y - x @ beta
-        fits.append((float(beta[0]), math.sqrt(float(res @ res) * scale)))
-    return fits, rank - 1
+    c_mean = np.mean(c)
+    dc = c - c_mean
+    sxx = float(dc @ dc)
+    y_mean = np.mean(ys, axis=1)
+    dy = ys - y_mean[:, None]
+    beta = np.sum(dy * dc, axis=1) / sxx
+    res = dy - beta[:, None] * dc
+    var = np.sum(res * res, axis=1) / (trials - 2) * (1.0 / trials + c_mean * c_mean / sxx)
+    return y_mean - beta * c_mean, np.sqrt(var)
 
 
-def _estimates(values: np.ndarray, controls=()) -> list:
+def _estimates(values: np.ndarray, rows=(), control=None) -> list:
     """One RiskEstimate per row of values (algorithms, trials): every mean, ddof=1
     stderr (inf, not NaN, where a trial is not finite) and non-finite count is one
-    reduction. controls holds (rows, block) pairs: the rows with finite trials are
-    corrected by the (trials, columns) block of control variates (_controlled)."""
+    reduction. Those of rows whose trials are finite are corrected by the control
+    variate control (trials,) (_controlled)."""
     trials = values.shape[1]
-    means = np.mean(values, axis=1).tolist()
+    means = np.mean(values, axis=1)
     nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
     stderrs = np.where(nonfinite, math.inf, np.std(values, axis=1, ddof=1) / math.sqrt(trials))
-    stderrs, nonfinite, used = stderrs.tolist(), nonfinite.tolist(), [0] * len(means)
-    for rows, block in controls:
-        rows = [j for j in rows if not nonfinite[j]]
-        fit = _controlled(values[rows], block) if rows else None
-        if fit is not None:
-            fits, p = fit
-            for j, (mean, stderr) in zip(rows, fits):
-                means[j], stderrs[j], used[j] = mean, stderr, p
-    return [RiskEstimate(m, e, trials, c, p)
-            for m, e, c, p in zip(means, stderrs, nonfinite, used)]
+    used = np.zeros(len(values), dtype=int)
+    rows = [j for j in rows if not nonfinite[j]]
+    fit = _controlled(values[rows], control) if rows else None
+    if fit is not None:
+        means[rows], stderrs[rows] = fit
+        used[rows] = 1
+    return [RiskEstimate(m, e, trials, c, p) for m, e, c, p in
+            zip(means.tolist(), stderrs.tolist(), nonfinite.tolist(), used.tolist())]
 
 
 def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
@@ -391,8 +356,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     the call warns of does not depend on workers. Only a gd_step past
     that limit may have non-finite trial risks, or a mean or stderr that
     overflows from finite ones; for any other algorithm either raises
-    NumericalError. The gd_reg rows at lam > 0 and the gd2_reg rows are
-    corrected by control variates (module docstring).
+    NumericalError. The gd_reg rows at lam > 0 are corrected by a control
+    variate (module docstring).
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -433,14 +398,13 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     chi, spectra, mu, z = (None if parts[0] is None else np.concatenate(parts)
                            for parts in zip(*draws))
     r2, sigma2 = float(inst.w_star @ inst.w_star), inst.sigma ** 2
-    values, controls = np.empty((len(algs), trials)), []  # (rows, block) pairs
+    values, null = np.empty((len(algs), trials)), None
     ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
     if ridge:
         k = min(n, d)
         values[ridge], null = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
                                            d, n, r2, sigma2)
-        if null is not None:
-            controls.append(([j for j in ridge if algs[j].params.lam > 0.0], null[:, None]))
+    controlled = [j for j in ridge if algs[j].params.lam > 0.0] if null is not None else []
     sums = {}  # _convex_risk of each distinct GdStepSpec
     for j, alg in enumerate(algs):
         if alg.family == "gd_step":
@@ -448,13 +412,11 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
                 sums[alg.params] = _convex_risk(alg.params, spectra, d, n, r2, sigma2)
             values[j] = _with_init(sums[alg.params], alg.init, d)
         elif alg.family == "gd2_reg":
-            values[j], kd, e = _spiked_risk(alg, mu, z, n, r2, sigma2)
-            if trials >= _SPIKED_CONTROL_TRIALS:
-                controls.append(([j], _spiked_controls(z, kd, e)))
+            values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
     top = 0.0 if spectra is None else float(spectra[:, 0].max())
     divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
-        estimates = _estimates(values, controls)
+        estimates = _estimates(values, controlled, null)
     for alg, est, counted in zip(algs, estimates, divergent):
         if not (counted or math.isfinite(est.mean) and math.isfinite(est.stderr)):
             raise NumericalError(f"{alg.label()} at n={n}: " + (

@@ -208,9 +208,9 @@ def test_raw_sampler_matches_the_convex_control_mean(n):
 
 
 def _plain(monkeypatch, call):
-    """call() with every control variate refused: the plain reduction."""
+    """call() with the control variate refused: the plain reduction."""
     with monkeypatch.context() as patch:
-        patch.setattr(risk, "_controlled", lambda ys, block: None)
+        patch.setattr(risk, "_controlled", lambda ys, c: None)
         return call()
 
 
@@ -221,78 +221,62 @@ def _plain(monkeypatch, call):
     (20, 19, 1.0, 400), (20, 21, 1.0, 400),  # n = d -+ 1
 ])
 def test_estimate_is_plain_where_no_control_applies(monkeypatch, d, n, sigma, trials):
-    # each convex row is the plain reduction bit for bit; gd2_reg gets its
-    # controls from _SPIKED_CONTROL_TRIALS trials on, where the fit has at
-    # least two residual degrees of freedom (not at 2 or 3 trials)
     inst = MetaInstance.from_config(d, 1.0, sigma)
-    spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 3.0, 0.1))
-    algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d), spiked]
+    algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d)]
     seed = SeedSpec(45).child(d, n, trials)
     ests = mc_excess_risk_many(algs, inst, n, trials, seed)
-    plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
-    assert ests[:3] == plain[:3]
-    assert (ests[3] == plain[3]) == (trials < risk._SPIKED_CONTROL_TRIALS)
+    assert ests == _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
+    assert all(est.controls == 0 for est in ests)
 
 
 @pytest.mark.parametrize("d, n", [(20, 60), (1, 8), (50, 100)])
 def test_controls_shrink_the_stderr(monkeypatch, d, n):
-    # where m - k >= 4, sigma > 0 and the trials allow, every lam > 0 row and
-    # the gd2_reg rows (kappa = 0 too) use their controls, and the lam = 0
-    # row none; a solo lam > 0 call forms its own lam = 0 column and equals
-    # the paired estimate
+    # where m - k >= 4 and sigma > 0, every lam > 0 row uses the control, and
+    # the lam = 0 and gd2_reg rows stay plain; a solo lam > 0 call forms its
+    # own lam = 0 column and equals the paired estimate
     inst = MetaInstance.from_config(d, 1.0, 1.0)
-    algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d)]
-    algs += [AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 3.0, kappa))
-             for kappa in (0.1, 0.0)]
+    spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 3.0, 0.1))
+    algs = [_reg_alg(0.0, d), spiked, _reg_alg(0.1, d), _reg_alg(1.0, d)]
     seed = SeedSpec(46).child(d, n)
     ests = mc_excess_risk_many(algs, inst, n, 400, seed)
     plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, 400, seed))
-    assert ests[0] == plain[0] and ests[0].controls == 0
-    for alg, est, ref in zip(algs[1:], ests[1:], plain[1:]):
-        assert est.controls >= 1 and est.stderr < ref.stderr, alg.label()
+    assert ests[:2] == plain[:2] and ests[0].controls == ests[1].controls == 0
+    for alg, est, ref in zip(algs[2:], ests[2:], plain[2:]):
+        assert est.controls == 1 and est.stderr < ref.stderr, alg.label()
         assert abs(est.mean - ref.mean) <= 4.0 * ref.stderr, alg.label()
-    assert mc_excess_risk(algs[1], inst, n, 400, seed) == ests[1]
+    assert mc_excess_risk(algs[2], inst, n, 400, seed) == ests[2]
 
 
-def _leave_one_out_mean(y, block):
+def _leave_one_out_mean(y, c):
     """The control-variate mean with each trial's beta fitted on the other
-    trials (by the Sherman-Morrison downdate of the joint fit, with
-    _controlled's rank cutoff). A trial's controls have mean 0 and are
-    independent of the other trials, so this mean is unbiased."""
-    x = np.column_stack([np.ones(y.size), block / np.max(np.abs(block), axis=0)])
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    keep = s > s[0] * y.size * np.finfo(float).eps
-    u, v_s = u[:, keep], vt[keep].T / s[keep]  # X^+ = v_s u^T
-    beta = v_s @ (u.T @ y)
-    h = np.sum(u * u, axis=1)  # the hat matrix's diagonal
-    loo = beta[:, None] - v_s @ (u.T * ((y - x @ beta) / (1.0 - h)))
-    return float(np.mean(y - np.sum(x[:, 1:].T * loo[1:], axis=0)))
+    trials. A trial's control has mean 0 and is independent of the other
+    trials, so this mean is unbiased."""
+    dy, dc = y - y.mean(), c - c.mean()  # the fit does not depend on either shift
+    others = y.size - 1  # the other trials' dy and dc sum to -dy and -dc
+    cov = np.sum(dy * dc) - dy * dc - dy * dc / others
+    var = np.sum(dc * dc) - dc * dc - dc * dc / others
+    return float(np.mean(y - cov / var * c))
 
 
 @pytest.mark.parametrize("trials", [12, 400])
 def test_controlled_estimates_are_calibrated(monkeypatch, trials):
-    # over 64 seeds, gd_reg(lam = 0.1) at (d, n) = (50, 100) and the
-    # separation spike's gd2_reg at (50, 40): the z-scores against the plain
-    # mean of all 64 x trials trials spread with sd in [0.75, 1.33]. Where a
-    # mean is controlled at 400 trials, its beta, fitted on the same trials,
-    # biases it by under 0.1 stderr against the unbiased leave-one-out fit
+    # over 64 seeds, gd_reg(lam = 0.1) at (d, n) = (50, 100): the z-scores
+    # against the plain mean of all 64 x trials trials spread with sd in
+    # [0.75, 1.33]. At 400 trials the beta, fitted on the same trials, biases
+    # the mean by under 0.1 stderr against the unbiased leave-one-out fit
     inst = MetaInstance.from_config(50, 1.0, 1.0)
-    spiked = SpikedIdentity(inst.w_star / inst.r, 1e4, 0.1)
     fits = []
     fit = risk._controlled
-    monkeypatch.setattr(risk, "_controlled",
-                        lambda ys, block: fits.append((ys[0], block)) or fit(ys, block))
-    for alg, n in ((_reg_alg(0.1, 50), 100), (AlgSpec("gd2_reg", GdRegSpec(1e6), spiked), 40)):
-        fits.clear()
-        ests = [mc_excess_risk(alg, inst, n, trials, SeedSpec(47).child(s)) for s in range(64)]
-        pooled = np.mean([y.mean() for y, _ in fits]) if fits else np.mean([e.mean for e in ests])
-        z = np.array([(e.mean - pooled) / e.stderr for e in ests])
-        assert 0.75 <= np.std(z, ddof=1) <= 1.33, alg.label()
-        assert len(fits) == 64 * (ests[0].controls > 0)
-        if trials == 400:
-            bias = np.mean([(e.mean - _leave_one_out_mean(*f)) / e.stderr
-                            for e, f in zip(ests, fits)])
-            assert ests[0].controls >= 1 and abs(bias) < 0.1, (alg.label(), bias)
+    monkeypatch.setattr(risk, "_controlled", lambda ys, c: fits.append((ys[0], c)) or fit(ys, c))
+    ests = [mc_excess_risk(_reg_alg(0.1, 50), inst, 100, trials, SeedSpec(47).child(s))
+            for s in range(64)]
+    assert len(fits) == 64 and all(e.controls == 1 for e in ests)
+    pooled = np.mean([y.mean() for y, _ in fits])
+    z = np.array([(e.mean - pooled) / e.stderr for e in ests])
+    assert 0.75 <= np.std(z, ddof=1) <= 1.33
+    if trials == 400:
+        bias = np.mean([(e.mean - _leave_one_out_mean(*f)) / e.stderr for e, f in zip(ests, fits)])
+        assert abs(bias) < 0.1, bias
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (5, 1), (3, 7), (49, 50), (50, 50),
@@ -588,7 +572,7 @@ def test_spiked_risk_matches_predictor_matrices(d):
                     # W = X_r X_r^T from the columns off w_hat = e1, and z = U^T x1
                     mu, u = np.linalg.eigh(x[:, 1:] @ x[:, 1:].T)
                     z = u.T @ x[:, 0]
-                    closed = _spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0][0]
+                    closed = _spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0]
                     worst = max(worst, abs(closed - reference) / reference)
     assert worst <= 1e-12
 
