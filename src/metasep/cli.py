@@ -19,7 +19,8 @@ byte-identical for a fixed seed regardless of --workers.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 config error (a
 ValueError, in every command also an r above about 6.7e153, whose 4 r^2
-overflows, or a sigma or kappa whose square does, and in risk and nsearch
+overflows, or below about 7.5e-163, whose 4 r^2 is 0, or a sigma or kappa
+whose square overflows, and in risk and nsearch
 a w0 whose ||w0||^2 does), 3 numerical failure (an
 ArithmeticError: an overflow, or linalg.NumericalError when a computed
 matrix, spike, Reptile step or growth a_T is not finite, a vector is not
@@ -37,6 +38,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from functools import partial
 from itertools import repeat
 
@@ -338,12 +340,20 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
     """One paired search over algs at cfg's epsilon, trials and workers.
     Prints a progress line per grid point and records its stage under
     "<half>/<n>" ("<n>" when half is empty), with the statistical
-    efficiency of each algorithm scored there (_efficiency) and the number
-    of control variates its mean used; returns the n_eps list and each
-    algorithm's (n, RiskEstimate) points."""
+    efficiency of each algorithm scored there (_efficiency), the number
+    of control variates its mean used, and the count and first message of
+    the RuntimeWarnings the point emitted that the warning filters let
+    through, each still passed on to stderr; returns the n_eps list and
+    each algorithm's (n, RiskEstimate) points."""
     labels = [a.label() for a in algs]
     points = [[] for _ in algs]
     last = time.monotonic()
+    caught = []  # the current point's RuntimeWarning messages
+
+    def record(message, category, *where):
+        if issubclass(category, RuntimeWarning):
+            caught.append(str(message))
+        show(message, category, *where)
 
     def collect(n, scored):
         nonlocal last
@@ -356,13 +366,17 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
             "algorithms": scored_labels, "trials": cfg["trials"],
             "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall,
             "efficiency": [_efficiency(est.stderr, wall) for est in scored.values()],
-            "controls": [est.controls for est in scored.values()]}
+            "controls": [est.controls for est in scored.values()],
+            "warnings": {"count": len(caught), "first": caught[0] if caught else None}}
+        caught.clear()
         where = f"{half} n={n}" if half else f"n={n}"
         print(f"{command}: {where} open={','.join(scored_labels)} {wall:.2f} s",
               file=sys.stderr)
 
-    found = sample_complexity_search(algs, inst, cfg["epsilon"], grid, cfg["trials"], seed,
-                                     workers=cfg["workers"], collect=collect)
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        show, warnings.showwarning = warnings.showwarning, record
+        found = sample_complexity_search(algs, inst, cfg["epsilon"], grid, cfg["trials"], seed,
+                                         workers=cfg["workers"], collect=collect)
     return found, points
 
 

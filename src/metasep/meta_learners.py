@@ -9,9 +9,10 @@ whole trajectory lives in the reduced (a_i, b_i) coordinates:
     b_{i+1} = (1 - tau) b_i + tau * s_{i+1} * b_bar(c_i)
 
 with c_i = a_i^2 - b_i^2 and (a_bar, b_bar) the within-task flow limit
-of twolayer.flow_limit. The one loop of the recursion, _reptile_steps,
-writes that closed form out on plain floats rather than calling it, since
-the call is most of a meta-step's cost;
+of twolayer.flow_limit, in its cancellation-free form. The one loop of
+the recursion, _reptile_steps, writes that form out on plain floats
+rather than calling it, since the call is most of a meta-step's cost,
+and steps over the rates s_{i+1} tau rather than the signs;
 tests/test_meta_learners.py::test_reptile_steps_equal_flow_limit_exactly
 pins the copy to flow_limit bit for bit. reptile_spike runs the loop once
 and keeps only a_T; run_reptile steps it one sign at a time and stores
@@ -72,31 +73,40 @@ class ScalarTrajectory:
                              f"for {len(self.signs)} signs")
 
 
-def _reptile_steps(a: float, b: float, signs, tau: float, r: float) -> tuple[float, float]:
-    """Run the Reptile meta-step from (a, b) over signs; return the final (a, b).
+def _reptile_steps(a: float, b: float, rates, tau: float, r: float) -> tuple[float, float]:
+    """Run the Reptile meta-step from (a, b) over rates; return the final (a, b).
 
-    The flow limit of twolayer.flow_limit is written out here, in its
-    arithmetic order (the seed contract), with 1 - tau, 4 r^2 and sqrt
-    hoisted out of the loop. r is a MetaInstance's, which keeps 4 r^2 finite.
+    rates holds s * tau per step, s the step's task sign. The flow limit
+    of twolayer.flow_limit is written out here, in its arithmetic order
+    (the seed contract), with 1 - tau and 4 r^2 hoisted out of the loop.
+    Folding s into the rate changes no bit: for s = +-1, tau * (s * x)
+    equals (s * tau) * x exactly, as flow_limit's * 0.5 equals / 2.0. r
+    is a MetaInstance's, which keeps 4 r^2 positive and finite.
     """
-    keep, four_r2, sqrt = 1.0 - tau, 4.0 * r * r, math.sqrt
-    for s in signs:
+    keep, four_r2, sqrt, inf = 1.0 - tau, 4.0 * r * r, math.sqrt, math.inf
+    for ts in rates:
         c = a * a - b * b
         root = sqrt(four_r2 + c * c)
-        a, b = (keep * a + tau * sqrt((c + root) / 2.0),
-                keep * b + tau * (s * sqrt((root - c) / 2.0)))
+        if c >= 0.0:
+            a_bar = sqrt((c + root) * 0.5)
+            a, b = keep * a + tau * a_bar, keep * b + ts * (r / a_bar)
+        else:
+            b_abs = sqrt((root - c) * 0.5)
+            a, b = (keep * a + tau * (r / b_abs if b_abs < inf else b_abs),
+                    keep * b + ts * b_abs)
     return a, b
 
 
-def _signs(spec: ReptileSpec, seed: SeedSpec) -> list:
-    """The T task signs of a run, as Python ints (cheaper to loop over)."""
-    return rademacher_signs(seed, spec.t_tasks).tolist() if spec.t_tasks else []
+def _signs(spec: ReptileSpec, seed: SeedSpec) -> np.ndarray:
+    """The T task signs of a run, as an int array."""
+    return rademacher_signs(seed, spec.t_tasks) if spec.t_tasks else np.zeros(0, np.int64)
 
 
 def reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> float:
     """Final spike a_T of the scalar Reptile recursion from (kappa, 0), on
     the signs run_reptile draws; no trajectory is kept."""
-    return _reptile_steps(spec.kappa, 0.0, _signs(spec, seed), spec.tau, inst.r)[0]
+    rates = (spec.tau * _signs(spec, seed)).tolist()
+    return _reptile_steps(spec.kappa, 0.0, rates, spec.tau, inst.r)[0]
 
 
 def run_reptile(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> ScalarTrajectory:
@@ -110,12 +120,12 @@ def run_reptile(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> Scalar
     signs = _signs(spec, seed)
     a, b = spec.kappa, 0.0
     a_list, b_list = [a], [b]
-    for s in signs:
-        a, b = _reptile_steps(a, b, (s,), tau, r)
+    for ts in (tau * signs).tolist():
+        a, b = _reptile_steps(a, b, (ts,), tau, r)
         a_list.append(a)
         b_list.append(b)
     return ScalarTrajectory(np.array(a_list, dtype=np.float64),
-                            np.array(b_list, dtype=np.float64), signs)
+                            np.array(b_list, dtype=np.float64), signs.tolist())
 
 
 def reptile_tau_schedule(t_tasks: int, delta: float) -> float:

@@ -29,9 +29,12 @@ class MetaInstance:
     def __post_init__(self):
         if self.w_star.ndim != 1:
             raise ValueError(f"w_star must be a vector, got shape {self.w_star.shape}")
-        r = self.r  # the one domain check of r and sigma: every square taken of them is finite
-        if not (r > 0.0 and 4.0 * r * r < math.inf):
-            raise ValueError(f"r must be positive with 4 r^2 finite, got {r!r}")
+        # the one domain check of r and sigma: every square taken of them is
+        # finite, and 4 r^2 > 0 keeps the flow limit's divisor, at least
+        # sqrt(r), nonzero
+        r = self.r
+        if not 0.0 < 4.0 * r * r < math.inf:
+            raise ValueError(f"r must be positive with 4 r^2 finite and nonzero, got {r!r}")
         if not (self.sigma >= 0.0 and self.sigma * self.sigma < math.inf):
             raise ValueError(f"sigma must be nonnegative with sigma^2 finite, got {self.sigma!r}")
 
@@ -50,7 +53,7 @@ class MetaInstance:
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
         if r < 0.0:  # r e_1 has norm |r|, so __post_init__ cannot see the sign
-            raise ValueError(f"r must be positive with 4 r^2 finite, got {r!r}")
+            raise ValueError(f"r must be positive with 4 r^2 finite and nonzero, got {r!r}")
         w = np.zeros(d)
         w[0] = r
         return MetaInstance(w, float(sigma))

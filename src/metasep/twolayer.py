@@ -11,7 +11,8 @@ Two within-task procedures:
   direction, b the aligned second-layer coordinate) with conserved
   gap c = a^2 - b^2, and the limit has the closed form
   a_bar = sqrt((c + sqrt(4 r^2 + c^2)) / 2), b_bar = s * sqrt((-c +
-  sqrt(4 r^2 + c^2)) / 2). gd_pop_flow integrates the batched matrix
+  sqrt(4 r^2 + c^2)) / 2), evaluated without cancellation as
+  flow_limit says. gd_pop_flow integrates the batched matrix
   flow of tasks sharing a first layer by fixed-step RK4, as the
   numeric cross-check. Its step is capped at 5e-3: the limit does not
   depend on the step, and at that cap the drift of the conserved gap
@@ -64,6 +65,17 @@ def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
     """Closed-form flow limit (a_bar, b_bar) on plain floats for gap c.
 
     The pair satisfies a_bar * b_bar = s * r and a_bar^2 - b_bar^2 = c.
+    With root = sqrt(4 r^2 + c^2), the larger coordinate is the square
+    root of (|c| + root) / 2, a sum of two nonnegative terms, and the
+    smaller is r divided by it: exact algebra, since a_bar |b_bar| = r.
+    The textbook form sqrt((root - |c|) / 2) cancels when |c| >> r (at
+    c = 1e9, r = 1 it gives b_bar = 0.0) and takes a third square root.
+    The divisor is at least sqrt(r), so 4 r^2 > 0 (MetaInstance's
+    check) keeps the quotient finite. Where c^2 overflows, a_bar is
+    never finite: inf for c >= 0, and for c < 0 the inf |b_bar| itself
+    rather than r / inf = 0, so an overflowed state stays loud to
+    callers that check a_bar only.
+
     s is not checked here; gd_pop_fixed_point is the checked entry.
     The Reptile meta-loop, meta_learners._reptile_steps, carries a
     written-out copy of this formula;
@@ -71,7 +83,11 @@ def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
     pins the two together bit for bit.
     """
     root = math.sqrt(4.0 * r * r + c * c)
-    return math.sqrt((c + root) / 2.0), s * math.sqrt((root - c) / 2.0)
+    if c >= 0.0:
+        a_bar = math.sqrt((c + root) * 0.5)
+        return a_bar, s * (r / a_bar)
+    b_abs = math.sqrt((root - c) * 0.5)
+    return (r / b_abs if b_abs < math.inf else b_abs), s * b_abs
 
 
 def gd_pop_fixed_point(state: ScalarPair, kappa: float, r: float, s: int) -> ScalarPair:

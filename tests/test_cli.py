@@ -52,6 +52,16 @@ def test_dynamics_t_zero(tmp_path):
     assert lines[1].startswith("0,0,0.1,")
 
 
+def test_dynamics_resolves_b_at_a_large_gap(tmp_path):
+    # at kappa = 1e5 the gap c = 1e10 dwarfs 4 r^2, where the textbook flow
+    # limit's b_bar = sqrt((root - c) / 2) cancelled to 0 and every b was
+    # written as 0.0; b_1 is s_1 tau r / a_bar = s_1 * 0.3 * 1e-5
+    out = str(tmp_path / "dyn")
+    assert _run(["dynamics", "--kappa", "1e5", "--t-tasks", "3", "--out", out]) == 0
+    _, s, _, b = _read(out + ".csv").splitlines()[2].split(",")
+    assert float(b) == int(s) * 3e-6
+
+
 def test_dynamics_deterministic(tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
@@ -90,8 +100,8 @@ _GOLDEN = {
                {".csv": "48dd0f48e2aafc77ccea542418b6781436487dc958154c5ee7a1213a0127f00a",
                 ".json": "f9fdfed54cc1cbf2f76a4a5801b260373c973a799eef764ee4789a09cd7ffa27"}),
     "dynamics": (["dynamics", "--t-tasks", "200", "--seed", "0"],
-                 {".csv": "378741d4820fe134e32b5db9703cbd3d3f5df28576ed90ecffc98288cefb1f69",
-                  ".json": "8e488d9321bbfc58b993d2d61e2239d942e89302c8701e2457fb13b68d02aad7"}),
+                 {".csv": "c0d38ccfb10f9f6312ccf2a6123f070e53507047ab5b857024d559875d85693b",
+                  ".json": "c4940715faa69d2b95b3bdb1d92778d64541857622e5019c0816180ba4e2a856"}),
     "nsearch": (["nsearch", "--d", "6", "--lam", "0.5", "--epsilon", "0.6",
                  "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
                 {".json": "6b4076b76298b5f69f8788006ccbe82fd6f7b8e58929ede4f4585566c848d950"}),
@@ -106,7 +116,7 @@ _GOLDEN = {
                     "--lam-sweep", "0.5", "--seed", "0"],
                    {".json": "46a8a088c350122fd0831e4badaa45aecc076a3d5527aa15f8f2454ac664df4d"}),
     "verify": (["verify", "--seed", "0"],
-               {".json": "8543a274f798e7157afa9ff3c48a0323beb35aaa74944b23b5b7627b03997439"}),
+               {".json": "176f3a266f22f54ef34a9571c053338d792615319adea4b1cae250e84194eded"}),
 }
 
 
@@ -240,6 +250,11 @@ def test_divergent_point_with_finite_trials_writes_null_stderr(tmp_path, capsys,
     assert all(p["stderr"] is None for p in points)
     assert [p["mean"] for p in points[:null_means]] == [None] * null_means
     assert all(math.isfinite(p["mean"]) for p in points[null_means:])
+    # each point's stability warning is on record in its stage and is still
+    # passed on to the warning machinery, which writes it to stderr
+    stages = json.loads(_read(out + ".manifest.json"))["stages"]
+    assert [stages[str(p["n"])]["warnings"] for p in points] == [
+        {"count": 1, "first": str(w.message)} for w in record]
     err = capsys.readouterr().err
     assert "mean/stderr written as null" in err
     assert (f"nsearch: the mean or stderr of {6 - null_means} of 6 estimates overflows "
@@ -464,8 +479,8 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, args, key):
 
 @pytest.mark.parametrize("args,message", [
     (["growth", "--t-list", "10,20", "--seeds", "2", "--kappa", "1e154"],
-     "a_final is nan at T=10, seed index 0"),
-    (["dynamics", "--kappa", "1e154"], "meta-step 1 is not finite: a = inf, b = inf"),
+     "a_final is inf at T=10, seed index 0"),
+    (["dynamics", "--kappa", "1e154"], "meta-step 1 is not finite: a = inf, b = 0.0"),
 ], ids=["growth", "dynamics"])
 def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, message):
     # at kappa = 1e154, kappa^2 is finite but the Reptile meta-step's
@@ -499,7 +514,7 @@ def test_growth_worker_pool_edges(tmp_path, capsys):
     assert multiprocessing.active_children() == []
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: numerical failure: a_final is nan at T=10, seed index 0\n"
+    assert err == "error: numerical failure: a_final is inf at T=10, seed index 0\n"
     assert os.listdir(bad) == []
 
 
@@ -532,7 +547,21 @@ def test_overflowing_r_is_config_error(tmp_path, capsys, args):
     # the meta-step's 4 r^2 overflows above about 6.7e153: such an r can never
     # run, so it is a config error that names r, not a NaN found later
     assert _run([*args, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error: r must be positive with 4 r^2 finite, ")
+    assert capsys.readouterr().err.startswith(
+        "error: r must be positive with 4 r^2 finite and nonzero, ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["growth", "--t-list", "10", "--seeds", "2", "--r", "1e-200", "--kappa", "1e-200"],
+    ["dynamics", "--r", "1e-200", "--kappa", "1e-200"],
+], ids=["growth", "dynamics"])
+def test_underflowing_r_is_config_error(tmp_path, capsys, args):
+    # below about 7.5e-163, 4 r^2 is 0, and at c = 0 the flow limit would
+    # divide by a_bar = 0: a config error that names r, not a ZeroDivisionError
+    assert _run([*args, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        "error: r must be positive with 4 r^2 finite and nonzero, got 1e-200\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -713,7 +742,8 @@ def test_nonpositive_r_is_config_error(tmp_path, capsys, args):
         warnings.simplefilter("always")
         assert _run([*args, "--out", str(tmp_path / "x")]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert capsys.readouterr().err.startswith("error: r must be positive with 4 r^2 finite, got ")
+    assert capsys.readouterr().err.startswith(
+        "error: r must be positive with 4 r^2 finite and nonzero, got ")
     assert not (tmp_path / "x.json").exists()
 
 

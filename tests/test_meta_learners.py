@@ -26,16 +26,21 @@ def test_spec_validation():
 
 
 def _reference_trajectory(tau, kappa, r, signs):
-    """The meta-step on ScalarPair states: the flow-limit formula written
-    out (not through twolayer.flow_limit) plus interpolation, in the
-    arithmetic order the seed contract fixes."""
+    """The meta-step on ScalarPair states: the cancellation-free flow-limit
+    formula written out (not through twolayer.flow_limit) plus
+    interpolation toward s * b_bar, in the arithmetic order the seed
+    contract fixes."""
     state = ScalarPair(kappa, 0.0)
     a_values, b_values = [state.a], [state.b]
     for s in signs:
         c = state.gap
         root = math.sqrt(4.0 * r * r + c * c)
-        a_bar = math.sqrt((c + root) / 2.0)
-        b_bar = s * math.sqrt((root - c) / 2.0)
+        if c >= 0.0:
+            a_bar = math.sqrt((c + root) / 2.0)
+            b_bar = s * (r / a_bar)
+        else:
+            b_abs = math.sqrt((root - c) / 2.0)
+            a_bar, b_bar = r / b_abs, s * b_abs
         state = ScalarPair((1.0 - tau) * state.a + tau * a_bar,
                            (1.0 - tau) * state.b + tau * b_bar)
         a_values.append(state.a)
@@ -70,19 +75,24 @@ def test_run_reptile_equals_reference_exactly(tau):
 
 
 def test_reptile_steps_equal_flow_limit_exactly():
-    # the meta-loop's written-out flow limit is twolayer.flow_limit bit for
-    # bit, one step at a time, over states, rates and radii of many scales
+    # the meta-loop's written-out flow limit, stepped at the rate s * tau, is
+    # twolayer.flow_limit bit for bit, one step at a time, over states with
+    # |c| up to 1e12 and both signs of c, rates and radii of many scales, and
+    # the two states where c^2 overflows
     g = gaussian_vector(SeedSpec(23), 3 * 4000).reshape(3, -1)
     u = uniforms(SeedSpec(24), 2 * 4000).reshape(2, -1)
-    scale = 10.0 ** (4.0 * u[0] - 2.0)
+    scale = 10.0 ** (8.0 * u[0] - 2.0)
     a_all, b_all = scale * np.abs(g[0]), scale * g[1]
     r_all = 10.0 ** (0.5 * g[2])
-    for k, (a, b, r, tau) in enumerate(zip(a_all.tolist(), b_all.tolist(),
-                                           r_all.tolist(), u[1].tolist())):
+    cases = list(zip(a_all.tolist(), b_all.tolist(), r_all.tolist(), u[1].tolist()))
+    cases += [(1e154, 0.0, 1.0, 0.3), (0.0, 1e154, 1.0, 0.3)]
+    gaps = [a * a - b * b for a, b, _, _ in cases[:-2]]
+    assert max(gaps) > 1e11 and min(gaps) < -1e11
+    for k, (a, b, r, tau) in enumerate(cases):
         s = 1 if k % 2 == 0 else -1
         a_bar, b_bar = flow_limit(a * a - b * b, r, s)
         expected = ((1.0 - tau) * a + tau * a_bar, (1.0 - tau) * b + tau * b_bar)
-        assert _reptile_steps(a, b, (s,), tau, r) == expected, (a, b, r, tau, s)
+        assert _reptile_steps(a, b, (s * tau,), tau, r) == expected, (a, b, r, tau, s)
 
 
 def test_scalar_step_tau_limits():

@@ -12,9 +12,9 @@ def test_from_config_e1():
 
 
 def test_r_is_exact_without_overflow():
-    # r is the norm of r e1 bit for bit, up to the largest accepted r and
-    # also where r^2 underflows
-    for r in (1.0, 0.3, 2.0 ** 0.5, 6.7e153, 1e-160, 5e-324):
+    # r is the norm of r e1 bit for bit, from the smallest accepted r, whose
+    # r^2 underflows to 0 but 4 r^2 does not, to the largest
+    for r in (1.0, 0.3, 2.0 ** 0.5, 6.7e153, 1e-160, 1e-162):
         assert MetaInstance.from_config(5, r, 0.0).r == r
 
 
@@ -25,9 +25,11 @@ def test_from_config_validation():
     for d in (0, -1):
         with pytest.raises(ValueError, match="need d >= 1"):
             MetaInstance.from_config(d, 1.0, 0.5)
-    # 4 r^2, the meta-step's expression, overflows above about 6.7e153
-    for r in (0.0, -1.0, float("nan"), float("inf"), 6.71e153, 1e154, 1e155, 1e300):
-        with pytest.raises(ValueError, match=r"r must be positive with 4 r\^2 finite"):
+    # 4 r^2, the meta-step's expression, overflows above about 6.7e153 and
+    # underflows to 0 below about 7.5e-163
+    for r in (0.0, -1.0, float("nan"), float("inf"), 6.71e153, 1e154, 1e155, 1e300,
+              7e-163, 1e-200):
+        with pytest.raises(ValueError, match=r"r must be positive with 4 r\^2 finite and nonzero"):
             MetaInstance.from_config(2, r, 0.5)
 
 

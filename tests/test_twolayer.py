@@ -11,7 +11,7 @@ from metasep.linalg import NumericalError, SpikedIdentity
 from metasep.risk import AlgSpec
 from metasep.rng import SeedSpec, gaussian_matrix, gaussian_vector
 from metasep.tasks import Dataset, MetaInstance, Task, sample_dataset, sample_task
-from metasep.twolayer import (ScalarPair, TwoLayerParams, gd2_reg, gd_pop_fixed_point,
+from metasep.twolayer import (ScalarPair, TwoLayerParams, flow_limit, gd2_reg, gd_pop_fixed_point,
                               gd_pop_flow, gd_pop_flow_numeric)
 from metasep import oracles
 
@@ -59,6 +59,28 @@ def test_fixed_point_identities_large_batch():
     assert np.all(np.abs(a_bar * b_bar - r) <= 1e-12 * scale)
     assert np.all(np.abs((a_bar ** 2 - b_bar ** 2) - c) <= 1e-10 * np.maximum(1.0, np.abs(c)))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8, 1e12, 1e150, -1e6, -1e8, -1e12, -1e150])
+def test_flow_limit_identities_at_large_gaps(c):
+    # both identities to a few ulps relative where |c| >> r, at which the
+    # textbook sqrt((root - |c|) / 2) cancels (at c = 1e8, r = 1 it gave
+    # a_bar * b_bar = 0.863); gd_pop_fixed_point from a state with gap c too
+    tol = 4.0 * 2.0 ** -52
+    state = ScalarPair(math.sqrt(c), 0.0) if c > 0 else ScalarPair(0.0, math.sqrt(-c))
+    for r in (0.3, 1.0, 7.0):
+        for s in (1, -1):
+            fp = gd_pop_fixed_point(state, 0.0, r, s)
+            for gap, (a_bar, b_bar) in ((c, flow_limit(c, r, s)), (state.gap, (fp.a, fp.b))):
+                assert abs(a_bar * b_bar - s * r) <= tol * r, (gap, r, s)
+                assert abs((a_bar * a_bar - b_bar * b_bar) - gap) <= tol * abs(gap), (gap, r, s)
+
+
+def test_flow_limit_overflow_is_not_finite():
+    # where c^2 overflows, a_bar is not finite for either sign of c (for
+    # c < 0 not r / inf = 0), so a caller that checks only a_bar sees it
+    for c in (1e155, -1e155):
+        assert not math.isfinite(flow_limit(c, 1.0, 1)[0])
 
 
 def test_flow_starts_at_fixed_point_stays():
