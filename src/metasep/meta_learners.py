@@ -15,7 +15,7 @@ rather than calling it, since the call is most of a meta-step's cost,
 and steps over the rates s_{i+1} tau rather than the signs;
 tests/test_meta_learners.py::test_reptile_steps_equal_flow_limit_exactly
 pins the copy to flow_limit bit for bit. reptile_spike runs the loop once
-and keeps only a_T; run_reptile steps it one sign at a time and stores
+and keeps only a_T; run_reptile steps it one rate at a time and stores
 the trajectory as two float64 arrays. The meta-output is the first layer
 only, which a_T determines.
 

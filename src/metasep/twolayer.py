@@ -67,14 +67,12 @@ def flow_limit(c: float, r: float, s: int) -> tuple[float, float]:
     The pair satisfies a_bar * b_bar = s * r and a_bar^2 - b_bar^2 = c.
     With root = sqrt(4 r^2 + c^2), the larger coordinate is the square
     root of (|c| + root) / 2, a sum of two nonnegative terms, and the
-    smaller is r divided by it: exact algebra, since a_bar |b_bar| = r.
-    The textbook form sqrt((root - |c|) / 2) cancels when |c| >> r (at
-    c = 1e9, r = 1 it gives b_bar = 0.0) and takes a third square root.
-    The divisor is at least sqrt(r), so 4 r^2 > 0 (MetaInstance's
-    check) keeps the quotient finite. Where c^2 overflows, a_bar is
-    never finite: inf for c >= 0, and for c < 0 the inf |b_bar| itself
-    rather than r / inf = 0, so an overflowed state stays loud to
-    callers that check a_bar only.
+    smaller is r divided by it: exact algebra, since a_bar |b_bar| = r,
+    where sqrt((root - |c|) / 2) would cancel once |c| >> r. The divisor
+    is at least sqrt(r), so 4 r^2 > 0 (MetaInstance's check) keeps the
+    quotient finite. Where c^2 overflows, a_bar is never finite: inf for
+    c >= 0, and for c < 0 the inf |b_bar| rather than r / inf = 0, so
+    callers that check only a_bar see the overflow.
 
     s is not checked here; gd_pop_fixed_point is the checked entry.
     The Reptile meta-loop, meta_learners._reptile_steps, carries a
