@@ -236,6 +236,19 @@ def _report_nonfinite(command: str, estimates) -> None:
               f"from finite trials (a divergent learner); written as null", file=sys.stderr)
 
 
+def _report_infinite_mean(command: str, scored) -> None:
+    """One stderr line counting the (AlgSpec, RiskEstimate) pairs of scored
+    whose exact mean is +inf: a gd_reg at lam = 0 that is not scored
+    exactly, which risk does only where sigma > 0 and |n - d| <= 1. Their
+    records hold the finite plain mean of the trials."""
+    infinite = sum(alg.family == "gd_reg" and alg.params.lam == 0.0 and not est.exact
+                   for alg, est in scored)
+    if infinite:
+        print(f"{command}: {infinite} of {len(scored)} estimates have an infinite exact mean "
+              f"(gd_reg at lam = 0, sigma > 0 and |n - d| <= 1); the finite mean of their "
+              f"trials is written", file=sys.stderr)
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -341,10 +354,10 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
     Prints a progress line per grid point and records its stage under
     "<half>/<n>" ("<n>" when half is empty), with the statistical
     efficiency of each algorithm scored there (_efficiency), the number
-    of control variates its mean used, and the count and first message of
-    the RuntimeWarnings the point emitted that the warning filters let
-    through, each still passed on to stderr; returns the n_eps list and
-    each algorithm's (n, RiskEstimate) points."""
+    of control variates its mean used, whether that mean is exact, and the
+    count and first message of the RuntimeWarnings the point emitted that
+    the warning filters let through, each still passed on to stderr;
+    returns the n_eps list and each algorithm's (n, RiskEstimate) points."""
     labels = [a.label() for a in algs]
     points = [[] for _ in algs]
     last = time.monotonic()
@@ -367,6 +380,7 @@ def _search(command: str, half: str, algs, inst: MetaInstance, cfg: dict, grid,
             "nonfinite": sum(est.nonfinite for est in scored.values()), "wall_s": wall,
             "efficiency": [_efficiency(est.stderr, wall) for est in scored.values()],
             "controls": [est.controls for est in scored.values()],
+            "exact": [est.exact for est in scored.values()],
             "warnings": {"count": len(caught), "first": caught[0] if caught else None}}
         caught.clear()
         where = f"{half} n={n}" if half else f"n={n}"
@@ -407,10 +421,9 @@ def cmd_separation(cfg: dict):
 
     # grid point idx of the convex half reads master.child(0, idx), shared
     # by every lambda; of the nonconvex half, master.child(1, idx)
-    convex_found, convex_points = _search(
-        "separation", "convex",
-        [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]],
-        inst, cfg, cfg["convex_grid"], master.child(0), stages)
+    convex = [AlgSpec("gd_reg", GdRegSpec(lam), np.zeros(d)) for lam in cfg["lam_sweep"]]
+    convex_found, convex_points = _search("separation", "convex", convex, inst, cfg,
+                                          cfg["convex_grid"], master.child(0), stages)
     sweep = [{"lam": lam, "n_eps": found, "points": [_point_record(n, e) for n, e in pts]}
              for lam, found, pts in zip(cfg["lam_sweep"], convex_found, convex_points)]
     convex_n = min((found for found in convex_found if found is not None), default=None)
@@ -430,6 +443,8 @@ def cmd_separation(cfg: dict):
                       "points": [_point_record(n, e) for n, e in points]},
     }
     _report_nonfinite("separation", [e for pts in convex_points + [points] for _, e in pts])
+    _report_infinite_mean("separation", [(alg, e) for alg, pts in zip(convex, convex_points)
+                                         for _, e in pts])
     print(f"separation: convex n_eps={convex_n} nonconvex n_eps={nonconvex_n} "
           f"(alpha={alpha:.4g})")
     return {".json": table}, {"stages": stages}, 0
@@ -483,23 +498,26 @@ def cmd_risk(cfg: dict):
     record = {"alg": alg.label(), "d": inst.d, "r": inst.r, "sigma": inst.sigma,
               "trials": est.trials, "seed": seed.master_seed, **_point_record(cfg["n"], est)}
     _report_nonfinite("risk", [est])
+    _report_infinite_mean("risk", [(alg, est)])
     print(f"risk: {record['alg']} n={cfg['n']} mean={est.mean:.6g} "
           f"stderr={est.stderr:.3g}")
-    return {".json": record}, {"nonfinite": est.nonfinite, "controls": est.controls}, 0
+    return ({".json": record},
+            {"nonfinite": est.nonfinite, "controls": est.controls, "exact": est.exact}, 0)
 
 
 def cmd_nsearch(cfg: dict):
     inst = MetaInstance.from_config(cfg["d"], cfg["r"], cfg["sigma"])
     seed = SeedSpec(cfg["seed"])
     stages = {}
-    (found,), (points,) = _search("nsearch", "", [_make_alg(cfg, inst, seed)], inst, cfg,
-                                  cfg["n_grid"], seed, stages)
+    alg = _make_alg(cfg, inst, seed)
+    (found,), (points,) = _search("nsearch", "", [alg], inst, cfg, cfg["n_grid"], seed, stages)
     result = {
         "epsilon": cfg["epsilon"],
         "n_eps": found,
         "points": [_point_record(n, e) for n, e in points],
     }
     _report_nonfinite("nsearch", [e for _, e in points])
+    _report_infinite_mean("nsearch", [(alg, e) for _, e in points])
     print(f"nsearch: n_eps={found}")
     return {".json": result}, {"stages": stages}, 0
 

@@ -72,12 +72,21 @@ its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
 term. The trial risks are one (algorithms, trials) array, and every mean,
 stderr and non-finite count is one reduction over its rows (_estimates).
 
+A gd_reg learner at lam = 0 has a known mean. With m = max(n, d), its
+E[excess | B] from w0 is (r^2 + ||w0||^2)(d - k) / d + sigma^2 tr T^-1,
+whose mean is (r^2 + ||w0||^2)(d - k) / d + sigma^2 k / (m - k - 1) (the
+inverse-Wishart mean, Muirhead 1982, Thm 3.2.12; _ridgeless_mean). It is
+finite where m - k >= 2 or sigma = 0, and there the estimate is that mean
+with stderr 0 and exact set. Where sigma > 0 and |n - d| <= 1 the mean is
++inf, and the estimate stays the plain mean of the trials, which is
+finite: perfbench's checks still count an infinite mean as a failed
+operation. Its trial row is formed, reduced and checked for non-finite
+values either way.
+
 The gd_reg rows at lam > 0 are corrected by a control variate: a value of
 the same draws whose mean is known exactly (_controlled). It is the
-init-free lam = 0 row, (r^2 / d)(d - k) + sigma^2 tr T^-1, with m =
-max(n, d) and mean r^2 (d - k) / d + sigma^2 k / (m - k - 1) (the
-inverse-Wishart mean, Muirhead 1982, Thm 3.2.12), used only where
-m - k >= 4: its variance is finite only for m - k > 3 (von Rosen 1988).
+init-free lam = 0 row minus _ridgeless_mean, used only where m - k >= 4:
+its variance is finite only for m - k > 3 (von Rosen 1988).
 beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
 do not depend on workers; the mean is the intercept mean(y - beta c) and
 the stderr the intercept's, from the residuals with ddof 2. A beta fitted
@@ -97,7 +106,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,14 +125,17 @@ _CHUNK = 32
 @dataclass(frozen=True)
 class RiskEstimate:
     """Monte-Carlo mean, standard error, trial count, the number of
-    trials whose excess risk is not finite (a divergent gd_step), and the
-    number of control variates the mean was corrected by (0 or 1, _estimates)."""
+    trials whose excess risk is not finite (a divergent gd_step), the
+    number of control variates the mean was corrected by (0 or 1,
+    _estimates), and whether the mean is the exact one (a gd_reg at lam =
+    0 whose mean is finite, with stderr 0)."""
 
     mean: float
     stderr: float
     trials: int
     nonfinite: int = 0
     controls: int = 0
+    exact: bool = False
 
     def __post_init__(self):
         if self.trials < 2:
@@ -235,15 +247,26 @@ def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
     return scaled * scaled * tr2, (tr1 - scaled * tr2) / rho
 
 
+def _ridgeless_mean(d: int, n: int, r2: float, sigma2: float, w0_sq: float = 0.0) -> float:
+    """The exact mean of gd_reg's lam = 0 risk from a w0 with ||w0||^2 =
+    w0_sq (module docstring): (r^2 + ||w0||^2)(d - k) / d + sigma^2 k / (m - k - 1),
+    +inf where sigma > 0 and m - k <= 1."""
+    k, m = min(n, d), max(n, d)
+    null_space = r2 * (d - k) / d + w0_sq / d * (d - k)
+    if sigma2 == 0.0:
+        return null_space
+    return null_space + sigma2 * k / (m - k - 1) if m - k >= 2 else math.inf
+
+
 def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
                  r2: float, sigma2: float):
     """E[excess | B] (module docstring) of the gd_reg learners algs, a
     (len(algs), rows) array, for the bidiagonals B of _ridge_sums, and the
     control variate of their lam > 0 rows: the init-free lam = 0 row minus
-    its exact mean r^2 (d - k) / d + sigma^2 k / (m - k - 1), formed only
-    where some lam > 0 and m - k >= 4 (else None). One pass of the
-    recurrence serves every distinct lam, whose init-free risk is formed
-    once; each learner then adds only its lam = 0 w0 term.
+    its exact mean (_ridgeless_mean), formed only where some lam > 0 and
+    m - k >= 4 (else None). One pass of the recurrence serves every
+    distinct lam, whose init-free risk is formed once; each learner then
+    adds only its lam = 0 w0 term.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
@@ -259,7 +282,7 @@ def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
         for row, alg in zip(out, algs):
             if alg.params.lam == 0.0 and d > k:
                 row += float(alg.init @ alg.init) / d * (d - k)
-    null = free[0] - (r2 * (d - k) / d + sigma2 * k / (m - k - 1)) if control else None
+    null = free[0] - _ridgeless_mean(d, n, r2, sigma2) if control else None
     return out, null
 
 
@@ -356,8 +379,9 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     the call warns of does not depend on workers. Only a gd_step past
     that limit may have non-finite trial risks, or a mean or stderr that
     overflows from finite ones; for any other algorithm either raises
-    NumericalError. The gd_reg rows at lam > 0 are corrected by a control
-    variate (module docstring).
+    NumericalError. A gd_reg at lam = 0 is then given its exact mean
+    where that is finite, and the gd_reg rows at lam > 0 are corrected by
+    a control variate (module docstring).
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -414,15 +438,23 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         elif alg.family == "gd2_reg":
             values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
     top = 0.0 if spectra is None else float(spectra[:, 0].max())
-    divergent = [a.family == "gd_step" and past_step_limit(a.params.eta, top) for a in algs]
+    divergent = []
+    # a plain loop: on Python 3.10-3.11 a comprehension is a frame of its own,
+    # which past_step_limit's stacklevel would name in place of the caller
+    for alg in algs:
+        divergent.append(alg.family == "gd_step" and past_step_limit(alg.params.eta, top))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
         estimates = _estimates(values, controlled, null)
-    for alg, est, counted in zip(algs, estimates, divergent):
+    for j, (alg, est, counted) in enumerate(zip(algs, estimates, divergent)):
         if not (counted or math.isfinite(est.mean) and math.isfinite(est.stderr)):
             raise NumericalError(f"{alg.label()} at n={n}: " + (
                 f"{est.nonfinite} of {trials} trial excess risks are not finite" if est.nonfinite
                 else f"the mean or stderr of {trials} finite trial excess risks overflows")
                 + ", which only a gd_step past its stability limit may give")
+        if alg.family == "gd_reg" and alg.params.lam == 0.0:
+            mean = _ridgeless_mean(d, n, r2, sigma2, float(alg.init @ alg.init))
+            if math.isfinite(mean):
+                estimates[j] = replace(est, mean=mean, stderr=0.0, exact=True)
     return estimates
 
 

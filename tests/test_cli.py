@@ -176,7 +176,8 @@ def test_separation_progress_and_stages(tmp_path, capsys):
         assert stages[key]["nonfinite"] == 0
         assert line.split("open=")[1].split(" ")[0] == ",".join(stages[key]["algorithms"])
     # each scored algorithm's statistical efficiency, 1 / (stderr^2 wall_s),
-    # from the stderr in the data file
+    # from the stderr in the data file, and null where the stderr is 0: the
+    # lam = 0 points, whose exact mean is finite at n = 4 and 8 (d = 6)
     stderrs = {f"convex/{p['n']}": [] for p in table["convex"]["sweep"][0]["points"]}
     for sweep in table["convex"]["sweep"]:
         for p in sweep["points"]:
@@ -185,10 +186,43 @@ def test_separation_progress_and_stages(tmp_path, capsys):
         stderrs[f"nonconvex/{p['n']}"] = [p["stderr"]]
     for key, stage in stages.items():
         assert stage["efficiency"] == pytest.approx(
-            [1.0 / (se * se * stage["wall_s"]) for se in stderrs[key]], rel=1e-12), key
+            [1.0 / (se * se * stage["wall_s"]) if se else None for se in stderrs[key]],
+            rel=1e-12), key
+        assert stage["exact"] == [label == "gd_reg(lam=0)" for label in stage["algorithms"]]
     assert stages["convex/4"]["algorithms"] == ["gd_reg(lam=0)", "gd_reg(lam=0.5)"]
+    assert [p["stderr"] for p in table["convex"]["sweep"][0]["points"]] == [0.0, 0.0]
     assert [s["lam"] for s in table["convex"]["sweep"]] == [0.0, 0.5]
     assert "wall_s" not in _read(out + ".json")
+
+
+@pytest.mark.parametrize("n, exact", [(4, False), (5, False), (6, True), (2, True)])
+def test_risk_reports_an_infinite_exact_mean(tmp_path, capsys, n, exact):
+    # gd_reg at lam = 0 with sigma > 0 has an infinite exact mean where
+    # |n - d| <= 1: one stderr line says so, the finite trial mean is
+    # written, and the run exits 0. Elsewhere the mean is exact
+    out = str(tmp_path / "risk")
+    assert _run(["risk", "--d", "4", "--n", str(n), "--trials", "40", "--out", out]) == 0
+    rec = json.loads(_read(out + ".json"))
+    assert math.isfinite(rec["mean"]) and (rec["stderr"] == 0.0) == exact
+    assert json.loads(_read(out + ".manifest.json"))["exact"] is exact
+    err = [line for line in capsys.readouterr().err.splitlines() if "infinite" in line]
+    assert err == ([] if exact else [
+        "risk: 1 of 1 estimates have an infinite exact mean (gd_reg at lam = 0, sigma > 0 "
+        "and |n - d| <= 1); the finite mean of their trials is written"])
+
+
+def test_searches_report_an_infinite_exact_mean(tmp_path, capsys):
+    # the line counts the points of gd_reg at lam = 0 and |n - d| <= 1, not
+    # those of a lam > 0 learner at the same n
+    assert _run(["nsearch", "--d", "4", "--n-grid", "2,3,8", "--epsilon", "1e-9",
+                 "--trials", "20", "--out", str(tmp_path / "ns")]) == 0
+    assert _run(["separation", "--d", "6", "--trials", "20", "--lam-sweep", "0,0.5",
+                 "--convex-grid", "6,7,12", "--nonconvex-grid", "4,8", "--alpha-target", "50",
+                 "--out", str(tmp_path / "sep")]) == 0
+    err = [line for line in capsys.readouterr().err.splitlines() if "infinite" in line]
+    assert [line.split(" (")[0] for line in err] == [
+        "nsearch: 1 of 3 estimates have an infinite exact mean",
+        "separation: 2 of 6 estimates have an infinite exact mean"]
 
 
 def test_risk_json_record(tmp_path):

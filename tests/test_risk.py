@@ -341,24 +341,99 @@ def test_trial_rows_do_not_depend_on_the_block():
                 assert part is None or np.array_equal(part, full)
 
 
+def _plain_ridge_row(alg, inst, n, trials, seed):
+    """The plain mean and ddof=1 stderr of the per-trial gd_reg row that
+    mc_excess_risk_many forms for alg on seed's chi draws."""
+    d, k = inst.d, min(n, inst.d)
+    chi = wishart_chi(seed, n, d, 0, trials)
+    (row,), _ = risk._ridge_risks([alg], chi[:, :k], chi[:, k:], d, n,
+                                  float(inst.w_star @ inst.w_star), inst.sigma ** 2)
+    return float(np.mean(row)), float(np.std(row, ddof=1)) / math.sqrt(trials)
+
+
 def test_ridge_risk_at_d_1000():
     # d = 1000, n = 20000, where a dense SVD per trial costs about 0.7 s:
-    # at lam = 0 the mean is sigma^2 d / (n - d - 1) exactly, and at
-    # lam = d / n it stays above the exact convex bound
+    # at lam = 0 the trials' mean is sigma^2 d / (n - d - 1) exactly, which
+    # the estimate is, and at lam = d / n it stays above the exact convex bound
     d, n = 1000, 20000
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     ols, ridge = mc_excess_risk_many([_reg_alg(0.0, d), _reg_alg(d / n, d)], inst, n, 64,
                                      SeedSpec(39))
-    assert abs(ols.mean - d / (n - d - 1)) <= 4.0 * ols.stderr
+    mean, stderr = _plain_ridge_row(_reg_alg(0.0, d), inst, n, 64, SeedSpec(39))
+    assert abs(mean - d / (n - d - 1)) <= 4.0 * stderr
+    assert ols.exact and ols.mean == pytest.approx(d / (n - d - 1), rel=1e-15)
     assert ridge.mean + 3.0 * ridge.stderr >= convex_lower_bound_exact(d, n, 1.0, 1.0)
 
 
 def test_ols_risk_matches_exact_value():
-    # lam = 0 with n > d + 1: E ||(X^T X)^{-1} X^T noise||^2 = sigma^2 d / (n - d - 1)
+    # lam = 0 with n > d + 1: E ||(X^T X)^{-1} X^T noise||^2 = sigma^2 d / (n - d - 1),
+    # against the plain mean of the trials the estimator forms
     d, n = 10, 30
     inst = MetaInstance.from_config(d, 1.0, 1.0)
-    est = mc_excess_risk(_reg_alg(0.0, d), inst, n, 400, SeedSpec(23))
-    assert abs(est.mean - d / (n - d - 1)) <= 4.0 * est.stderr
+    mean, stderr = _plain_ridge_row(_reg_alg(0.0, d), inst, n, 400, SeedSpec(23))
+    assert abs(mean - d / (n - d - 1)) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("d, n", [(8, 4), (8, 16), (8, 10), (1, 8)])
+def test_ridgeless_estimate_is_exact(d, n):
+    # where the inverse-Wishart mean is finite, m - k >= 2, the lam = 0
+    # estimate is that mean with stderr 0, from w0 = 0 and w0 != 0. At
+    # (8, 10), m - k = 2: the mean is finite but the variance is not
+    k, m = min(n, d), max(n, d)
+    inst = MetaInstance.from_config(d, 1.3, 0.7)
+    r2, sigma2 = float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    g = gaussian_vector(SeedSpec(50), d)
+    w0s = (np.zeros(d), 2.0 * g / np.linalg.norm(g))
+    ests = mc_excess_risk_many([_reg_alg(0.0, d, w0) for w0 in w0s], inst, n, 40,
+                               SeedSpec(51).child(d, n))
+    for w0, est in zip(w0s, ests):
+        w0_sq = float(w0 @ w0)
+        assert est.mean == risk._ridgeless_mean(d, n, r2, sigma2, w0_sq)
+        assert est.mean == pytest.approx((r2 + w0_sq) * (d - k) / d + sigma2 * k / (m - k - 1),
+                                         rel=1e-15)
+        assert (est.stderr, est.trials, est.nonfinite, est.controls, est.exact) == (
+            0.0, 40, 0, 0, True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_noiseless_ridgeless_estimate_is_exact_at_n_equal_d(d):
+    # at sigma = 0 the mean is (r^2 + ||w0||^2)(d - k) / d at any (n, d)
+    inst = MetaInstance.from_config(d, 1.0, 0.0)
+    for n in (d - 1, d, d + 1):
+        if n >= 1:
+            est = mc_excess_risk(_reg_alg(0.0, d, inst.w_star.copy()), inst, n, 20, SeedSpec(52))
+            assert est.exact and est.stderr == 0.0
+            assert est.mean == pytest.approx(2.0 * (d - min(n, d)) / d, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("d, n", [(20, 19), (20, 20), (20, 21), (1, 1), (1, 2)])
+def test_ridgeless_estimate_stays_plain_where_the_mean_is_infinite(d, n):
+    # sigma > 0 and |n - d| <= 1: the exact mean is +inf, and the estimate
+    # is the plain reduction of the trials, as it was before exact means
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    alg, seed = _reg_alg(0.0, d, inst.w_star.copy()), SeedSpec(53).child(d, n)
+    assert risk._ridgeless_mean(d, n, 1.0, 1.0) == math.inf
+    est = mc_excess_risk(alg, inst, n, 100, seed)
+    chi = wishart_chi(seed, n, d, 0, 100)
+    k = min(n, d)
+    rows, _ = risk._ridge_risks([alg], chi[:, :k], chi[:, k:], d, n, 1.0, 1.0)
+    assert est == risk._estimates(rows)[0]
+    assert not est.exact and est.controls == 0 and 0.0 < est.stderr < math.inf
+
+
+def test_ridgeless_exact_mean_leaves_the_control_bytes():
+    # the lam > 0 rows of a call that also scores lam = 0 keep the bytes of
+    # their control-variate fit, centred on the same inverse-Wishart mean
+    d, n = 8, 16
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    g = gaussian_vector(SeedSpec(49), d)
+    w = 2.0 * g / np.linalg.norm(g)
+    algs = [_reg_alg(0.0, d), _reg_alg(0.0, d, w), _reg_alg(0.1, d), _reg_alg(1.0, d, w)]
+    ests = mc_excess_risk_many(algs, inst, n, 400, SeedSpec(48))
+    assert [(e.mean, e.stderr, e.controls, e.exact) for e in ests] == [
+        (8 / 7, 0.0, 0, True), (8 / 7, 0.0, 0, True),
+        (0.6255052710908017, 0.001827063204688696, 1, False),
+        (0.4650346028145441, 0.0010285509229266785, 1, False)]
 
 
 @pytest.mark.parametrize("w0_scale", [0.0, 1.0])
@@ -389,8 +464,10 @@ def test_step_limit_warns_at_equality_on_all_trials():
         for workers in (1, 2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                est = mc_excess_risk(alg, inst, n, trials, seed, workers=workers)
+                (est,) = mc_excess_risk_many([alg], inst, n, trials, seed, workers=workers)
             assert len(caught) == warned
+            # the warning names the line that called mc_excess_risk_many
+            assert all(w.filename == __file__ for w in caught)
             assert est.nonfinite == 0
 
 
