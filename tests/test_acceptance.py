@@ -294,7 +294,8 @@ def test_criterion_10_worker_count_byte_identity(tmp_path):
     serially and take no --workers. risk and nsearch score a gd_reg, which
     runs inline at any --workers; separation's nonconvex half draws its 64
     trials as two 32-trial chunks on two threads, and growth's 5 seeds map
-    over 4 worker processes."""
+    over min(4, os.cpu_count()) worker processes (2 on a 2-CPU machine), as
+    growth forks at most one per CPU."""
     runs = {
         "risk": ["risk", "--d", "6", "--n", "8", "--lam", "0.5",
                  "--trials", "64"],

@@ -144,7 +144,7 @@ def test_divergent_risk_writes_strict_json(tmp_path, capsys):
     rec = json.loads(_read(out + ".json"), parse_constant=reject)
     assert rec["mean"] is None and rec["stderr"] is None
     assert rec["trials"] == 10
-    assert json.loads(_read(out + ".manifest.json"))["nonfinite"] == 10
+    assert json.loads(_read(out + ".manifest.json"))["stages"]["12"]["nonfinite"] == 10
     err = [line for line in capsys.readouterr().err.splitlines() if "non-finite" in line]
     assert err == ["risk: 10 of 10 trials gave a non-finite excess risk "
                    "(a divergent learner); mean/stderr written as null"]
@@ -204,7 +204,7 @@ def test_risk_reports_an_infinite_exact_mean(tmp_path, capsys, n, exact):
     assert _run(["risk", "--d", "4", "--n", str(n), "--trials", "40", "--out", out]) == 0
     rec = json.loads(_read(out + ".json"))
     assert math.isfinite(rec["mean"]) and (rec["stderr"] == 0.0) == exact
-    assert json.loads(_read(out + ".manifest.json"))["exact"] is exact
+    assert json.loads(_read(out + ".manifest.json"))["stages"][str(n)]["exact"] == [exact]
     err = [line for line in capsys.readouterr().err.splitlines() if "infinite" in line]
     assert err == ([] if exact else [
         "risk: 1 of 1 estimates have an infinite exact mean (gd_reg at lam = 0, sigma > 0 "
@@ -213,7 +213,8 @@ def test_risk_reports_an_infinite_exact_mean(tmp_path, capsys, n, exact):
 
 def test_searches_report_an_infinite_exact_mean(tmp_path, capsys):
     # the line counts the points of gd_reg at lam = 0 and |n - d| <= 1, not
-    # those of a lam > 0 learner at the same n
+    # those of a lam > 0 learner at the same n, out of every estimate scored:
+    # separation's 6 convex and 2 nonconvex
     assert _run(["nsearch", "--d", "4", "--n-grid", "2,3,8", "--epsilon", "1e-9",
                  "--trials", "20", "--out", str(tmp_path / "ns")]) == 0
     assert _run(["separation", "--d", "6", "--trials", "20", "--lam-sweep", "0,0.5",
@@ -222,7 +223,7 @@ def test_searches_report_an_infinite_exact_mean(tmp_path, capsys):
     err = [line for line in capsys.readouterr().err.splitlines() if "infinite" in line]
     assert [line.split(" (")[0] for line in err] == [
         "nsearch: 1 of 3 estimates have an infinite exact mean",
-        "separation: 2 of 6 estimates have an infinite exact mean"]
+        "separation: 2 of 8 estimates have an infinite exact mean"]
 
 
 def test_risk_json_record(tmp_path):
@@ -316,6 +317,63 @@ def test_efficiency_is_null_unless_finite():
     for stderr, wall in ((0.0, 1.0), (0.5, 0.0), (math.inf, 1.0), (math.nan, 1.0),
                          (1e-200, 1.0), (1e-154, 0.01)):
         assert cli._efficiency(stderr, wall) is None, (stderr, wall)
+
+
+# a small run of each command that closes stages, and the stage names it closes
+_CLOCKED = {
+    "risk": (["risk", "--d", "4", "--n", "6", "--trials", "20"], ["6"]),
+    "nsearch": (["nsearch", "--d", "4", "--n-grid", "2,6", "--epsilon", "1e-9",
+                 "--trials", "20"], ["2", "6"]),
+    "separation": (_GOLDEN["separation"][0], ["convex/4", "convex/8", "nonconvex/4"]),
+    "growth": (["growth", "--t-list", "10,20", "--seeds", "2"], ["10", "20"]),
+    "verify": (["verify"], [name for name, _, _ in oracles.SUITES]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOCKED))
+def test_stages_partition_the_run(tmp_path, name):
+    # main's one clock ends each stage where the next begins, so the stage
+    # walls sum to at most the run's; every stage records its warnings
+    args, names = _CLOCKED[name]
+    out = str(tmp_path / name)
+    assert _run([*args, "--out", out]) == 0
+    manifest = json.loads(_read(out + ".manifest.json"))
+    stages = manifest["stages"]
+    assert sorted(stages) == sorted(names)
+    for stage in stages.values():
+        assert stage["wall_s"] >= 0.0
+        assert stage["warnings"] == {"count": 0, "first": None}
+    assert sum(stage["wall_s"] for stage in stages.values()) <= manifest["wall_time_s"]
+
+
+def _warning_first(fn, message):
+    def warned(*args, **kwargs):
+        warnings.warn(message, RuntimeWarning)
+        return fn(*args, **kwargs)
+    return warned
+
+
+def test_stages_count_their_runtime_warnings(tmp_path, monkeypatch):
+    # a RuntimeWarning raised inside a growth T, a verify suite or risk's
+    # point is counted in that stage, and still reaches the warning machinery
+    monkeypatch.setattr(cli, "_reptile_spike", _warning_first(cli._reptile_spike, "run"))
+    monkeypatch.setattr(cli, "mc_excess_risk", _warning_first(cli.mc_excess_risk, "point"))
+    quiet = lambda seed: ([(0.0, 0.0, 1.0)], None)  # noqa: E731
+    monkeypatch.setattr(oracles, "SUITES", [("quiet", quiet, 1e-8),
+                                            ("loud", _warning_first(quiet, "suite"), 1e-8)])
+    runs = {"growth": (["growth", "--t-list", "10,20", "--seeds", "2", "--workers", "1"],
+                       {"10": 2, "20": 2}, "run"),
+            "verify": (["verify"], {"quiet": 0, "loud": 1}, "suite"),
+            "risk": (["risk", "--d", "4", "--n", "6", "--trials", "20"], {"6": 1}, "point")}
+    for name, (args, counts, message) in runs.items():
+        out = str(tmp_path / name)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _run([*args, "--out", out]) == 0
+        assert [str(w.message) for w in record] == [message] * sum(counts.values())
+        stages = json.loads(_read(out + ".manifest.json"))["stages"]
+        assert {key: stage["warnings"] for key, stage in stages.items()} == {
+            key: {"count": count, "first": message if count else None}
+            for key, count in counts.items()}, name
 
 
 def test_growth_without_seeds_is_config_error(tmp_path, capsys):
@@ -454,8 +512,8 @@ def test_every_option_is_read_by_its_runner(tmp_path, monkeypatch):
     runners = dict(cli._RUNNERS)
     for args in runs:
         name = args[0]
-        monkeypatch.setitem(cli._RUNNERS, name,
-                            lambda cfg, name=name: runners[name](_ReadLog(cfg, reads[name])))
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg, stage, name=name:
+                            runners[name](_ReadLog(cfg, reads[name]), stage))
         assert _run([*args, "--out", str(tmp_path / name)]) == 0
     for name, options in cli._OPTIONS.items():
         # main, not the runner, writes the files that out names
@@ -482,9 +540,13 @@ def test_config_file_must_hold_an_object(tmp_path, capsys, body):
     assert capsys.readouterr().err.endswith("must hold a JSON object\n")
 
 
-def test_bad_w0_spec_is_config_error(tmp_path):
-    assert _run(["risk", "--w0", "sideways", "--trials", "10",
-                 "--out", str(tmp_path / "x")]) == 2
+def test_bad_w0_spec_is_config_error(tmp_path, capsys):
+    # every family checks the spec, gd2_reg too, though it ignores the vector
+    for family in ("gd_reg", "gd_step", "gd2_reg"):
+        assert _run(["risk", "--family", family, "--w0", "sideways", "--d", "3", "--trials", "10",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: w0 ")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("args,key", [
@@ -527,7 +589,7 @@ def test_overflowing_meta_step_is_numerical_failure(tmp_path, capsys, args, mess
 
 
 def test_growth_worker_pool_edges(tmp_path, capsys):
-    # growth maps each T's seeds over min(workers, seeds) forked processes:
+    # growth maps each T's seeds over min(workers, seeds, CPUs) forked processes:
     # 3 seeds over 2 workers (chunks of 2 and 1) and 1 seed at --workers 4
     # (the serial path) write the bytes of --workers 1; the overflow case at
     # --workers 2 stops with the serial run's line; no worker outlives main
@@ -550,6 +612,36 @@ def test_growth_worker_pool_edges(tmp_path, capsys):
     assert out == ""
     assert err == "error: numerical failure: a_final is inf at T=10, seed index 0\n"
     assert os.listdir(bad) == []
+
+
+def test_growth_forks_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    # --workers 8 with 8 seeds on 2 CPUs maps each T's seeds over 2 processes,
+    # in chunks of 4, and writes the bytes of --workers 1. A stand-in pool
+    # records that and maps in-process, so nothing forks
+    import concurrent.futures.process
+    made = []
+
+    class Pool:
+        def __init__(self, workers, mp_context):
+            made.append(workers)
+
+        def map(self, fn, *iterables, chunksize):
+            made.append(chunksize)
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
+    data = {}
+    for w in ("1", "8"):
+        out = str(tmp_path / f"w{w}")
+        assert _run(["growth", "--t-list", "10,20", "--seeds", "8", "--workers", w,
+                     "--out", out]) == 0
+        data[w] = [_read(out + ext) for ext in (".csv", ".json")]
+    assert made == [2, 4, 4]
+    assert data["1"] == data["8"]
 
 
 @pytest.mark.parametrize("args", [
@@ -896,7 +988,7 @@ def test_command_help_lists_only_its_flags(capsys):
 def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, exc, code):
     # the exception's class alone picks the exit code: an ArithmeticError is
     # a numerical failure, any other ValueError a config error
-    def fail(cfg):
+    def fail(cfg, stage):
         raise exc
 
     monkeypatch.setitem(cli._RUNNERS, "risk", fail)
@@ -908,7 +1000,7 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, exc, code):
 
 def test_range_failure_exit_code(tmp_path, monkeypatch, capsys):
     # a right-hand side outside range(M) is a numerical failure, not a config error
-    def fail(cfg):
+    def fail(cfg, stage):
         linear_flow_solve(np.diag([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2), 1.0)
 
     monkeypatch.setitem(cli._RUNNERS, "risk", fail)
