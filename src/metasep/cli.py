@@ -324,11 +324,16 @@ def cmd_dynamics(cfg: dict, stage):
     return {".csv": (("i", "s", "a", "b"), rows), ".json": summary}, 0
 
 
-def _reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec) -> float:
+def _reptile_spike(spec: ReptileSpec, inst: MetaInstance, seed: SeedSpec):
     """reptile_spike as the target of growth's process pool, which pickles
     it by name: perfbench's tracer swaps each public metasep function for
-    a closure that does not pickle, and leaves private ones alone."""
-    return reptile_spike(spec, inst, seed)
+    a closure that does not pickle, and leaves private ones alone. Returns
+    a_T and the (message, category, filename, lineno) of each warning the
+    run raised, which cmd_growth re-issues in the parent, so a forked
+    worker's warnings reach the stage clock as an inline run's do."""
+    with warnings.catch_warnings(record=True) as caught:
+        a_t = reptile_spike(spec, inst, seed)
+    return a_t, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
 def cmd_growth(cfg: dict, stage):
@@ -361,7 +366,9 @@ def cmd_growth(cfg: dict, stage):
             seeds = [master.child(ti, si) for si in range(cfg["seeds"])]
             spikes = spikes_of(_reptile_spike, repeat(spec), repeat(inst), seeds)
             hits = 0
-            for si, a_t in enumerate(spikes):
+            for si, (a_t, caught) in enumerate(spikes):
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno)
                 if not math.isfinite(a_t):
                     raise NumericalError(f"a_final is {a_t!r} at T={t_tasks}, seed index {si}")
                 ok = a_t >= bound

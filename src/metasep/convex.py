@@ -19,6 +19,8 @@ the row space of X. linear_flow_solve is the flow on a generic (M, b).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +38,9 @@ _RANGE_RTOL = 1e-8
 # much larger cutoff misclassifies ill-conditioned square designs as
 # rank-deficient and falsely fails the range check on b.
 _EIG_RTOL = 1e-13
+# past_step_limit's warning names the first frame outside these files, the
+# line that asked for the divergent learner, at any depth of calls in them
+_INNER_FILES = frozenset({__file__, os.path.join(os.path.dirname(__file__), "risk.py")})
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,16 @@ def past_step_limit(eta: float, top: float) -> bool:
     spectrum whose largest eigenvalue is top; warns once if so. Past it
     the iteration diverges, and learner_factors' decay overflows to inf
     rather than raise, so callers sweeping unstable (eta, t0) grids get
-    inf risk."""
+    inf risk. The warning names the first caller outside this module and
+    risk.py."""
     if top > 0 and eta >= 2.0 / top:
+        level, frame = 2, sys._getframe(1)
+        while frame is not None and frame.f_code.co_filename in _INNER_FILES:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"step size eta = {eta} is at or beyond the stability limit "
             f"2 / lambda_max = {2.0 / top:.3e}; the iteration diverges",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=level)
         return True
     return False
 

@@ -83,19 +83,24 @@ finite: perfbench's checks still count an infinite mean as a failed
 operation. Its trial row is formed, reduced and checked for non-finite
 values either way.
 
-The gd_reg rows at lam > 0 are corrected by a control variate: a value of
-the same draws whose mean is known exactly (_controlled). It is the
-init-free lam = 0 row minus _ridgeless_mean, used only where m - k >= 4:
-its variance is finite only for m - k > 3 (von Rosen 1988).
-beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
-do not depend on workers; the mean is the intercept mean(y - beta c) and
-the stderr the intercept's, from the residuals with ddof 2. A beta fitted
-on the same trials biases the mean by O(1 / trials): 0.012 stderr for
-gd_reg(lam = 0.1) at (d, n) = (50, 100) at 400 trials over 512 seeds,
-against leave-one-out fits. A row whose control is constant (the lam = 0
-row at sigma = 0) or not finite, or whose fit would keep fewer than two
-residual degrees of freedom, keeps the plain mean and ddof=1 stderr bit
-for bit, as does every other row.
+The gd_step rows and the gd_reg rows at lam > 0 are corrected by a
+control variate: a value of the same draws whose mean is known exactly
+(_controlled). It is the init-free lam = 0 row minus _ridgeless_mean,
+used only where m - k >= 4: its variance is finite only for m - k > 3
+(von Rosen 1988). A call that scores such a row forms the lam = 0 column
+in its one _ridge_sums pass (at lam = 0 alone when it scores no gd_reg),
+so a solo estimate equals its paired one. beta = cov(y, c) / var(c) is
+fitted on all trials together, so the bytes do not depend on workers;
+the mean is the intercept mean(y - beta c) and the stderr the
+intercept's, from the residuals with ddof 2. A beta fitted on the same
+trials biases the mean by O(1 / trials): 0.012 stderr for gd_reg(lam =
+0.1) at (d, n) = (50, 100) and 0.008 for gd_step(eta = 0.01, t0 = 10) at
+(20, 80), at 400 trials over 512 and 64 seeds, against leave-one-out
+fits. A row whose control is constant (the lam = 0 row at sigma = 0) or
+not finite, or whose fit would keep fewer than two residual degrees of
+freedom, keeps the plain mean and ddof=1 stderr bit for bit, as do a
+gd_step past its stability limit (even where its trials are finite) and
+every gd2_reg row.
 
 Only a gd_step past its stability limit may have non-finite trial risks,
 mean or stderr; any other overflow raises NumericalError. This module only
@@ -259,22 +264,22 @@ def _ridgeless_mean(d: int, n: int, r2: float, sigma2: float, w0_sq: float = 0.0
 
 
 def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
-                 r2: float, sigma2: float):
+                 r2: float, sigma2: float, control: bool = False):
     """E[excess | B] (module docstring) of the gd_reg learners algs, a
     (len(algs), rows) array, for the bidiagonals B of _ridge_sums, and the
-    control variate of their lam > 0 rows: the init-free lam = 0 row minus
-    its exact mean (_ridgeless_mean), formed only where some lam > 0 and
-    m - k >= 4 (else None). One pass of the recurrence serves every
-    distinct lam, whose init-free risk is formed once; each learner then
-    adds only its lam = 0 w0 term.
+    control variate: the init-free lam = 0 row minus its exact mean
+    (_ridgeless_mean), formed only where control (some row of the call is
+    corrected by it) and m - k >= 4 (else None). One pass of the recurrence
+    serves every distinct lam and the control's lam = 0 (alone when algs is
+    empty), whose init-free risk is formed once; each learner then adds
+    only its lam = 0 w0 term.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
     form takes the ridge limit, which forgets w0."""
     k, m = diag.shape[1], max(n, d)
-    lams = {a.params.lam for a in algs}
-    control = m - k >= 4 and max(lams) > 0.0
-    lams = sorted(lams | {0.0} if control else lams)
+    control = control and m - k >= 4
+    lams = sorted({a.params.lam for a in algs} | ({0.0} if control else set()))
     with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
         bias, var = _ridge_sums(diag, sup, n, lams)
         free = (r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T
@@ -309,8 +314,9 @@ def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
 def _draw(algs, inst, n, seed, lo, hi):
     """The draws of trials [lo, hi) that algs are scored on: (chi, spectra,
     mu, z), each None when no algorithm needs it. The convex families
-    share one chi draw, which is SVDed into spectra only for a gd_step;
-    gd2_reg reads mu and z from its own streams (module docstring)."""
+    share one chi draw, which the trace recurrence reads for gd_reg and
+    for the control variate, and which is SVDed into spectra only for a
+    gd_step; gd2_reg reads mu and z from its own streams (module docstring)."""
     d, families = inst.d, {a.family for a in algs}
     chi = wishart_chi(seed, n, d, lo, hi) if families & {"gd_reg", "gd_step"} else None
     spectra = bidiagonal_spectra(chi, n, d) if "gd_step" in families else None
@@ -319,7 +325,7 @@ def _draw(algs, inst, n, seed, lo, hi):
         mu = ((d - 1) * bidiagonal_spectra(wishart_chi(seed.child(3), d - 1, n, lo, hi), d - 1, n)
               if d > 1 else np.zeros((hi - lo, n)))
         z = gaussian_rows(seed, lo, hi, n, 3)
-    return chi if "gd_reg" in families else None, spectra, mu, z
+    return chi, spectra, mu, z
 
 
 def _controlled(ys: np.ndarray, c: np.ndarray):
@@ -351,14 +357,14 @@ def _estimates(values: np.ndarray, rows=(), control=None) -> list:
     """One RiskEstimate per row of values (algorithms, trials): every mean, ddof=1
     stderr (inf, not NaN, where a trial is not finite) and non-finite count is one
     reduction. Those of rows whose trials are finite are corrected by the control
-    variate control (trials,) (_controlled)."""
+    variate control (trials,), if given (_controlled)."""
     trials = values.shape[1]
     means = np.mean(values, axis=1)
     nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
     stderrs = np.where(nonfinite, math.inf, np.std(values, axis=1, ddof=1) / math.sqrt(trials))
     used = np.zeros(len(values), dtype=int)
     rows = [j for j in rows if not nonfinite[j]]
-    fit = _controlled(values[rows], control) if rows else None
+    fit = _controlled(values[rows], control) if rows and control is not None else None
     if fit is not None:
         means[rows], stderrs[rows] = fit
         used[rows] = 1
@@ -380,8 +386,9 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     that limit may have non-finite trial risks, or a mean or stderr that
     overflows from finite ones; for any other algorithm either raises
     NumericalError. A gd_reg at lam = 0 is then given its exact mean
-    where that is finite, and the gd_reg rows at lam > 0 are corrected by
-    a control variate (module docstring).
+    where that is finite, and the gd_step rows within that limit and the
+    gd_reg rows at lam > 0 are corrected by a control variate (module
+    docstring).
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -422,13 +429,18 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     chi, spectra, mu, z = (None if parts[0] is None else np.concatenate(parts)
                            for parts in zip(*draws))
     r2, sigma2 = float(inst.w_star @ inst.w_star), inst.sigma ** 2
+    top = 0.0 if spectra is None else float(spectra[:, 0].max())
+    divergent = [alg.family == "gd_step" and past_step_limit(alg.params.eta, top)
+                 for alg in algs]
+    controlled = [j for j, (alg, past) in enumerate(zip(algs, divergent))
+                  if alg.family == "gd_step" and not past
+                  or alg.family == "gd_reg" and alg.params.lam > 0.0]
     values, null = np.empty((len(algs), trials)), None
-    ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
-    if ridge:
+    if chi is not None:
         k = min(n, d)
+        ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
         values[ridge], null = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
-                                           d, n, r2, sigma2)
-    controlled = [j for j in ridge if algs[j].params.lam > 0.0] if null is not None else []
+                                           d, n, r2, sigma2, control=bool(controlled))
     sums = {}  # _convex_risk of each distinct GdStepSpec
     for j, alg in enumerate(algs):
         if alg.family == "gd_step":
@@ -437,12 +449,6 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
             values[j] = _with_init(sums[alg.params], alg.init, d)
         elif alg.family == "gd2_reg":
             values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
-    top = 0.0 if spectra is None else float(spectra[:, 0].max())
-    divergent = []
-    # a plain loop: on Python 3.10-3.11 a comprehension is a frame of its own,
-    # which past_step_limit's stacklevel would name in place of the caller
-    for alg in algs:
-        divergent.append(alg.family == "gd_step" and past_step_limit(alg.params.eta, top))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
         estimates = _estimates(values, controlled, null)
     for j, (alg, est, counted) in enumerate(zip(algs, estimates, divergent)):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from metasep import cli, oracles
+from metasep import cli, meta_learners, oracles
 from metasep.cli import main
 from metasep.convex import linear_flow_solve
 from metasep.linalg import NumericalError
@@ -374,6 +374,34 @@ def test_stages_count_their_runtime_warnings(tmp_path, monkeypatch):
         assert {key: stage["warnings"] for key, stage in stages.items()} == {
             key: {"count": count, "first": message if count else None}
             for key, count in counts.items()}, name
+
+
+def test_growth_counts_a_forked_run_s_warnings(tmp_path, monkeypatch):
+    # a run returns its warnings with its a_T, and the parent re-issues them:
+    # at --workers 2 each T's stage counts them, and stderr and the data
+    # bytes are those of --workers 1
+    steps = meta_learners._reptile_steps
+
+    def warned(a, b, rates, tau, r):
+        warnings.warn(f"meta-step at tau = {tau:.4f}", RuntimeWarning)
+        return steps(a, b, rates, tau, r)
+
+    monkeypatch.setattr(meta_learners, "_reptile_steps", warned)
+    runs = {}
+    for workers in (1, 2):
+        out = str(tmp_path / f"growth-w{workers}")
+        with pytest.warns(RuntimeWarning) as record:
+            assert _run(["growth", "--t-list", "10,20", "--seeds", "3", "--workers",
+                         str(workers), "--out", out]) == 0
+        stages = json.loads(_read(out + ".manifest.json"))["stages"]
+        runs[workers] = ([(str(w.message), w.filename) for w in record],
+                         {key: stage["warnings"] for key, stage in stages.items()},
+                         _read(out + ".csv"))
+    assert runs[1] == runs[2]
+    messages, counts, _ = runs[1]
+    assert len(messages) == 6 and all(f == __file__ for _, f in messages)
+    assert [c["count"] for c in counts.values()] == [3, 3]
+    assert [c["first"] for c in counts.values()] == [messages[0][0], messages[3][0]]
 
 
 def test_growth_without_seeds_is_config_error(tmp_path, capsys):

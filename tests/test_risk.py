@@ -214,29 +214,52 @@ def _plain(monkeypatch, call):
         return call()
 
 
-@pytest.mark.parametrize("d, n, sigma, trials", [
-    (20, 60, 0.0, 400),  # sigma = 0: the lam = 0 column is constant
-    (20, 60, 1.0, 2), (20, 60, 1.0, 3),  # under two residual degrees of freedom
-    (1, 4, 1.0, 400),  # d = 1 and n <= 4: m - k <= 3
-    (20, 19, 1.0, 400), (20, 21, 1.0, 400),  # n = d -+ 1
+@pytest.mark.parametrize("d, n, sigma, trials, step", [
+    pytest.param(20, 60, 0.0, 400, None, id="20-60-0.0-400"),  # sigma = 0: a constant control
+    # under two residual degrees of freedom
+    pytest.param(20, 60, 1.0, 2, None, id="20-60-1.0-2"),
+    pytest.param(20, 60, 1.0, 3, None, id="20-60-1.0-3"),
+    pytest.param(1, 4, 1.0, 400, None, id="1-4-1.0-400"),  # d = 1 and n <= 4: m - k <= 3
+    pytest.param(20, 19, 1.0, 400, None, id="20-19-1.0-400"),  # n = d -+ 1
+    pytest.param(20, 21, 1.0, 400, None, id="20-21-1.0-400"),
+    # a gd_step past its stability limit whose trials are finite
+    pytest.param(20, 60, 1.0, 400, GdStepSpec(10.0, 2), id="20-60-1.0-400-past-limit"),
 ])
-def test_estimate_is_plain_where_no_control_applies(monkeypatch, d, n, sigma, trials):
+def test_estimate_is_plain_where_no_control_applies(monkeypatch, d, n, sigma, trials, step):
     inst = MetaInstance.from_config(d, 1.0, sigma)
-    algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d)]
+    if step is None:
+        algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d),
+                AlgSpec("gd_step", GdStepSpec(0.05, 10), inst.w_star.copy())]
+    else:
+        algs = [_reg_alg(0.0, d), AlgSpec("gd_step", step, inst.w_star.copy())]
     seed = SeedSpec(45).child(d, n, trials)
-    ests = mc_excess_risk_many(algs, inst, n, trials, seed)
-    assert ests == _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
-    assert all(est.controls == 0 for est in ests)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = mc_excess_risk_many(algs, inst, n, trials, seed)
+        plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
+    assert len(caught) == (2 if step else 0)  # the stability warning, once per call
+    assert ests == plain
+    assert all(est.controls == 0 and est.nonfinite == 0 for est in ests)
+    assert all(math.isfinite(est.mean) and math.isfinite(est.stderr) for est in ests)
 
 
-@pytest.mark.parametrize("d, n", [(20, 60), (1, 8), (50, 100)])
-def test_controls_shrink_the_stderr(monkeypatch, d, n):
-    # where m - k >= 4 and sigma > 0, every lam > 0 row uses the control, and
-    # the lam = 0 and gd2_reg rows stay plain; a solo lam > 0 call forms its
-    # own lam = 0 column and equals the paired estimate
+@pytest.mark.parametrize("d, n, family", [
+    pytest.param(d, n, "gd_reg", id=f"{d}-{n}") for d, n in ((20, 60), (1, 8), (50, 100))] + [
+    pytest.param(d, n, "gd_step", id=f"{d}-{n}-gd_step")
+    for d, n in ((20, 60), (1, 8), (50, 100), (20, 5))])
+def test_controls_shrink_the_stderr(monkeypatch, d, n, family):
+    # where m - k >= 4 and sigma > 0, every lam > 0 row and every gd_step row
+    # within its stability limit uses the control, and the lam = 0 and
+    # gd2_reg rows stay plain; a solo call forms its own lam = 0 column and
+    # equals the paired estimate
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 3.0, 0.1))
-    algs = [_reg_alg(0.0, d), spiked, _reg_alg(0.1, d), _reg_alg(1.0, d)]
+    algs = [_reg_alg(0.0, d), spiked]
+    if family == "gd_reg":
+        algs += [_reg_alg(0.1, d), _reg_alg(1.0, d)]
+    else:
+        algs += [AlgSpec("gd_step", GdStepSpec(0.01, 10), np.zeros(d)),
+                 AlgSpec("gd_step", GdStepSpec(0.1, 30), inst.w_star.copy())]
     seed = SeedSpec(46).child(d, n)
     ests = mc_excess_risk_many(algs, inst, n, 400, seed)
     plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, 400, seed))
@@ -244,7 +267,8 @@ def test_controls_shrink_the_stderr(monkeypatch, d, n):
     for alg, est, ref in zip(algs[2:], ests[2:], plain[2:]):
         assert est.controls == 1 and est.stderr < ref.stderr, alg.label()
         assert abs(est.mean - ref.mean) <= 4.0 * ref.stderr, alg.label()
-    assert mc_excess_risk(algs[2], inst, n, 400, seed) == ests[2]
+    for alg, est in zip(algs[2:], ests[2:]):
+        assert mc_excess_risk(alg, inst, n, 400, seed) == est, alg.label()
 
 
 def _leave_one_out_mean(y, c):
@@ -258,18 +282,24 @@ def _leave_one_out_mean(y, c):
     return float(np.mean(y - cov / var * c))
 
 
-@pytest.mark.parametrize("trials", [12, 400])
-def test_controlled_estimates_are_calibrated(monkeypatch, trials):
-    # over 64 seeds, gd_reg(lam = 0.1) at (d, n) = (50, 100): the z-scores
-    # against the plain mean of all 64 x trials trials spread with sd in
-    # [0.75, 1.33]. At 400 trials the beta, fitted on the same trials, biases
-    # the mean by under 0.1 stderr against the unbiased leave-one-out fit
-    inst = MetaInstance.from_config(50, 1.0, 1.0)
+@pytest.mark.parametrize("trials, d, n, spec", [
+    pytest.param(trials, 50, 100, GdRegSpec(0.1), id=f"{trials}") for trials in (12, 400)] + [
+    pytest.param(trials, 20, 80, GdStepSpec(0.01, 10), id=f"{trials}-gd_step")
+    for trials in (12, 400)])
+def test_controlled_estimates_are_calibrated(monkeypatch, trials, d, n, spec):
+    # over 64 seeds, gd_reg(lam = 0.1) at (d, n) = (50, 100) and a gd_step
+    # far from convergence at (20, 80): the z-scores against the plain mean
+    # of all 64 x trials trials spread with sd in [0.75, 1.33]. At 400
+    # trials the beta, fitted on the same trials, biases the mean by under
+    # 0.1 stderr against the unbiased leave-one-out fit. (A converged
+    # gd_step's row is the control plus a constant, so its stderr is
+    # rounding, about 1e-17.)
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    alg = AlgSpec("gd_step" if isinstance(spec, GdStepSpec) else "gd_reg", spec, np.zeros(d))
     fits = []
     fit = risk._controlled
     monkeypatch.setattr(risk, "_controlled", lambda ys, c: fits.append((ys[0], c)) or fit(ys, c))
-    ests = [mc_excess_risk(_reg_alg(0.1, 50), inst, 100, trials, SeedSpec(47).child(s))
-            for s in range(64)]
+    ests = [mc_excess_risk(alg, inst, n, trials, SeedSpec(47).child(s)) for s in range(64)]
     assert len(fits) == 64 and all(e.controls == 1 for e in ests)
     pooled = np.mean([y.mean() for y, _ in fits])
     z = np.array([(e.mean - pooled) / e.stderr for e in ests])
@@ -320,7 +350,8 @@ def test_householder_bidiagonal_keeps_singular_values(n, d):
 def test_trial_rows_do_not_depend_on_the_block():
     # a trial's draws are the same bit for bit in its own _CHUNK chunk, in
     # a larger span across _CHUNK boundaries and alone, for n < d and n > d;
-    # an entry is None exactly when no algorithm needs it
+    # an entry is None exactly when no algorithm needs it (a gd_step reads
+    # chi for its control variate)
     c = risk._CHUNK
     for n, d in ((4, 7), (9, 3)):
         inst = MetaInstance.from_config(d, 1.0, 1.0)
@@ -333,7 +364,7 @@ def test_trial_rows_do_not_depend_on_the_block():
             alone = risk._draw(algs, inst, n, seed, t, t + 1)
             for w, o, a in zip(wide, own, alone):
                 assert np.array_equal(w[t - 5], o[t % c]) and np.array_equal(w[t - 5], a[0])
-        for subset, needed in (([reg], (0,)), ([step], (1,)), ([spiked], (2, 3)),
+        for subset, needed in (([reg], (0,)), ([step], (0, 1)), ([spiked], (2, 3)),
                                ([reg, step], (0, 1))):
             draws = risk._draw(subset, inst, n, seed, 5, 3 * c - 5)
             for i, (part, full) in enumerate(zip(draws, wide)):
@@ -469,6 +500,26 @@ def test_step_limit_warns_at_equality_on_all_trials():
             # the warning names the line that called mc_excess_risk_many
             assert all(w.filename == __file__ for w in caught)
             assert est.nonfinite == 0
+
+
+@pytest.mark.parametrize("entry", ["mc_excess_risk_many", "mc_excess_risk",
+                                   "sample_complexity_search"])
+def test_step_limit_warning_names_the_caller(entry):
+    # however deep the calls inside risk.py and convex.py run, the stability
+    # warning names the first frame outside them: the line here that called
+    # the entry point
+    d, seed = 6, SeedSpec(54)
+    inst = MetaInstance.from_config(d, 1.0, 1.0)
+    alg = AlgSpec("gd_step", GdStepSpec(5.0, 2), np.zeros(d))
+    calls = {"mc_excess_risk_many": lambda: mc_excess_risk_many([alg], inst, 12, 8, seed),
+             "mc_excess_risk": lambda: mc_excess_risk(alg, inst, 12, 8, seed),
+             "sample_complexity_search": lambda: sample_complexity_search(
+                 [alg], inst, 0.1, [12, 24], 8, seed)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[entry]()
+    assert len(caught) == (2 if entry == "sample_complexity_search" else 1)
+    assert all(w.filename == __file__ for w in caught), [w.filename for w in caught]
 
 
 def test_pool_split_rule(monkeypatch):
