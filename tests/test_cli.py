@@ -111,6 +111,17 @@ _GOLDEN = {
                         {".json": "def444b8fa6513c89028d7ae9f14fda1d872c08a53e80899e3b40e73766f2d84"}),
     "risk": (["risk", "--d", "6", "--n", "8", "--lam", "0.5", "--trials", "60", "--seed", "0"],
              {".json": "bd9778eae8520797e04d323ed9a1f28a4f768e092735a8a70a2d69db7ab8ce6f"}),
+    # gd_reg at lam = 0 on n = d - 1 from w0 != 0: the plain trial mean,
+    # whose rows carry the init's null-space term
+    "risk-w0": (["risk", "--w0", "random:3", "--d", "7", "--n", "6", "--trials", "40",
+                 "--seed", "0"],
+                {".json": "41c8be83186ac30686f4e8c937b70866225d165b1640834712373eb673d64885"}),
+    # gd_step from w0 != 0: plain at n = 4 and 8, corrected by the lam = 0
+    # control at 16 and 32
+    "nsearch-gd_step-w0": (["nsearch", "--family", "gd_step", "--eta", "0.05", "--t0", "20",
+                            "--w0", "random:2", "--d", "6", "--epsilon", "0.6",
+                            "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
+                           {".json": "37b8417b747d424fa1fd9d6de1d5b0dee19af00351d152355b6080d67803771b"}),
     "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
