@@ -40,7 +40,7 @@ import numpy as np
 from .convex import GdRegSpec, GdStepSpec, gd_reg, gd_step, linear_flow_solve
 from .linalg import SpikedIdentity, as_dense
 from .meta_learners import ScalarTrajectory, replearn_alpha
-from .risk import AlgSpec, _convex_risk, _estimates, _ridge_risks, _spiked_risk, _with_init
+from .risk import AlgSpec, _convex_risk, _estimates, _ridge_rows, _spiked_risk, _with_init
 from .rng import SeedSpec, gaussian_matrix, gaussian_vector
 from .tasks import Dataset, MetaInstance, emp_covariance, sample_dataset, sample_task
 from .twolayer import flow_limit, gd2_reg, gd_pop_flow
@@ -344,14 +344,14 @@ def _suite_replearn(seed: SeedSpec):
 
 def _suite_risk_estimator(seed: SeedSpec):
     """Each trial's conditional excess risk against the explicit predictor
-    matrices (P, D) on the same design X: risk._ridge_risks on X's
-    Householder bidiagonal (gd_reg) and risk._convex_risk's sums plus
-    w0's term (risk._with_init) on the spectrum of X^T X / n (gd_step)
-    against (||w0||^2/d) ||D||_F^2 +
-    (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2 (the exact average over
-    Haar eigenvectors, since a trace is the sum over basis directions),
-    and risk._spiked_risk on X's (mu, z) against ||(P X - I) w*||^2 +
-    sigma^2 ||P||_F^2. The spectrum is the squared singular values of X
+    matrices (P, D) on the same design X: the estimator's table of
+    init-free sums by learner spec, from risk._ridge_rows on X's
+    Householder bidiagonal (gd_reg) and risk._convex_risk on the spectrum
+    of X^T X / n (gd_step), plus w0's term (risk._with_init), against
+    (||w0||^2/d) ||D||_F^2 + (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2
+    (the exact average over Haar eigenvectors, since a trace is the sum
+    over basis directions), and risk._spiked_risk on X's (mu, z) against
+    ||(P X - I) w*||^2 + sigma^2 ||P||_F^2. The spectrum is the squared singular values of X
     over n, padded with zeros, and the bidiagonal is reduced from X
     itself: an eigensolve of X^T X squares X's condition number, which
     gd_reg's variance at lam = 0 on the square design amplifies past the
@@ -374,6 +374,10 @@ def _suite_risk_estimator(seed: SeedSpec):
             spectrum = np.zeros(d)
             spectrum[:min(n, d)] = np.linalg.svd(x, compute_uv=False) ** 2 / n
             diag, sup = householder_bidiagonal(x)
+            sums, _ = _ridge_rows({a.params for a in algs if a.family == "gd_reg"},
+                                  diag[None], sup[None], d, n, r2, sigma2)
+            sums.update((a.params, _convex_risk(a.params, spectrum[None], d, n, r2, sigma2))
+                        for a in algs if a.family == "gd_step")
             for alg in algs:
                 p, dm = predictor_matrices(alg, x)
                 e = p @ x - np.eye(d)
@@ -381,11 +385,7 @@ def _suite_risk_estimator(seed: SeedSpec):
                     closed = float(_spiked_risk(alg, mu[None], z[None], n, r2, sigma2)[0])
                     bias = float(np.sum((e @ w_star) ** 2))
                 else:
-                    closed = float(_ridge_risks([alg], diag[None], sup[None], d, n, r2,
-                                                sigma2)[0][0, 0]
-                                   if alg.family == "gd_reg" else
-                                   _with_init(_convex_risk(alg.params, spectrum[None], d, n,
-                                                           r2, sigma2), w0, d)[0])
+                    closed = float(_with_init(sums[alg.params], w0, d)[0])
                     bias = (w0 @ w0 * np.sum(dm * dm) + r2 * np.sum(e * e)) / d
                 reference = bias + sigma2 * float(np.sum(p * p))
                 pairs.append((closed, reference, max(1.0, abs(reference))))

@@ -65,11 +65,11 @@ mc_excess_risk_many scores every algorithm of a sweep on the same draws
 (paired sampling), and sample_complexity_search runs it once per grid
 point for every algorithm still searching. A convex learner's factors do
 not depend on its init, which enters only through ||w0||^2 / d, so a
-sweep over inits scores each distinct learner once: one row of the
-init-free sums per distinct GdStepSpec (_convex_risk) and one init-free
-row per distinct gd_reg lam (_ridge_risks). Each algorithm then adds only
-its init term, (||w0||^2 / d) sum delta_i^2 or the lam = 0 null-space
-term. The trial risks are one (algorithms, trials) array, and every mean,
+sweep over inits scores each distinct learner once, into one table of the
+init-free sums (sum delta_i^2, bias, variance) keyed by learner spec:
+_convex_risk's for a GdStepSpec and _ridge_rows' for a GdRegSpec. Every
+convex row is then its spec's sums plus its init's term (_with_init).
+The trial risks are one (algorithms, trials) array, and every mean,
 stderr and non-finite count is one reduction over its rows (_estimates).
 
 A gd_reg learner at lam = 0 has a known mean. With m = max(n, d), its
@@ -87,12 +87,13 @@ The gd_step rows and the gd_reg rows at lam > 0 are corrected by a
 control variate: a value of the same draws whose mean is known exactly
 (_controlled). It is the init-free lam = 0 row minus _ridgeless_mean,
 used only where m - k >= 4: its variance is finite only for m - k > 3
-(von Rosen 1988). A call that scores such a row forms the lam = 0 column
-in its one _ridge_sums pass (at lam = 0 alone when it scores no gd_reg),
-so a solo estimate equals its paired one. beta = cov(y, c) / var(c) is
-fitted on all trials together, so the bytes do not depend on workers;
-the mean is the intercept mean(y - beta c) and the stderr the
-intercept's, from the residuals with ddof 2. A beta fitted on the same
+(von Rosen 1988). Every call that scores a convex learner forms the lam
+= 0 column there, whether or not a row uses it, in its one _ridge_sums
+pass (at lam = 0 alone when it scores no gd_reg). A column's sums do not
+depend on the others, so a solo estimate equals its paired one.
+beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
+do not depend on workers; the mean is the intercept mean(y - beta c) and
+the stderr the intercept's, from the residuals with ddof 2. A beta fitted on the same
 trials biases the mean by O(1 / trials): 0.012 stderr for gd_reg(lam =
 0.1) at (d, n) = (50, 100) and 0.008 for gd_step(eta = 0.01, t0 = 10) at
 (20, 80), at 400 trials over 512 and 64 seeds, against leave-one-out
@@ -186,7 +187,7 @@ def _convex_risk(spec, s: np.ndarray, d: int, n: int, r2: float, sigma2: float):
     gd_step or gd_reg learner spec for each row of the spectra s (trials,
     d): (sum delta_i^2, (r^2 / d) sum (1 - g_i s_i)^2, (sigma^2 / n) sum
     g_i^2 s_i), three (trials,) arrays. _with_init adds an init's term.
-    The estimator scores gd_reg by _ridge_risks; this spectral form is its
+    The estimator scores gd_reg by _ridge_rows; this spectral form is its
     reference."""
     decay, gain, _ = learner_factors(spec, s)
     with np.errstate(over="ignore"):  # a divergent gd_step squares to inf, counted as nonfinite
@@ -209,15 +210,16 @@ def _ridge_sums(diag: np.ndarray, sup: np.ndarray, n: int, lams):
     (rows, k - 1) and each lam of lams: two (rows, len(lams)) arrays, by
     the pivot recurrence of the module docstring.
 
-    Each lam's matrix is scaled by rho, the least power of two above lam
-    and at least 1. That is exact, so the sums are those of the unscaled
-    recurrence wherever it neither overflows nor underflows, and the
-    recurrence of a huge lam does neither. Each trial and lam is one
+    Each lam's matrix is scaled by rho, the least power of two above lam,
+    at least 1 and at most 2^1023, the largest finite one. That is exact,
+    so the sums are those of the unscaled recurrence wherever it neither
+    overflows nor underflows, and the recurrence of a huge lam does
+    neither. Each trial and lam is one
     column of elementwise arithmetic, so a row's sums do not depend on
     the others."""
     rows = diag.shape[0]
     lam = np.asarray(lams, dtype=np.float64)
-    rho = np.maximum(1.0, np.ldexp(1.0, np.frexp(lam)[1]))
+    rho = np.maximum(1.0, np.ldexp(1.0, np.minimum(np.frexp(lam)[1], 1023)))
     # column (row, lam) of the (k, rows * len(lams)) coefficient rows, over rho
     cols = np.tile(rho, rows)
     a = np.repeat((diag * diag / n).T, lam.size, axis=1) / cols
@@ -263,32 +265,26 @@ def _ridgeless_mean(d: int, n: int, r2: float, sigma2: float, w0_sq: float = 0.0
     return null_space + sigma2 * k / (m - k - 1) if m - k >= 2 else math.inf
 
 
-def _ridge_risks(algs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
-                 r2: float, sigma2: float, control: bool = False):
-    """E[excess | B] (module docstring) of the gd_reg learners algs, a
-    (len(algs), rows) array, for the bidiagonals B of _ridge_sums, and the
-    control variate: the init-free lam = 0 row minus its exact mean
-    (_ridgeless_mean), formed only where control (some row of the call is
-    corrected by it) and m - k >= 4 (else None). One pass of the recurrence
-    serves every distinct lam and the control's lam = 0 (alone when algs is
-    empty), whose init-free risk is formed once; each learner then adds
-    only its lam = 0 w0 term.
+def _ridge_rows(specs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
+                r2: float, sigma2: float):
+    """A dict of _convex_risk's sums by spec, for each GdRegSpec of specs
+    on the bidiagonals B of _ridge_sums: (d - k at lam = 0, else 0; the
+    init-free E[excess | B] of the module docstring; 0.0), so _with_init
+    adds w0's lam = 0 null-space term. Also the control variate, the lam =
+    0 row minus its exact mean (_ridgeless_mean), where m - k >= 4, else
+    None. One pass of the recurrence serves every distinct lam and the
+    control's lam = 0.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
     form takes the ridge limit, which forgets w0."""
     k, m = diag.shape[1], max(n, d)
-    control = control and m - k >= 4
-    lams = sorted({a.params.lam for a in algs} | ({0.0} if control else set()))
+    lams = sorted({s.lam for s in specs} | ({0.0} if m - k >= 4 else set()))
     with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
         bias, var = _ridge_sums(diag, sup, n, lams)
         free = (r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T
-        out = free[[lams.index(a.params.lam) for a in algs]]
-        for row, alg in zip(out, algs):
-            if alg.params.lam == 0.0 and d > k:
-                row += float(alg.init @ alg.init) / d * (d - k)
-    null = free[0] - _ridgeless_mean(d, n, r2, sigma2) if control else None
-    return out, null
+    rows = {s: (np.float64(0 if s.lam else d - k), free[lams.index(s.lam)], 0.0) for s in specs}
+    return rows, free[0] - _ridgeless_mean(d, n, r2, sigma2) if m - k >= 4 else None
 
 
 def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,
@@ -435,20 +431,16 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     controlled = [j for j, (alg, past) in enumerate(zip(algs, divergent))
                   if alg.family == "gd_step" and not past
                   or alg.family == "gd_reg" and alg.params.lam > 0.0]
-    values, null = np.empty((len(algs), trials)), None
+    values, sums, null = np.empty((len(algs), trials)), {}, None
     if chi is not None:
         k = min(n, d)
-        ridge = [j for j, a in enumerate(algs) if a.family == "gd_reg"]
-        values[ridge], null = _ridge_risks([algs[j] for j in ridge], chi[:, :k], chi[:, k:],
-                                           d, n, r2, sigma2, control=bool(controlled))
-    sums = {}  # _convex_risk of each distinct GdStepSpec
+        sums, null = _ridge_rows({a.params for a in algs if a.family == "gd_reg"},
+                                 chi[:, :k], chi[:, k:], d, n, r2, sigma2)
+    for spec in dict.fromkeys(a.params for a in algs if a.family == "gd_step"):
+        sums[spec] = _convex_risk(spec, spectra, d, n, r2, sigma2)
     for j, alg in enumerate(algs):
-        if alg.family == "gd_step":
-            if alg.params not in sums:
-                sums[alg.params] = _convex_risk(alg.params, spectra, d, n, r2, sigma2)
-            values[j] = _with_init(sums[alg.params], alg.init, d)
-        elif alg.family == "gd2_reg":
-            values[j] = _spiked_risk(alg, mu, z, n, r2, sigma2)
+        values[j] = (_spiked_risk(alg, mu, z, n, r2, sigma2) if alg.family == "gd2_reg"
+                     else _with_init(sums[alg.params], alg.init, d))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
         estimates = _estimates(values, controlled, null)
     for j, (alg, est, counted) in enumerate(zip(algs, estimates, divergent)):

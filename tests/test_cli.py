@@ -785,6 +785,18 @@ def test_separation_overflowing_spike_fails_before_the_convex_half(tmp_path, cap
     assert os.listdir(tmp_path) == []
 
 
+def test_huge_ridge_penalty_risk_is_r_squared(tmp_path, capsys):
+    # at lam >= 2^1023 the trace recurrence's power-of-two scale is capped
+    # at the largest finite one, so the ridge predictor is 0 and the risk
+    # r^2 = 1, with no numpy warning
+    out = str(tmp_path / "risk")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["risk", "--lam", "1e308", "--trials", "8", "--out", out]) == 0
+    assert json.loads(_read(out + ".json"))["mean"] == pytest.approx(1.0, rel=1e-12)
+    assert capsys.readouterr().err == ""
+
+
 def test_huge_first_layer_risk_is_finite(tmp_path, capsys):
     # alpha^4 overflows at 1e100, alpha^2 at 1e200 and kappa^4 at 1e150,
     # but the rank-one form never forms any of them: every run exits 0

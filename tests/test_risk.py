@@ -100,11 +100,19 @@ def test_paired_many_matches_single():
 
 @pytest.mark.parametrize("trials", [2, 40, 100])
 @pytest.mark.parametrize("n", [3, 6, 12])
-def test_sweep_over_inits_matches_solo_estimates(n, trials):
+def test_sweep_over_inits_matches_solo_estimates(n, trials, monkeypatch):
     # a sweep scores each distinct convex learner once and adds each init's
-    # term: every estimate equals its solo call bit for bit, one of them
-    # past the stability limit (inf from w0 = 0 too, not NaN), and the call
-    # warns once per divergent gd_step algorithm, as the solo calls do
+    # term: one _ridge_sums pass for every gd_reg and one _convex_risk per
+    # distinct GdStepSpec. Every estimate equals its solo call bit for bit,
+    # one of them past the stability limit (inf from w0 = 0 too, not NaN),
+    # and the call warns once per divergent gd_step algorithm, as the solo
+    # calls do
+    calls = {"_ridge_sums": 0, "_convex_risk": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(risk, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(risk, name, counted)
     d = 6
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     g = gaussian_vector(SeedSpec(40), d)
@@ -122,6 +130,7 @@ def test_sweep_over_inits_matches_solo_estimates(n, trials):
         return result, sum(issubclass(w.category, RuntimeWarning) for w in caught)
 
     sweep, count = warned(lambda: mc_excess_risk_many(algs, inst, n, trials, seed))
+    assert calls == {"_ridge_sums": 1, "_convex_risk": 3}
     solo_count = 0
     for alg, est in zip(algs, sweep):
         solo, c = warned(lambda: mc_excess_risk(alg, inst, n, trials, seed))
@@ -314,8 +323,8 @@ def test_controlled_estimates_are_calibrated(monkeypatch, trials, d, n, spec):
 def test_ridge_risks_match_spectral_form(n, d):
     # gd_reg's trace recurrence against the spectral form on the SVD
     # spectrum of the same chi draws, from w0 = 0 and w0 = 3 g, relative
-    # per trial. For lam > 0 (1e200 puts the power-of-two scaling to work)
-    # the bound is 1e-12. lam = 0 has its own reason for a bound: S is
+    # per trial. For lam > 0 (1e200 puts the power-of-two scaling to work,
+    # and 1e308 its cap at 2^1023) the bound is 1e-12. lam = 0 has its own reason for a bound: S is
     # singular for n < d and ill-conditioned near n = d, where a pivot
     # recurrence that cancels loses digits (the plain one lost 5e-11 at
     # n = d = 50). The differential form cancels nothing, so its bound at
@@ -326,13 +335,14 @@ def test_ridge_risks_match_spectral_form(n, d):
     spectra = bidiagonal_spectra(chi, n, d)
     g = gaussian_vector(SeedSpec(35), d)
     for w0 in (np.zeros(d), 3.0 * g):
-        lams = (0.0, 0.1, 1.0, 1e3, 1e200)
-        algs = [_reg_alg(lam, d, w0) for lam in lams]
-        traced, _ = risk._ridge_risks(algs, chi[:, :k], chi[:, k:], d, n, r2, sigma2)
-        for j, (lam, alg) in enumerate(zip(lams, algs)):
-            spectral = risk._with_init(risk._convex_risk(alg.params, spectra, d, n, r2, sigma2),
-                                       w0, d)
-            worst = float(np.max(np.abs(traced[j] - spectral) / spectral))
+        lams = (0.0, 0.1, 1.0, 1e3, 1e200, 1e308)
+        sums, _ = risk._ridge_rows({GdRegSpec(lam) for lam in lams}, chi[:, :k], chi[:, k:],
+                                   d, n, r2, sigma2)
+        for lam in lams:
+            spec = GdRegSpec(lam)
+            traced = risk._with_init(sums[spec], w0, d)
+            spectral = risk._with_init(risk._convex_risk(spec, spectra, d, n, r2, sigma2), w0, d)
+            worst = float(np.max(np.abs(traced - spectral) / spectral))
             assert worst <= 1e-12, (lam, worst)
 
 
@@ -372,13 +382,19 @@ def test_trial_rows_do_not_depend_on_the_block():
                 assert part is None or np.array_equal(part, full)
 
 
-def _plain_ridge_row(alg, inst, n, trials, seed):
-    """The plain mean and ddof=1 stderr of the per-trial gd_reg row that
-    mc_excess_risk_many forms for alg on seed's chi draws."""
+def _ridge_row(alg, inst, n, trials, seed):
+    """The per-trial gd_reg row that mc_excess_risk_many forms for alg on
+    seed's chi draws."""
     d, k = inst.d, min(n, inst.d)
     chi = wishart_chi(seed, n, d, 0, trials)
-    (row,), _ = risk._ridge_risks([alg], chi[:, :k], chi[:, k:], d, n,
-                                  float(inst.w_star @ inst.w_star), inst.sigma ** 2)
+    sums, _ = risk._ridge_rows({alg.params}, chi[:, :k], chi[:, k:], d, n,
+                               float(inst.w_star @ inst.w_star), inst.sigma ** 2)
+    return risk._with_init(sums[alg.params], alg.init, d)
+
+
+def _plain_ridge_row(alg, inst, n, trials, seed):
+    """The plain mean and ddof=1 stderr of _ridge_row."""
+    row = _ridge_row(alg, inst, n, trials, seed)
     return float(np.mean(row)), float(np.std(row, ddof=1)) / math.sqrt(trials)
 
 
@@ -445,10 +461,7 @@ def test_ridgeless_estimate_stays_plain_where_the_mean_is_infinite(d, n):
     alg, seed = _reg_alg(0.0, d, inst.w_star.copy()), SeedSpec(53).child(d, n)
     assert risk._ridgeless_mean(d, n, 1.0, 1.0) == math.inf
     est = mc_excess_risk(alg, inst, n, 100, seed)
-    chi = wishart_chi(seed, n, d, 0, 100)
-    k = min(n, d)
-    rows, _ = risk._ridge_risks([alg], chi[:, :k], chi[:, k:], d, n, 1.0, 1.0)
-    assert est == risk._estimates(rows)[0]
+    assert est == risk._estimates(_ridge_row(alg, inst, n, 100, seed)[None])[0]
     assert not est.exact and est.controls == 0 and 0.0 < est.stderr < math.inf
 
 
