@@ -351,11 +351,11 @@ def _suite_risk_estimator(seed: SeedSpec):
     (||w0||^2/d) ||D||_F^2 + (r^2/d) ||P X - I||_F^2 + sigma^2 ||P||_F^2
     (the exact average over Haar eigenvectors, since a trace is the sum
     over basis directions), and risk._spiked_risk on X's (mu, z) against
-    ||(P X - I) w*||^2 + sigma^2 ||P||_F^2. The spectrum is the squared singular values of X
-    over n, padded with zeros, and the bidiagonal is reduced from X
-    itself: an eigensolve of X^T X squares X's condition number, which
-    gd_reg's variance at lam = 0 on the square design amplifies past the
-    tolerance."""
+    ||(P X - I) w*||^2 + sigma^2 ||P||_F^2. The spectrum is the squared
+    singular values of X over n, padded with zeros, and the bidiagonal is
+    reduced from X itself: an eigensolve of X^T X squares X's condition
+    number, which gd_reg's variance at lam = 0 on the square design
+    amplifies past the tolerance."""
     d, trials = 6, 3
     inst = MetaInstance.from_config(d, 1.0, 0.5)
     w_star, sigma2 = inst.w_star, inst.sigma ** 2

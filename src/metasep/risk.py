@@ -93,15 +93,15 @@ pass (at lam = 0 alone when it scores no gd_reg). A column's sums do not
 depend on the others, so a solo estimate equals its paired one.
 beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
 do not depend on workers; the mean is the intercept mean(y - beta c) and
-the stderr the intercept's, from the residuals with ddof 2. A beta fitted on the same
-trials biases the mean by O(1 / trials): 0.012 stderr for gd_reg(lam =
-0.1) at (d, n) = (50, 100) and 0.008 for gd_step(eta = 0.01, t0 = 10) at
-(20, 80), at 400 trials over 512 and 64 seeds, against leave-one-out
-fits. A row whose control is constant (the lam = 0 row at sigma = 0) or
-not finite, or whose fit would keep fewer than two residual degrees of
-freedom, keeps the plain mean and ddof=1 stderr bit for bit, as do a
-gd_step past its stability limit (even where its trials are finite) and
-every gd2_reg row.
+the stderr the intercept's, from the residuals with ddof 2. A beta
+fitted on the same trials biases the mean by O(1 / trials): 0.012
+stderr for gd_reg(lam = 0.1) at (d, n) = (50, 100) and 0.008 for
+gd_step(eta = 0.01, t0 = 10) at (20, 80), at 400 trials over 512 and 64
+seeds, against leave-one-out fits. A row whose control is constant (the
+lam = 0 row at sigma = 0) or not finite, or whose fit would keep fewer
+than two residual degrees of freedom, keeps the plain mean and ddof=1
+stderr bit for bit, as do a gd_step past its stability limit (even
+where its trials are finite) and every gd2_reg row.
 
 Only a gd_step past its stability limit may have non-finite trial risks,
 mean or stderr; any other overflow raises NumericalError. This module only
@@ -179,7 +179,7 @@ class AlgSpec:
 def _weighted(c: float, sums: np.ndarray) -> np.ndarray:
     """c times the row sums, exactly 0 when c is: the inf sums of a
     divergent learner must not turn a zero weight into NaN."""
-    return c * sums if c else np.zeros(sums.shape)
+    return c * sums if c else np.zeros(np.shape(sums))
 
 
 def _convex_risk(spec, s: np.ndarray, d: int, n: int, r2: float, sigma2: float):
@@ -269,22 +269,23 @@ def _ridge_rows(specs, diag: np.ndarray, sup: np.ndarray, d: int, n: int,
                 r2: float, sigma2: float):
     """A dict of _convex_risk's sums by spec, for each GdRegSpec of specs
     on the bidiagonals B of _ridge_sums: (d - k at lam = 0, else 0; the
-    init-free E[excess | B] of the module docstring; 0.0), so _with_init
-    adds w0's lam = 0 null-space term. Also the control variate, the lam =
-    0 row minus its exact mean (_ridgeless_mean), where m - k >= 4, else
-    None. One pass of the recurrence serves every distinct lam and the
-    control's lam = 0.
+    init-free E[excess | B] of the module docstring, a (rows,) array;
+    0.0), so _with_init adds w0's lam = 0 null-space term. Also the
+    control variate, the lam = 0 row minus its exact mean
+    (_ridgeless_mean), where m - k >= 4, else None. One pass of the
+    recurrence serves every distinct lam and the control's lam = 0.
 
     For 0 < lam <= 1e-13 lambda_max(S) the spectral form (_convex_risk)
     counts S's zero eigenvalues as null and keeps w0 there, where this
     form takes the ridge limit, which forgets w0."""
-    k, m = diag.shape[1], max(n, d)
-    lams = sorted({s.lam for s in specs} | ({0.0} if m - k >= 4 else set()))
+    k = diag.shape[1]
+    control = max(n, d) - k >= 4
+    lams = sorted({s.lam for s in specs} | ({0.0} if control else set()))
     with np.errstate(over="ignore"):  # an overflowing risk is counted as nonfinite
         bias, var = _ridge_sums(diag, sup, n, lams)
         free = (r2 / d) * (bias.T + (d - k)) + (sigma2 / n) * var.T
-    rows = {s: (np.float64(0 if s.lam else d - k), free[lams.index(s.lam)], 0.0) for s in specs}
-    return rows, free[0] - _ridgeless_mean(d, n, r2, sigma2) if m - k >= 4 else None
+    rows = {s: (0 if s.lam else d - k, free[lams.index(s.lam)], 0.0) for s in specs}
+    return rows, free[0] - _ridgeless_mean(d, n, r2, sigma2) if control else None
 
 
 def _spiked_risk(alg: AlgSpec, mu: np.ndarray, z: np.ndarray, n: int,

@@ -324,10 +324,10 @@ def test_ridge_risks_match_spectral_form(n, d):
     # gd_reg's trace recurrence against the spectral form on the SVD
     # spectrum of the same chi draws, from w0 = 0 and w0 = 3 g, relative
     # per trial. For lam > 0 (1e200 puts the power-of-two scaling to work,
-    # and 1e308 its cap at 2^1023) the bound is 1e-12. lam = 0 has its own reason for a bound: S is
-    # singular for n < d and ill-conditioned near n = d, where a pivot
-    # recurrence that cancels loses digits (the plain one lost 5e-11 at
-    # n = d = 50). The differential form cancels nothing, so its bound at
+    # and 1e308 its cap at 2^1023) the bound is 1e-12. lam = 0 has its own
+    # reason for a bound: S is singular for n < d and ill-conditioned near
+    # n = d, where a pivot recurrence that cancels loses digits (the plain
+    # one lost 5e-11 at n = d = 50). The differential form cancels nothing, so its bound at
     # lam = 0 is 1e-12 as well (worst seen 2.2e-15 over five seeds)
     inst = MetaInstance.from_config(d, 1.3, 0.7)
     r2, sigma2, k = inst.r ** 2, inst.sigma ** 2, min(n, d)
