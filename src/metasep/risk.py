@@ -83,25 +83,23 @@ finite: perfbench's checks still count an infinite mean as a failed
 operation. Its trial row is formed, reduced and checked for non-finite
 values either way.
 
-The gd_step rows and the gd_reg rows at lam > 0 are corrected by a
-control variate: a value of the same draws whose mean is known exactly
-(_controlled). It is the init-free lam = 0 row minus _ridgeless_mean,
-used only where m - k >= 4: its variance is finite only for m - k > 3
-(von Rosen 1988). Every call that scores a convex learner forms the lam
-= 0 column there, whether or not a row uses it, in its one _ridge_sums
-pass (at lam = 0 alone when it scores no gd_reg). A column's sums do not
-depend on the others, so a solo estimate equals its paired one.
-beta = cov(y, c) / var(c) is fitted on all trials together, so the bytes
-do not depend on workers; the mean is the intercept mean(y - beta c) and
-the stderr the intercept's, from the residuals with ddof 2. A beta
-fitted on the same trials biases the mean by O(1 / trials): 0.012
-stderr for gd_reg(lam = 0.1) at (d, n) = (50, 100) and 0.008 for
-gd_step(eta = 0.01, t0 = 10) at (20, 80), at 400 trials over 512 and 64
-seeds, against leave-one-out fits. A row whose control is constant (the
-lam = 0 row at sigma = 0) or not finite, or whose fit would keep fewer
-than two residual degrees of freedom, keeps the plain mean and ddof=1
-stderr bit for bit, as do a gd_step past its stability limit (even
-where its trials are finite) and every gd2_reg row.
+The gd_step rows and the gd_reg rows at lam > 0 are fitted by least
+squares on up to three control variates (_controls), values of the same
+chi draws with exact means, over all trials together, so the bytes do
+not depend on workers (_controlled): the lam = 0 row minus
+_ridgeless_mean where m - k >= 4 (below, its variance is infinite, von
+Rosen 1988), and from _MOMENT_TRIALS trials on log det T = sum log alpha_i^2, whose mean is sum_i (psi(nu_i / 2) +
+ln 2) over alpha's degrees of freedom nu = m, ..., m - k + 1 (Dumitriu &
+Edelman 2002; _log_det_mean), and tr T, whose mean is n d. Every call
+that scores a convex learner forms the lam = 0 column there in its one
+_ridge_sums pass (at lam = 0 alone when it scores no gd_reg); a lam
+column's sums do not depend on the others, so a solo estimate equals
+its paired one. Fitted betas bias the mean by O(1 / trials) (README).
+A control that is constant (the lam = 0 one at sigma = 0) or not finite
+is dropped, and a row whose fit would keep fewer than two residual
+degrees of freedom keeps the plain mean and ddof=1 stderr bit for bit,
+as do a gd_step past its stability limit (even where its trials are
+finite) and every gd2_reg row.
 
 Only a gd_step past its stability limit may have non-finite trial risks,
 mean or stderr; any other overflow raises NumericalError. This module only
@@ -127,13 +125,18 @@ from .tasks import MetaInstance
 # 10 MB of RSS per thread).
 _CHUNK = 32
 
+# Trials from which the two moment controls join the lam = 0 one: a fit on
+# three controls at 12 trials keeps 8 residual degrees of freedom, so its
+# z-scores spread as t_8 (sd 1.15) and wider (README).
+_MOMENT_TRIALS = 32
+
 
 @dataclass(frozen=True)
 class RiskEstimate:
     """Monte-Carlo mean, standard error, trial count, the number of
     trials whose excess risk is not finite (a divergent gd_step), the
-    number of control variates the mean was corrected by (0 or 1,
-    _estimates), and whether the mean is the exact one (a gd_reg at lam =
+    number of control variates the mean was fitted on (0 to 3,
+    _controlled), and whether the mean is the exact one (a gd_reg at lam =
     0 whose mean is finite, with stderr 0)."""
 
     mean: float
@@ -325,46 +328,90 @@ def _draw(algs, inst, n, seed, lo, hi):
     return chi, spectra, mu, z
 
 
-def _controlled(ys: np.ndarray, c: np.ndarray):
-    """(means, stderrs) of the rows of trial values ys (rows, trials)
-    corrected by the control variate c (trials,), whose exact mean is 0;
-    None where c is not finite or constant or fewer than two residual
-    degrees of freedom would be left.
+def _digamma_half(nu) -> np.ndarray:
+    """psi(nu / 2) for an array of positive integers nu: the asymptotic
+    series of psi at x = nu / 2 + 16, through its x^-10 term (its next term
+    is under 1e-16 there), less the 16 terms of psi(x + 1) = psi(x) + 1 / x
+    that lead back to nu / 2."""
+    x = np.asarray(nu, dtype=np.float64) / 2.0
+    y = x + 16.0
+    w = 1.0 / (y * y)
+    tail = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w / 132))))
+    return np.log(y) - 0.5 / y - tail - np.sum(1.0 / (x[..., None] + np.arange(16.0)), axis=-1)
 
-    beta = cov(y, c) / var(c) over all trials, the mean is the intercept
-    mean(y - beta c), and the stderr the intercept's:
-    sqrt(sum res^2 / (trials - 2) * (1 / trials + mean(c)^2 / sum (c - mean c)^2)).
-    Every reduction runs along a row, so a row's fit does not depend on
-    the rows that share c."""
-    trials = c.size
-    if trials < 4 or not np.all(np.isfinite(c)) or np.ptp(c) == 0.0:
+
+def _log_det_mean(n: int, d: int) -> float:
+    """E[log det T] = sum_i (psi(nu_i / 2) + ln 2) over the degrees of
+    freedom m, m - 1, ..., m - k + 1 of B's diagonal (module docstring)."""
+    k, m = min(n, d), max(n, d)
+    return float(np.sum(_digamma_half(np.arange(m, m - k, -1))) + k * math.log(2.0))
+
+
+def _controls(chi: np.ndarray, null, n: int, d: int) -> np.ndarray:
+    """The control variates (p, trials) of the chi rows (module docstring):
+    the lam = 0 control null where it is formed (not None), then, from
+    _MOMENT_TRIALS trials on, log det T - E[log det T] and tr T / (n d) - 1."""
+    controls = [] if null is None else [null]
+    if chi.shape[0] >= _MOMENT_TRIALS:
+        k = min(n, d)
+        controls.append(2.0 * np.sum(np.log(chi[:, :k]), axis=1) - _log_det_mean(n, d))
+        controls.append(np.sum(chi * chi, axis=1) / (n * d) - 1.0)
+    return np.array(controls).reshape(len(controls), chi.shape[0])
+
+
+def _controlled(ys: np.ndarray, controls: np.ndarray):
+    """(means, stderrs, p) of the rows of trial values ys (rows, trials)
+    fitted on an intercept and the p rows of controls (controls, trials)
+    that are finite and not constant, each of exact mean 0; None where no
+    control is left or fewer than two residual degrees of freedom would be.
+
+    Each control c in turn is centred and made orthogonal to the ones
+    before it (modified Gram-Schmidt), into q with e its value at c = 0,
+    and fits beta = (res . q) / (q . q) to the residuals res left so far
+    (at first y - mean(y)). The mean is the intercept mean(y) + sum beta e,
+    the stderr sqrt(sum res^2 / (trials - p - 1) (1 / trials + sum e^2 / (q . q))):
+    with one control, mean(y - beta c) with beta = cov(y, c) / var(c).
+    Every reduction over trials runs along a row, so a row's fit does not
+    depend on the rows that share controls."""
+    trials = controls.shape[1]
+    kept = controls[np.all(np.isfinite(controls), axis=1)
+                    & (np.max(controls, axis=1) > np.min(controls, axis=1))]
+    p = kept.shape[0]
+    if not p or trials - p - 1 < 2:
         return None
-    c_mean = np.mean(c)
-    dc = c - c_mean
-    sxx = float(dc @ dc)
-    y_mean = np.mean(ys, axis=1)
-    dy = ys - y_mean[:, None]
-    beta = np.sum(dy * dc, axis=1) / sxx
-    res = dy - beta[:, None] * dc
-    var = np.sum(res * res, axis=1) / (trials - 2) * (1.0 / trials + c_mean * c_mean / sxx)
-    return y_mean - beta * c_mean, np.sqrt(var)
+    means = np.mean(ys, axis=1)
+    res = ys - means[:, None]
+    spread, basis = 1.0 / trials, []
+    for c in kept:
+        c_mean = np.mean(c)
+        q, e = c - c_mean, -c_mean
+        for qi, ei, si in basis:
+            g = (q @ qi) / si
+            q, e = q - g * qi, e - g * ei
+        s = float(q @ q)
+        beta = np.sum(res * q, axis=1) / s
+        res = res - beta[:, None] * q
+        means = means + beta * e
+        spread += e * e / s
+        basis.append((q, e, s))
+    var = np.sum(res * res, axis=1) / (trials - p - 1) * spread
+    return means, np.sqrt(var), p
 
 
-def _estimates(values: np.ndarray, rows=(), control=None) -> list:
+def _estimates(values: np.ndarray, rows=(), controls=None) -> list:
     """One RiskEstimate per row of values (algorithms, trials): every mean, ddof=1
     stderr (inf, not NaN, where a trial is not finite) and non-finite count is one
-    reduction. Those of rows whose trials are finite are corrected by the control
-    variate control (trials,), if given (_controlled)."""
+    reduction. Those of rows whose trials are finite are fitted on the control
+    variates controls (p, trials), if given (_controlled)."""
     trials = values.shape[1]
     means = np.mean(values, axis=1)
     nonfinite = np.count_nonzero(~np.isfinite(values), axis=1)
     stderrs = np.where(nonfinite, math.inf, np.std(values, axis=1, ddof=1) / math.sqrt(trials))
     used = np.zeros(len(values), dtype=int)
     rows = [j for j in rows if not nonfinite[j]]
-    fit = _controlled(values[rows], control) if rows and control is not None else None
+    fit = _controlled(values[rows], controls) if rows and controls is not None else None
     if fit is not None:
-        means[rows], stderrs[rows] = fit
-        used[rows] = 1
+        means[rows], stderrs[rows], used[rows] = fit
     return [RiskEstimate(m, e, trials, c, p) for m, e, c, p in
             zip(means.tolist(), stderrs.tolist(), nonfinite.tolist(), used.tolist())]
 
@@ -384,8 +431,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
     overflows from finite ones; for any other algorithm either raises
     NumericalError. A gd_reg at lam = 0 is then given its exact mean
     where that is finite, and the gd_step rows within that limit and the
-    gd_reg rows at lam > 0 are corrected by a control variate (module
-    docstring).
+    gd_reg rows at lam > 0 are fitted on up to three control variates
+    (module docstring).
 
     The draws are made _CHUNK trials at a time (_draw) on min(workers,
     chunks) threads, one chunk per task, and inline at one worker or when
@@ -443,7 +490,8 @@ def mc_excess_risk_many(algs, inst: MetaInstance, n: int, trials: int,
         values[j] = (_spiked_risk(alg, mu, z, n, r2, sigma2) if alg.family == "gd2_reg"
                      else _with_init(sums[alg.params], alg.init, d))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or overflow, checked below
-        estimates = _estimates(values, controlled, null)
+        estimates = _estimates(values, controlled,
+                               _controls(chi, null, n, d) if controlled else None)
     for j, (alg, est, counted) in enumerate(zip(algs, estimates, divergent)):
         if not (counted or math.isfinite(est.mean) and math.isfinite(est.stderr)):
             raise NumericalError(f"{alg.label()} at n={n}: " + (

@@ -104,28 +104,28 @@ _GOLDEN = {
                   ".json": "c4940715faa69d2b95b3bdb1d92778d64541857622e5019c0816180ba4e2a856"}),
     "nsearch": (["nsearch", "--d", "6", "--lam", "0.5", "--epsilon", "0.6",
                  "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
-                {".json": "6b4076b76298b5f69f8788006ccbe82fd6f7b8e58929ede4f4585566c848d950"}),
+                {".json": "fa0484252d0210637ed18c9f0f9e705ff0040b96c9089176c30ab2d833d174b5"}),
     "nsearch-gd2_reg": (["nsearch", "--family", "gd2_reg", "--alpha", "10", "--d", "8",
                          "--epsilon", "0.3", "--n-grid", "4,8,16,32", "--trials", "40",
                          "--seed", "0"],
                         {".json": "def444b8fa6513c89028d7ae9f14fda1d872c08a53e80899e3b40e73766f2d84"}),
     "risk": (["risk", "--d", "6", "--n", "8", "--lam", "0.5", "--trials", "60", "--seed", "0"],
-             {".json": "bd9778eae8520797e04d323ed9a1f28a4f768e092735a8a70a2d69db7ab8ce6f"}),
+             {".json": "39d05d32cfad71c939315d797792f741a563bb29f7f6d316396a54fef644eea1"}),
     # gd_reg at lam = 0 on n = d - 1 from w0 != 0: the plain trial mean,
     # whose rows carry the init's null-space term
     "risk-w0": (["risk", "--w0", "random:3", "--d", "7", "--n", "6", "--trials", "40",
                  "--seed", "0"],
                 {".json": "41c8be83186ac30686f4e8c937b70866225d165b1640834712373eb673d64885"}),
-    # gd_step from w0 != 0: plain at n = 4 and 8, corrected by the lam = 0
-    # control at 16 and 32
+    # gd_step from w0 != 0 at 40 trials: fitted on the two moment controls
+    # at n = 4 and 8, and on those and the lam = 0 control at 16 and 32
     "nsearch-gd_step-w0": (["nsearch", "--family", "gd_step", "--eta", "0.05", "--t0", "20",
                             "--w0", "random:2", "--d", "6", "--epsilon", "0.6",
                             "--n-grid", "4,8,16,32", "--trials", "40", "--seed", "0"],
-                           {".json": "37b8417b747d424fa1fd9d6de1d5b0dee19af00351d152355b6080d67803771b"}),
+                           {".json": "350d1e82e4481ef22f2369a5cf8580beb0927fce632f3469765278583575eb22"}),
     "separation": (["separation", "--d", "6", "--epsilon", "0.5", "--trials", "40",
                     "--convex-grid", "4,8", "--nonconvex-grid", "4,8", "--alpha-target", "50",
                     "--lam-sweep", "0.5", "--seed", "0"],
-                   {".json": "46a8a088c350122fd0831e4badaa45aecc076a3d5527aa15f8f2454ac664df4d"}),
+                   {".json": "3e781d7c0a84b5b20b99b1920320cdb2e033eabf5e16e043cb7b14295519031b"}),
     "verify": (["verify", "--seed", "0"],
                {".json": "176f3a266f22f54ef34a9571c053338d792615319adea4b1cae250e84194eded"}),
 }

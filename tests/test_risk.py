@@ -216,6 +216,41 @@ def test_raw_sampler_matches_the_convex_control_mean(n):
         assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
+def test_digamma_at_half_integers():
+    # psi(1) = -gamma, psi(1/2) = -gamma - 2 ln 2, and psi(x + 1) = psi(x) + 1/x
+    # at every half-integer x up to 1e5. So E[log det T] at (n, d) = (2, 3),
+    # dof 3 and 2, is psi(3/2) + psi(1) + 2 ln 2 = 2 - 2 gamma
+    gamma = 0.5772156649015329
+    assert risk._digamma_half(np.array([2]))[0] == pytest.approx(-gamma, abs=1e-15)
+    assert risk._digamma_half(np.array([1]))[0] == pytest.approx(-gamma - 2.0 * math.log(2.0),
+                                                                 abs=1e-15)
+    nu = np.arange(1, 200001)
+    step = risk._digamma_half(nu + 2) - risk._digamma_half(nu) - 2.0 / nu
+    assert float(np.max(np.abs(step))) <= 1e-13
+    assert risk._log_det_mean(2, 3) == pytest.approx(2.0 - 2.0 * gamma, abs=1e-14)
+
+
+@pytest.mark.parametrize("d, n", [(8, 4), (8, 8), (8, 16)])
+def test_moment_control_means(d, n):
+    # the exact means that centre the moment controls, on dense designs X:
+    # log det of X's k x k Gram matrix against E[log det T] = sum_i (psi(nu_i / 2)
+    # + ln 2), nu_i = m, ..., m - k + 1, and ||X||_F^2 against n d. The chi
+    # rows that the estimator reads give both controls mean 0 too
+    trials = 4000
+    x = gaussian_matrix(SeedSpec(54).child(d, n), trials * n, d).reshape(trials, n, d)
+    gram = x @ x.transpose(0, 2, 1) if n < d else x.transpose(0, 2, 1) @ x
+    sign, log_det = np.linalg.slogdet(gram)
+    frob = np.sum(x * x, axis=(1, 2))
+    assert np.all(sign == 1.0)
+    for values, exact in ((log_det, risk._log_det_mean(n, d)), (frob, n * d)):
+        stderr = np.std(values, ddof=1) / math.sqrt(trials)
+        assert abs(np.mean(values) - exact) <= 4.0 * stderr
+    controls = risk._controls(wishart_chi(SeedSpec(55).child(d, n), n, d, 0, trials), None, n, d)
+    assert controls.shape == (2, trials)
+    for control in controls:
+        assert abs(np.mean(control)) <= 4.0 * np.std(control, ddof=1) / math.sqrt(trials)
+
+
 def _plain(monkeypatch, call):
     """call() with the control variate refused: the plain reduction."""
     with monkeypatch.context() as patch:
@@ -224,13 +259,13 @@ def _plain(monkeypatch, call):
 
 
 @pytest.mark.parametrize("d, n, sigma, trials, step", [
-    pytest.param(20, 60, 0.0, 400, None, id="20-60-0.0-400"),  # sigma = 0: a constant control
-    # under two residual degrees of freedom
+    # under two residual degrees of freedom, and under the moment controls' trials
     pytest.param(20, 60, 1.0, 2, None, id="20-60-1.0-2"),
     pytest.param(20, 60, 1.0, 3, None, id="20-60-1.0-3"),
-    pytest.param(1, 4, 1.0, 400, None, id="1-4-1.0-400"),  # d = 1 and n <= 4: m - k <= 3
-    pytest.param(20, 19, 1.0, 400, None, id="20-19-1.0-400"),  # n = d -+ 1
-    pytest.param(20, 21, 1.0, 400, None, id="20-21-1.0-400"),
+    # under the moment controls' trials, where the lam = 0 control is constant
+    # (sigma = 0) or has no finite variance (m - k <= 3)
+    pytest.param(20, 60, 0.0, 31, None, id="20-60-0.0-31"),
+    pytest.param(20, 21, 1.0, 31, None, id="20-21-1.0-31"),
     # a gd_step past its stability limit whose trials are finite
     pytest.param(20, 60, 1.0, 400, GdStepSpec(10.0, 2), id="20-60-1.0-400-past-limit"),
 ])
@@ -252,15 +287,39 @@ def test_estimate_is_plain_where_no_control_applies(monkeypatch, d, n, sigma, tr
     assert all(math.isfinite(est.mean) and math.isfinite(est.stderr) for est in ests)
 
 
+@pytest.mark.parametrize("d, n, sigma", [
+    pytest.param(20, 60, 0.0, id="20-60-0.0"),  # sigma = 0: a constant lam = 0 control
+    pytest.param(1, 4, 1.0, id="1-4-1.0"),  # d = 1 and n <= 4: m - k <= 3
+    pytest.param(20, 19, 1.0, id="20-19-1.0"),  # n = d -+ 1
+    pytest.param(20, 21, 1.0, id="20-21-1.0"),
+])
+def test_moment_controls_apply_where_the_lam_0_control_does_not(monkeypatch, d, n, sigma):
+    # at 400 trials, where the lam = 0 control is constant or has no finite
+    # variance, every lam > 0 row and gd_step row within its stability limit
+    # is fitted on log det T and tr T alone, with a smaller stderr than the
+    # plain one; the lam = 0 row is as before
+    inst = MetaInstance.from_config(d, 1.0, sigma)
+    algs = [_reg_alg(0.0, d), _reg_alg(0.1, d), _reg_alg(1.0, d),
+            AlgSpec("gd_step", GdStepSpec(0.05, 10), inst.w_star.copy())]
+    seed = SeedSpec(45).child(d, n, 400)
+    ests = mc_excess_risk_many(algs, inst, n, 400, seed)
+    plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, 400, seed))
+    assert ests[0] == plain[0] and ests[0].controls == 0
+    for alg, est, ref in zip(algs[1:], ests[1:], plain[1:]):
+        assert est.controls == 2 and est.nonfinite == 0, alg.label()
+        assert est.stderr < ref.stderr, alg.label()
+        assert abs(est.mean - ref.mean) <= 4.0 * ref.stderr, alg.label()
+
+
 @pytest.mark.parametrize("d, n, family", [
     pytest.param(d, n, "gd_reg", id=f"{d}-{n}") for d, n in ((20, 60), (1, 8), (50, 100))] + [
     pytest.param(d, n, "gd_step", id=f"{d}-{n}-gd_step")
     for d, n in ((20, 60), (1, 8), (50, 100), (20, 5))])
 def test_controls_shrink_the_stderr(monkeypatch, d, n, family):
     # where m - k >= 4 and sigma > 0, every lam > 0 row and every gd_step row
-    # within its stability limit uses the control, and the lam = 0 and
-    # gd2_reg rows stay plain; a solo call forms its own lam = 0 column and
-    # equals the paired estimate
+    # within its stability limit uses the three controls, and the lam = 0
+    # and gd2_reg rows stay plain; a solo call forms its own lam = 0 column
+    # and equals the paired estimate
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     spiked = AlgSpec("gd2_reg", GdRegSpec(1.0), SpikedIdentity(inst.w_star / inst.r, 3.0, 0.1))
     algs = [_reg_alg(0.0, d), spiked]
@@ -274,32 +333,39 @@ def test_controls_shrink_the_stderr(monkeypatch, d, n, family):
     plain = _plain(monkeypatch, lambda: mc_excess_risk_many(algs, inst, n, 400, seed))
     assert ests[:2] == plain[:2] and ests[0].controls == ests[1].controls == 0
     for alg, est, ref in zip(algs[2:], ests[2:], plain[2:]):
-        assert est.controls == 1 and est.stderr < ref.stderr, alg.label()
+        assert est.controls == 3 and est.stderr < ref.stderr, alg.label()
         assert abs(est.mean - ref.mean) <= 4.0 * ref.stderr, alg.label()
     for alg, est in zip(algs[2:], ests[2:]):
         assert mc_excess_risk(alg, inst, n, 400, seed) == est, alg.label()
 
 
-def _leave_one_out_mean(y, c):
-    """The control-variate mean with each trial's beta fitted on the other
-    trials. A trial's control has mean 0 and is independent of the other
-    trials, so this mean is unbiased."""
-    dy, dc = y - y.mean(), c - c.mean()  # the fit does not depend on either shift
-    others = y.size - 1  # the other trials' dy and dc sum to -dy and -dc
-    cov = np.sum(dy * dc) - dy * dc - dy * dc / others
-    var = np.sum(dc * dc) - dc * dc - dc * dc / others
-    return float(np.mean(y - cov / var * c))
+def _leave_one_out_mean(y, controls):
+    """The control-variate mean with each trial's betas fitted by least
+    squares on the other trials, for the control variates controls (p,
+    trials). A trial's controls have mean 0 and are independent of the
+    other trials, so this mean is unbiased."""
+    controls = controls.T
+    dy, dc = y - y.mean(), controls - controls.mean(axis=0)  # the fit ignores both shifts
+    scale = y.size / (y.size - 1)  # the other trials' dy and dc sum to -dy and -dc
+    sxx = dc.T @ dc - scale * dc[:, :, None] * dc[:, None, :]
+    sxy = dc.T @ dy - scale * dc * dy[:, None]
+    beta = np.linalg.solve(sxx, sxy[..., None])[..., 0]
+    return float(np.mean(y - np.sum(beta * controls, axis=1)))
 
 
-@pytest.mark.parametrize("trials, d, n, spec", [
-    pytest.param(trials, 50, 100, GdRegSpec(0.1), id=f"{trials}") for trials in (12, 400)] + [
-    pytest.param(trials, 20, 80, GdStepSpec(0.01, 10), id=f"{trials}-gd_step")
-    for trials in (12, 400)])
-def test_controlled_estimates_are_calibrated(monkeypatch, trials, d, n, spec):
+@pytest.mark.parametrize("trials, d, n, spec, controls", [
+    pytest.param(trials, 50, 100, GdRegSpec(0.1), controls, id=f"{trials}")
+    for trials, controls in ((12, 1), (100, 3), (400, 3))] + [
+    pytest.param(trials, 20, 80, GdStepSpec(0.01, 10), controls, id=f"{trials}-gd_step")
+    for trials, controls in ((12, 1), (100, 3), (400, 3))])
+def test_controlled_estimates_are_calibrated(monkeypatch, trials, d, n, spec, controls):
     # over 64 seeds, gd_reg(lam = 0.1) at (d, n) = (50, 100) and a gd_step
-    # far from convergence at (20, 80): the z-scores against the plain mean
-    # of all 64 x trials trials spread with sd in [0.75, 1.33]. At 400
-    # trials the beta, fitted on the same trials, biases the mean by under
+    # far from convergence at (20, 80): the z-scores of each seed's estimate
+    # against the mean of the other 63 seeds' estimates spread with sd in
+    # [0.75, 1.33]. (Against the pooled plain mean of all 64 x trials
+    # trials they would not: its own stderr is about twice a three-control
+    # stderr at 100 trials, so they would measure the reference.) At 400
+    # trials the betas, fitted on the same trials, bias the mean by under
     # 0.1 stderr against the unbiased leave-one-out fit. (A converged
     # gd_step's row is the control plus a constant, so its stderr is
     # rounding, about 1e-17.)
@@ -309,9 +375,10 @@ def test_controlled_estimates_are_calibrated(monkeypatch, trials, d, n, spec):
     fit = risk._controlled
     monkeypatch.setattr(risk, "_controlled", lambda ys, c: fits.append((ys[0], c)) or fit(ys, c))
     ests = [mc_excess_risk(alg, inst, n, trials, SeedSpec(47).child(s)) for s in range(64)]
-    assert len(fits) == 64 and all(e.controls == 1 for e in ests)
-    pooled = np.mean([y.mean() for y, _ in fits])
-    z = np.array([(e.mean - pooled) / e.stderr for e in ests])
+    assert len(fits) == 64 and all(e.controls == controls for e in ests)
+    means = np.array([e.mean for e in ests])
+    others = (np.sum(means) - means) / (means.size - 1)
+    z = (means - others) / np.array([e.stderr for e in ests])
     assert 0.75 <= np.std(z, ddof=1) <= 1.33
     if trials == 400:
         bias = np.mean([(e.mean - _leave_one_out_mean(*f)) / e.stderr for e, f in zip(ests, fits)])
@@ -467,7 +534,8 @@ def test_ridgeless_estimate_stays_plain_where_the_mean_is_infinite(d, n):
 
 def test_ridgeless_exact_mean_leaves_the_control_bytes():
     # the lam > 0 rows of a call that also scores lam = 0 keep the bytes of
-    # their control-variate fit, centred on the same inverse-Wishart mean
+    # their three-control fit, whose lam = 0 column is centred on the same
+    # inverse-Wishart mean
     d, n = 8, 16
     inst = MetaInstance.from_config(d, 1.0, 1.0)
     g = gaussian_vector(SeedSpec(49), d)
@@ -476,8 +544,8 @@ def test_ridgeless_exact_mean_leaves_the_control_bytes():
     ests = mc_excess_risk_many(algs, inst, n, 400, SeedSpec(48))
     assert [(e.mean, e.stderr, e.controls, e.exact) for e in ests] == [
         (8 / 7, 0.0, 0, True), (8 / 7, 0.0, 0, True),
-        (0.6255052710908017, 0.001827063204688696, 1, False),
-        (0.4650346028145441, 0.0010285509229266785, 1, False)]
+        (0.6221434587085569, 0.00019757754977929866, 3, False),
+        (0.46331097200080856, 7.705946609244466e-05, 3, False)]
 
 
 @pytest.mark.parametrize("w0_scale", [0.0, 1.0])
